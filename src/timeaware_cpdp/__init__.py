@@ -20,7 +20,7 @@ from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count, predict,
-                   predict_proba, train_tree, tree_depth)
+                   predict_proba, predict_proba_rows, train_tree, tree_depth)
 from .metrics import (ConfusionMatrix, ScoreSet, VersionScore, auc, confusion,
                       evaluate_pair, midranks, scores)
 from .stability import (RankRow, ResultRecord, StabilityRow, aggregate,

@@ -205,8 +205,7 @@ class ExperimentConfig:
                 pruning_confidence=_to_float(
                     "tree.pruning_confidence", get("tree.pruning_confidence", "0.25")),
                 min_leaf_weight=_to_float(
-                    "tree.min_leaf_weight", get("tree.min_leaf_weight", "2.0")),
-                seed=_to_int("run.seed", mapping["run.seed"]))
+                    "tree.min_leaf_weight", get("tree.min_leaf_weight", "2.0")))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -9,17 +9,15 @@ undefined and reported as 0.5 together with a degenerate flag.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .tree import DecisionTree, predict_proba
+from .tree import DecisionTree, predict_proba_rows
 from .treatments import TreatedPair
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -63,23 +61,27 @@ class VersionScore:
     auc_degenerate: bool
 
 
+def _confusion_cells(group: np.ndarray, predicted: np.ndarray,
+                     actual: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, 4) instance counts per group, columns (tn, fn, fp, tp)."""
+    cell = 4 * group + 2 * predicted.astype(np.intp) + actual.astype(np.intp)
+    return np.bincount(cell, minlength=4 * n_groups).reshape(n_groups, 4)
+
+
+def _matrix(cells) -> ConfusionMatrix:
+    tn, fn, fp, tp = (int(c) for c in cells)
+    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
 def confusion(predicted: Sequence[bool], actual: Sequence[bool]) -> ConfusionMatrix:
     if len(predicted) != len(actual):
         raise ValueError(
             f"length mismatch: {len(predicted)} predictions, {len(actual)} labels")
     if len(predicted) == 0:
         raise ValueError("cannot build a confusion matrix from zero instances")
-    tp = fp = tn = fn = 0
-    for p, a in zip(predicted, actual):
-        if p and a:
-            tp += 1
-        elif p and not a:
-            fp += 1
-        elif not p and not a:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    group = np.zeros(len(predicted), dtype=np.intp)
+    return _matrix(_confusion_cells(group, np.asarray(predicted, dtype=bool),
+                                    np.asarray(actual, dtype=bool), 1)[0])
 
 
 def _ratio(num: float, den: float) -> float:
@@ -103,21 +105,41 @@ def scores(cm: ConfusionMatrix) -> CoreScores:
                       gmeasure=gmeasure, mcc=mcc)
 
 
+def _midranks_within(values: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """1-based midranks of each value among the values of its group."""
+    n = len(values)
+    order = np.lexsort((values, group))
+    sv, sg = values[order], group[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
+    start = np.flatnonzero(first)  # sorted position of each tie group's first value
+    end = np.append(start[1:], n) - 1  # ... and of its last
+    offset = np.searchsorted(sg, sg[start])  # sorted position of the group's first value
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(((start - offset) + (end - offset)) / 2.0 + 1.0,
+                             end - start + 1)
+    return ranks
+
+
 def midranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks, tied values sharing the mean of their rank range."""
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(len(v), dtype=np.float64)
-    sv = v[order]
-    i = 0
-    n = len(v)
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    return _midranks_within(v, np.zeros(len(v), dtype=np.intp))
+
+
+def _auc_by_group(values: np.ndarray, labels: np.ndarray, group: np.ndarray,
+                  n_groups: int) -> np.ndarray:
+    """AUC of every group's values against its labels; 0.5 if single-class."""
+    ranks = _midranks_within(values, group)
+    n_pos = np.bincount(group[labels], minlength=n_groups)
+    n_neg = np.bincount(group, minlength=n_groups) - n_pos
+    pos_rank_sum = np.bincount(group, weights=np.where(labels, ranks, 0.0),
+                               minlength=n_groups)
+    area = np.full(n_groups, 0.5)
+    two = (n_pos > 0) & (n_neg > 0)
+    n_pos, n_neg = n_pos[two], n_neg[two]
+    area[two] = (pos_rank_sum[two] - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return area
 
 
 def auc(score_values: Sequence[float], actual: Sequence[bool]) -> float:
@@ -129,45 +151,40 @@ def auc(score_values: Sequence[float], actual: Sequence[bool]) -> float:
     labels = np.asarray(actual, dtype=bool)
     if len(score_values) != len(labels):
         raise ValueError("scores and labels differ in length")
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.5
-    ranks = midranks(score_values)
-    pos_rank_sum = float(ranks[labels].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    group = np.zeros(len(labels), dtype=np.intp)
+    return float(_auc_by_group(np.asarray(score_values, dtype=np.float64),
+                               labels, group, 1)[0])
 
 
 def evaluate_pair(tree: DecisionTree, treated: TreatedPair,
                   threshold: float = 0.5) -> list[VersionScore]:
     """Score the model separately on every test project version.
 
-    Rows are grouped by their (project, version) tag; each group yields
-    one VersionScore. Groups that lost all instances are skipped with a
-    warning rather than scored.
+    Rows are grouped by their (project, version) tag, in order of first
+    appearance; each group yields one VersionScore. All rows are
+    predicted in one pass and all confusion matrices counted at once.
     """
-    by_version: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(treated.test_version_keys):
-        by_version.setdefault(key, []).append(i)
+    # the rows of a version are usually contiguous: number runs, not rows
+    index: dict[tuple[str, str], int] = {}
+    run_version, run_length = [], []
+    for key, run in groupby(treated.test_version_keys):
+        run_version.append(index.setdefault(key, len(index)))
+        run_length.append(len(list(run)))
+    version = np.repeat(np.array(run_version, dtype=np.intp), run_length)
+    probas = predict_proba_rows(tree, treated.test_features)
+    actual = np.asarray(treated.test_labels, dtype=bool)
+    cells = _confusion_cells(version, probas >= threshold, actual, len(index))
+    areas = _auc_by_group(probas, actual, version, len(index))
 
     out = []
-    for (project, version), idx in by_version.items():
-        if not idx:
-            logger.warning("no test instances left for %s/%s; skipped",
-                           project, version)
-            continue
-        rows = treated.test_features[idx]
-        actual = treated.test_labels[idx]
-        probas = [predict_proba(tree, row) for row in rows]
-        predicted = [p >= threshold for p in probas]
-        cm = confusion(predicted, actual)
+    for (project, version_id), counts, area in zip(index, cells.tolist(),
+                                                  areas.tolist()):
+        cm = _matrix(counts)
         core = scores(cm)
-        area = auc(probas, actual)
-        degenerate = not (actual.any() and not actual.all())
         out.append(VersionScore(
-            project_id=project, version_id=version, cm=cm,
+            project_id=project, version_id=version_id, cm=cm,
             scores=ScoreSet(precision=core.precision, recall=core.recall,
                             fscore=core.fscore, gmeasure=core.gmeasure,
                             mcc=core.mcc, auc=area),
-            auc_degenerate=degenerate))
+            auc_degenerate=cm.tp + cm.fn == 0 or cm.tn + cm.fp == 0))
     return out

@@ -28,9 +28,9 @@ from .errors import ConfigError, DatasetError
 from .metrics import ConfusionMatrix, ScoreSet, VersionScore, evaluate_pair
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair,
                     crossval_pairs, enumerate_pairs)
-from .stability import (RANK_METRICS, ResultRecord, aggregate, cliffs_delta,
-                        rank_stability, rank_techniques, undersample,
-                        wilcoxon_rank_sum)
+from .stability import (RANK_METRICS, ResultRecord, _metric_values, aggregate,
+                        cliffs_delta, rank_stability, rank_techniques,
+                        undersample, wilcoxon_rank_sum)
 from .tree import dump_tree, train_tree
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
@@ -130,6 +130,7 @@ def build_tasks(config: ExperimentConfig, ts: TimeSeriesDataset,
 
 @dataclass
 class _TaskOutput:
+    test_versions: int  # distinct (project, version) test releases of the pair
     records: list[ResultRecord]
     failures: int
     version_skips: int
@@ -145,7 +146,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
     version_skips = 0
 
     assembled = assemble_pair(pair)
-    expected_versions = len({(r.project_id, r.version_id) for r in pair.test})
+    test_versions = len({(r.project_id, r.version_id) for r in pair.test})
     base = assembled
     if config.balance:
         try:
@@ -154,7 +155,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
             logger.warning("pair %s K=%s split=%s: balancing failed (%s); skipped",
                            spec.kind.value, _fmt_window(spec.window_k),
                            spec.split_index, exc)
-            return _TaskOutput([], len(config.techniques), 0, [])
+            return _TaskOutput(test_versions, [], len(config.techniques), 0, [])
 
     for technique in config.techniques:
         try:
@@ -167,7 +168,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
                            spec.split_index, technique, exc)
             failures += 1
             continue
-        version_skips += expected_versions - len(version_scores)
+        version_skips += test_versions - len(version_scores)
         if dump_trees:
             title = (f"technique={technique} kind={spec.kind.value} "
                      f"window={_fmt_window(spec.window_k)} "
@@ -180,7 +181,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
                 gap=spec.gap_buckets, test_project=vs.project_id,
                 test_version=vs.version_id, cm=vs.cm, scores=vs.scores,
                 auc_degenerate=vs.auc_degenerate))
-    return _TaskOutput(records, failures, version_skips, dumps)
+    return _TaskOutput(test_versions, records, failures, version_skips, dumps)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
@@ -215,10 +216,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
             for title, text in dumps:
                 fh.write(f"# {title}\n{text}")
 
-    expected_rows = sum(
-        len({(r.project_id, r.version_id) for r in pair.test})
-        * len(config.techniques) for pair in tasks)
-    failure_rows = _failure_row_count(tasks, outputs, config)
+    expected_rows = sum(o.test_versions for o in outputs) * len(config.techniques)
+    failure_rows = sum(o.test_versions * o.failures for o in outputs)
     manifest = {
         "tool_version": __version__,
         "config_sha256": config_hash(config),
@@ -253,14 +252,6 @@ def _pair_counts(tasks: Sequence[TrainTestPair]) -> dict[str, int]:
     for pair in tasks:
         counts[pair.spec.kind.value] = counts.get(pair.spec.kind.value, 0) + 1
     return counts
-
-
-def _failure_row_count(tasks, outputs, config) -> int:
-    total = 0
-    for pair, output in zip(tasks, outputs):
-        versions = len({(r.project_id, r.version_id) for r in pair.test})
-        total += versions * output.failures
-    return total
 
 
 def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
@@ -413,21 +404,15 @@ def _write_comparisons(path: Path, records) -> None:
             return
         for tech in _technique_order(records):
             for metric in RANK_METRICS:
-                a, _ = _values_of(time_aware, tech, metric)
-                b, _ = _values_of(baseline, tech, metric)
+                a, _ = _metric_values(
+                    [r for r in time_aware if r.technique == tech], metric)
+                b, _ = _metric_values(
+                    [r for r in baseline if r.technique == tech], metric)
                 if not a or not b:
                     continue
                 p = wilcoxon_rank_sum(a, b)
                 delta, label = cliffs_delta(a, b)
                 fh.write(f"{tech},{metric},{_fmt(p)},{_fmt(delta)},{label}\n")
-
-
-def _values_of(records, technique: str, metric: str):
-    subset = [r for r in records if r.technique == technique]
-    if metric == "auc":
-        vals = [r.scores.auc for r in subset if not r.auc_degenerate]
-        return vals, len(subset) - len(vals)
-    return [getattr(r.scores, metric) for r in subset], 0
 
 
 def _write_plotdata(path: Path, records) -> None:

@@ -48,7 +48,6 @@ def test_minimal_mapping_uses_defaults():
     assert cfg.baseline_crossval is None
     assert cfg.tree_params.pruning_confidence == 0.25
     assert cfg.tree_params.min_leaf_weight == 2.0
-    assert cfg.tree_params.seed == 17
     assert cfg.schema.project_col == "project"
     assert cfg.schema.feature_cols is None
     assert cfg.output_dir == Path("/tmp/out")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from timeaware_cpdp.tree import (DecisionTree, Leaf, Split, TreeParams,
-                                 dump_tree, leaf_count, predict,
-                                 predict_proba, train_tree, tree_depth)
+from timeaware_cpdp.tree import (DecisionTree, TreeParams, dump_tree,
+                                 leaf_count, predict, predict_proba,
+                                 predict_proba_rows, train_tree, tree_depth)
 from timeaware_cpdp.treatments import TreatedPair
 
 
@@ -28,9 +28,10 @@ def fit(train_x, train_y, weights=None, **param_kwargs) -> DecisionTree:
 def test_separable_data_yields_midpoint_threshold():
     tree = fit([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]],
                [False, False, False, True, True, True])
-    assert isinstance(tree.root, Split)
-    assert tree.root.attribute == 0
-    assert tree.root.threshold == pytest.approx(6.5, abs=0)
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == pytest.approx(6.5, abs=0)
+    assert list(tree.left) == [1, -1, -1]
+    assert list(tree.right) == [2, -1, -1]
     assert tree_depth(tree) == 1
     assert leaf_count(tree) == 2
     assert not predict(tree, [6.4])
@@ -42,7 +43,7 @@ def test_separable_data_yields_midpoint_threshold():
 
 def test_constant_features_collapse_to_single_leaf():
     tree = fit([[5.0, 5.0]] * 4, [True, False, True, False])
-    assert isinstance(tree.root, Leaf)
+    assert list(tree.feature) == [-1]
     assert leaf_count(tree) == 1
     assert tree_depth(tree) == 0
     assert predict_proba(tree, [5.0, 5.0]) == pytest.approx(0.5, abs=0)
@@ -78,8 +79,7 @@ def test_xor_requires_depth_two_and_fits_exactly():
 def test_tied_attributes_break_to_lowest_index():
     tree = fit([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]],
                [False, False, True, True])
-    assert isinstance(tree.root, Split)
-    assert tree.root.attribute == 0
+    assert tree.feature[0] == 0
 
 
 def test_tied_thresholds_break_to_lowest_value():
@@ -87,8 +87,8 @@ def test_tied_thresholds_break_to_lowest_value():
     # gain ratio; the lower threshold must win
     tree = fit([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]],
                [False, False, True, True, False, False], prune=False)
-    assert isinstance(tree.root, Split)
-    assert tree.root.threshold == pytest.approx(0.5, abs=0)
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == pytest.approx(0.5, abs=0)
 
 
 def test_training_is_deterministic():
@@ -154,7 +154,7 @@ def test_min_leaf_weight_blocks_thin_splits():
     # a perfect cut exists but would isolate a single instance
     tree = fit([[0.0], [1.0], [2.0]], [True, False, False],
                min_leaf_weight=2.0, prune=False)
-    assert isinstance(tree.root, Leaf)
+    assert list(tree.feature) == [-1]
 
 
 def test_param_validation():
@@ -178,3 +178,32 @@ def test_train_tree_input_validation():
         predict_proba(tree, [1.0, 2.0])
     with pytest.raises(ValueError):
         predict_proba(tree, [np.inf])
+    with pytest.raises(ValueError):
+        predict_proba_rows(tree, [1.0])
+    with pytest.raises(ValueError):
+        predict_proba_rows(tree, [[1.0], [np.nan]])
+
+
+def test_nodes_are_stored_in_dump_order():
+    x, y = xor_dataset()
+    tree = fit(x, y, prune=False)
+    lines = dump_tree(tree).splitlines()
+    assert len(lines) == len(tree.feature)
+    for line, attr, left, right in zip(lines, tree.feature, tree.left,
+                                       tree.right):
+        if attr < 0:
+            assert line.lstrip().startswith("leaf")
+            assert left == right == -1
+        else:
+            assert line.lstrip().startswith(f"attr {attr} <=")
+            assert 0 < left < right
+
+
+def test_batch_prediction_matches_single_rows():
+    x, y = xor_dataset()
+    tree = fit(x, y)
+    grid = np.array([[a, b] for a in (-1.0, 0.0, 0.5, 1.0, 2.0)
+                     for b in (-1.0, 0.0, 0.5, 1.0, 2.0)])
+    batch = predict_proba_rows(tree, grid)
+    assert batch.tolist() == [predict_proba(tree, row) for row in grid]
+    assert predict_proba_rows(tree, np.empty((0, 2))).shape == (0,)

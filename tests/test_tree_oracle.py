@@ -1,0 +1,116 @@
+"""The array tree and vectorised metrics against the recursive/loop oracle.
+
+Random weighted data with tied values, constant columns, single-class
+nodes and leaf-weight limits near the side weights must give the same
+dump text, bit-identical probabilities, ranks and confusion counts, and
+the same per-version scores as the code in tree_oracle.py.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tree_oracle as oracle
+from timeaware_cpdp.metrics import (auc, confusion, evaluate_pair, midranks,
+                                    scores)
+from timeaware_cpdp.tree import (TreeParams, dump_tree, predict_proba_rows,
+                                 train_tree)
+from timeaware_cpdp.treatments import TreatedPair
+
+# few distinct values per column, so most columns have ties; a column of
+# level 0 only is constant
+LEVELS = (-2.5, 0.0, 0.1, 1.0, 3.0, 1e6)
+# every candidate threshold, to test rows that fall exactly on one
+MIDPOINTS = tuple((a + b) / 2.0 for a in LEVELS for b in LEVELS if a < b)
+# weights such as 0.1 are inexact in binary, so sums depend on their order
+WEIGHTS = (0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 1.0, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def weighted_data(draw):
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 4))
+    spread = [draw(st.integers(1, len(LEVELS))) for _ in range(m)]
+    x = np.array([[LEVELS[draw(st.integers(0, spread[j] - 1))]
+                   for j in range(m)] for _ in range(n)])
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # labels that follow one attribute give deeper, purer trees
+        y = y ^ (x[:, 0] > 0.5)
+    w = np.array(draw(st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n)))
+    min_leaf = draw(st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 50.0)))
+    cf = draw(st.sampled_from((0.10, 0.25, 0.30)))
+    prune = draw(st.booleans())
+    return x, y, w, TreeParams(pruning_confidence=cf, min_leaf_weight=min_leaf,
+                               prune=prune)
+
+
+def treated(x, y, w, test_x, test_y, keys):
+    return TreatedPair(
+        train_features=x, train_labels=y, train_weights=w,
+        test_features=test_x, test_labels=test_y, test_version_keys=keys,
+        selected_attributes=tuple(range(x.shape[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_data(), st.randoms(use_true_random=False))
+def test_tree_matches_recursive_oracle(data, rnd):
+    x, y, w, params = data
+    n, m = x.shape
+    # test rows: the training rows, then rows on candidate thresholds
+    on_cut = np.array([[rnd.choice(MIDPOINTS) for _ in range(m)]
+                       for _ in range(n)])
+    test_x = np.vstack([x, on_cut])
+    test_y = np.concatenate([y, y[::-1]])
+    keys = tuple(("p", str(rnd.randrange(3))) for _ in range(2 * n))
+    pair = treated(x, y, w, test_x, test_y, keys)
+
+    tree = train_tree(pair, params)
+    root = oracle.train(x, y, w, params.pruning_confidence,
+                        params.min_leaf_weight, params.prune)
+    assert dump_tree(tree) == oracle.dump(root)
+
+    probas = predict_proba_rows(tree, test_x)
+    expected = np.array([oracle.predict_proba(root, row) for row in test_x])
+    assert probas.tobytes() == expected.tobytes()
+
+    # per-version scores of the loop pipeline the fast path replaces
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    result = evaluate_pair(tree, pair)
+    assert [(v.project_id, v.version_id) for v in result] == list(groups)
+    for score, idx in zip(result, groups.values()):
+        tp, fp, tn, fn = oracle.confusion(expected[idx] >= 0.5, test_y[idx])
+        assert (score.cm.tp, score.cm.fp, score.cm.tn, score.cm.fn) == (
+            tp, fp, tn, fn)
+        core = scores(score.cm)
+        assert (score.scores.precision, score.scores.recall,
+                score.scores.fscore, score.scores.gmeasure,
+                score.scores.mcc) == tuple(core)
+        labels = test_y[idx]
+        n_pos = int(labels.sum())
+        n_neg = len(labels) - n_pos
+        assert score.auc_degenerate == (n_pos == 0 or n_neg == 0)
+        if not score.auc_degenerate:
+            ranks = oracle.midranks(expected[idx])
+            area = ((float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0)
+                    / (n_pos * n_neg))
+            assert score.scores.auc == area == auc(expected[idx], labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 7.0)),
+                max_size=40))
+def test_midranks_match_loop_oracle(values):
+    assert midranks(values).tobytes() == oracle.midranks(values).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
+                max_size=40))
+def test_confusion_matches_loop_oracle(cells):
+    predicted = [p for p, _ in cells]
+    actual = [a for _, a in cells]
+    cm = confusion(predicted, actual)
+    assert (cm.tp, cm.fp, cm.tn, cm.fn) == oracle.confusion(predicted, actual)

@@ -1,0 +1,218 @@
+"""Reference implementations the fast tree and metrics are tested against.
+
+This is the recursive C4.5 tree the package used before trees became
+flat node arrays: a graph of ``Leaf``/``Split`` objects, a split search
+that sorts one attribute at a time, recursive pruning and one-row
+prediction, plus the loop forms of ``confusion`` and ``midranks``. The
+arithmetic is kept exactly as it was, so the array code must reproduce
+its trees, dumps, probabilities and ranks bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from statistics import NormalDist
+
+import numpy as np
+
+_GAIN_EPS = 1e-12
+
+
+class Leaf:
+    __slots__ = ("w_defective", "w_clean")
+
+    def __init__(self, w_defective: float, w_clean: float):
+        self.w_defective = w_defective
+        self.w_clean = w_clean
+
+
+class Split:
+    __slots__ = ("attribute", "threshold", "left", "right", "w_defective", "w_clean")
+
+    def __init__(self, attribute: int, threshold: float, left, right,
+                 w_defective: float, w_clean: float):
+        self.attribute = attribute
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.w_defective = w_defective
+        self.w_clean = w_clean
+
+
+def _binary_entropy(w_pos: np.ndarray, w_total: np.ndarray) -> np.ndarray:
+    w_total = np.asarray(w_total, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.clip(np.where(w_total > 0, w_pos / np.where(w_total > 0, w_total, 1.0), 0.0), 0.0, 1.0)
+        q = 1.0 - p
+        hp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        hq = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
+    return -(hp + hq)
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                min_leaf: float) -> tuple[int, float] | None:
+    total_w = w.sum()
+    total_d = w[y].sum()
+    h_parent = float(_binary_entropy(np.array(total_d), np.array(total_w)))
+    wy = w * y
+
+    best_ratio = -math.inf
+    best: tuple[int, float] | None = None
+    for attr in range(x.shape[1]):
+        values = x[:, attr]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        cw = np.cumsum(w[order])
+        cd = np.cumsum(wy[order])
+
+        cuts = np.flatnonzero(np.diff(vs) > 0)
+        if cuts.size == 0:
+            continue
+        lw = cw[cuts]
+        ld = cd[cuts]
+        rw = np.maximum(total_w - lw, 0.0)
+        rd = np.clip(total_d - ld, 0.0, rw)
+        ld = np.clip(ld, 0.0, lw)
+
+        ok = (lw >= min_leaf) & (rw >= min_leaf)
+        if not ok.any():
+            continue
+        cuts, lw, ld, rw, rd = cuts[ok], lw[ok], ld[ok], rw[ok], rd[ok]
+
+        children = (lw * _binary_entropy(ld, lw) + rw * _binary_entropy(rd, rw)) / total_w
+        gain = h_parent - children
+        pl = lw / total_w
+        split_info = -(pl * np.log2(pl) + (1.0 - pl) * np.log2(1.0 - pl))
+        ratio = np.where(gain > _GAIN_EPS, gain / split_info, -math.inf)
+
+        i = int(np.argmax(ratio))
+        if ratio[i] > best_ratio:
+            best_ratio = float(ratio[i])
+            cut = cuts[i]
+            best = (attr, float((vs[cut] + vs[cut + 1]) / 2.0))
+    return best
+
+
+def _grow(x, y, w, min_leaf_weight: float) -> Leaf | Split:
+    w_def = float(w[y].sum())
+    w_cln = float(w[~y].sum())
+    if (not y.any() or y.all()
+            or w_def + w_cln < 2.0 * min_leaf_weight):
+        return Leaf(w_def, w_cln)
+    found = _best_split(x, y, w, min_leaf_weight)
+    if found is None:
+        return Leaf(w_def, w_cln)
+    attr, thr = found
+    mask = x[:, attr] <= thr
+    left = _grow(x[mask], y[mask], w[mask], min_leaf_weight)
+    right = _grow(x[~mask], y[~mask], w[~mask], min_leaf_weight)
+    return Split(attr, thr, left, right, w_def, w_cln)
+
+
+def _added_errors(n: float, e: float, z: float, cf: float) -> float:
+    if n <= 0:
+        return 0.0
+    if e < 1.0:
+        base = n * (1.0 - cf ** (1.0 / n))
+        if e == 0.0:
+            return base
+        return base + e * (_added_errors(n, 1.0, z, cf) - base)
+    if e + 0.5 >= n:
+        return max(n - e, 0.0)
+    f = (e + 0.5) / n
+    r = (f + z * z / (2.0 * n)
+         + z * math.sqrt(f / n - f * f / n + z * z / (4.0 * n * n))) \
+        / (1.0 + z * z / n)
+    return r * n - e
+
+
+def _pessimistic_errors(node, z: float, cf: float) -> float:
+    if isinstance(node, Leaf):
+        e = min(node.w_defective, node.w_clean)
+        n = node.w_defective + node.w_clean
+        return e + _added_errors(n, e, z, cf)
+    return (_pessimistic_errors(node.left, z, cf)
+            + _pessimistic_errors(node.right, z, cf))
+
+
+def _prune(node, z: float, cf: float):
+    if isinstance(node, Leaf):
+        return node
+    node = Split(node.attribute, node.threshold,
+                 _prune(node.left, z, cf), _prune(node.right, z, cf),
+                 node.w_defective, node.w_clean)
+    as_subtree = _pessimistic_errors(node, z, cf)
+    e = min(node.w_defective, node.w_clean)
+    n = node.w_defective + node.w_clean
+    as_leaf = e + _added_errors(n, e, z, cf)
+    if as_leaf <= as_subtree:
+        return Leaf(node.w_defective, node.w_clean)
+    return node
+
+
+def train(x, y, w, pruning_confidence: float = 0.25,
+          min_leaf_weight: float = 2.0, prune: bool = True) -> Leaf | Split:
+    """Root of the grown (and by default pruned) tree."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=bool)
+    w = np.asarray(w, dtype=np.float64)
+    root = _grow(x, y, w, min_leaf_weight)
+    if prune:
+        z = NormalDist().inv_cdf(1.0 - pruning_confidence)
+        root = _prune(root, z, pruning_confidence)
+    return root
+
+
+def predict_proba(root, row) -> float:
+    node = root
+    while isinstance(node, Split):
+        node = node.left if row[node.attribute] <= node.threshold else node.right
+    return (node.w_defective + 1.0) / (node.w_defective + node.w_clean + 2.0)
+
+
+def dump(root) -> str:
+    lines: list[str] = []
+
+    def walk(node, depth: int) -> None:
+        pad = "  " * depth
+        if isinstance(node, Leaf):
+            lines.append(
+                f"{pad}leaf defective={node.w_defective!r} clean={node.w_clean!r}")
+        else:
+            lines.append(f"{pad}attr {node.attribute} <= {node.threshold!r}")
+            walk(node.left, depth + 1)
+            walk(node.right, depth + 1)
+
+    walk(root, 0)
+    return "\n".join(lines) + "\n"
+
+
+def confusion(predicted, actual) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) counted one instance at a time."""
+    tp = fp = tn = fn = 0
+    for p, a in zip(predicted, actual):
+        if p and a:
+            tp += 1
+        elif p and not a:
+            fp += 1
+        elif not p and not a:
+            tn += 1
+        else:
+            fn += 1
+    return tp, fp, tn, fn
+
+
+def midranks(values) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="mergesort")
+    ranks = np.empty(len(v), dtype=np.float64)
+    sv = v[order]
+    i = 0
+    n = len(v)
+    while i < n:
+        j = i
+        while j + 1 < n and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
