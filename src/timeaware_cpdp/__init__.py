@@ -26,7 +26,7 @@ from .metrics import (ConfusionMatrix, ScoreSet, VersionScore, auc, confusion,
 from .stability import (RankRow, ResultRecord, StabilityRow, aggregate,
                         cliffs_delta, magnitude_label, rank_stability,
                         rank_techniques, rankscores, undersample,
-                        wilcoxon_rank_sum)
+                        wilcoxon_rank_sum, write_reports)
 from .config import ExperimentConfig, config_hash, parse_config_text
 from .runner import (RESULTS_HEADER, Diagnostic, RunSummary, run_experiment,
-                     validate, write_reports)
+                     validate)

@@ -22,8 +22,9 @@ from pathlib import Path
 from .config import ExperimentConfig
 from .errors import ConfigError, DatasetError
 from .runner import (build_tasks, load_dataset, load_results_csv,
-                     run_experiment, validate, write_pairs_csv, write_reports,
+                     run_experiment, validate, write_pairs_csv,
                      write_summary_csv)
+from .stability import write_reports
 
 logger = logging.getLogger(__name__)
 

@@ -1,12 +1,13 @@
-"""Experiment orchestration and report generation.
+"""Experiment orchestration: results, manifest and tree dumps.
 
 The pipeline per pair is: enumerate -> optional under-sampling ->
-treatment -> tree training -> per-version scoring. Failures of a single
-(pair, technique) combination are logged and skipped; the run itself
-only fails on configuration or dataset errors. All output is
-byte-deterministic for a fixed config and seed: rows are written in
-enumeration order, floats use their shortest round-trip representation,
-and the manifest carries no timestamps.
+treatment -> tree training -> per-version scoring. A (pair, technique)
+combination is logged and skipped for a documented data condition
+(DegenerateTreatmentError, BalancingError, or a ValueError for input
+the treatments or the tree reject); any other exception fails the run.
+All output is byte-deterministic for a fixed config and seed: rows are
+written in enumeration order, floats use their shortest round-trip
+representation, and the manifest carries no timestamps.
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
 from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
-from .errors import ConfigError, DatasetError
-from .metrics import ConfusionMatrix, ScoreSet, VersionScore, evaluate_pair
-from .pairs import (ConfigurationKind, PairSpec, TrainTestPair,
-                    crossval_pairs, enumerate_pairs)
-from .stability import (RANK_METRICS, ResultRecord, _metric_values, aggregate,
-                        cliffs_delta, rank_stability, rank_techniques,
-                        undersample, wilcoxon_rank_sum)
+from .errors import (BalancingError, ConfigError, DatasetError,
+                     DegenerateTreatmentError)
+from .metrics import ConfusionMatrix, ScoreSet, evaluate_pair
+from .pairs import PairSpec, TrainTestPair, crossval_pairs, enumerate_pairs
+from .stability import (UNBOUNDED, ResultRecord, _fmt, _fmt_window,
+                        undersample, write_reports)
 from .tree import dump_tree, train_tree
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
@@ -46,8 +46,6 @@ RESULTS_COLUMNS = (
 )
 RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
 
-UNBOUNDED = "inf"
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -62,20 +60,6 @@ class RunSummary:
     pairs_total: int
     pair_technique_failures: int
     version_skips: int
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _fmt_window(window_k: int | None) -> str:
-    return UNBOUNDED if window_k is None else str(window_k)
 
 
 def _parse_window(text: str) -> int | None:
@@ -151,7 +135,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
     if config.balance:
         try:
             base = undersample(assembled, pair_seed(config.seed, spec))
-        except Exception as exc:
+        except BalancingError as exc:
             logger.warning("pair %s K=%s split=%s: balancing failed (%s); skipped",
                            spec.kind.value, _fmt_window(spec.window_k),
                            spec.split_index, exc)
@@ -162,7 +146,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
             treated = apply_treatment(technique, base, config)
             tree = train_tree(treated, config.tree_params)
             version_scores = evaluate_pair(tree, treated)
-        except Exception as exc:
+        except (DegenerateTreatmentError, ValueError) as exc:
             logger.warning("pair %s K=%s split=%s technique=%s: %s; skipped",
                            spec.kind.value, _fmt_window(spec.window_k),
                            spec.split_index, technique, exc)
@@ -327,111 +311,6 @@ def write_pairs_csv(path_or_buffer, tasks: Sequence[TrainTestPair]) -> None:
     else:
         with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
             emit(fh)
-
-
-def write_reports(records: Sequence[ResultRecord], out_dir: Path,
-                  stability_threshold: float = 0.05) -> None:
-    """Write stability.csv, ranks.csv, comparisons.csv and plotdata.csv."""
-    out_dir = Path(out_dir)
-    _write_stability(out_dir / "stability.csv", records, stability_threshold)
-    _write_ranks(out_dir / "ranks.csv", records)
-    _write_comparisons(out_dir / "comparisons.csv", records)
-    _write_plotdata(out_dir / "plotdata.csv", records)
-
-
-def _write_stability(path: Path, records, threshold: float) -> None:
-    rows = aggregate(records, by_window=False, threshold=threshold)
-    rows += aggregate(records, by_window=True, threshold=threshold)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("technique,kind,window_k,metric,n,excluded,mean,sd,stable\n")
-        for row in rows:
-            window = "" if row.window_k is None else _fmt_window(row.window_k)
-            fh.write(f"{row.technique},{row.kind},{window},{row.metric},"
-                     f"{row.n},{row.excluded},{_fmt(row.mean)},{_fmt(row.sd)},"
-                     f"{_fmt(row.stable)}\n")
-
-
-def _kind_order(records) -> list[str]:
-    return list(dict.fromkeys(r.kind for r in records))
-
-
-def _technique_order(records) -> list[str]:
-    return list(dict.fromkeys(r.technique for r in records))
-
-
-def _write_ranks(path: Path, records) -> None:
-    kinds = _kind_order(records)
-    techniques = _technique_order(records)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("kind,technique,rankscore_fscore,rankscore_auc,rankscore_mcc,"
-                 "rankscore_gmeasure,mean_rank_score,rank,rank_sd\n")
-        if len(techniques) < 2:
-            return
-        for kind in kinds:
-            kind_records = [r for r in records if r.kind == kind]
-            values: dict[str, dict[str, float]] = {}
-            for tech in techniques:
-                tech_records = [r for r in kind_records if r.technique == tech]
-                per_metric = {}
-                for metric in RANK_METRICS:
-                    vals = [getattr(r.scores, metric) for r in tech_records
-                            if not (metric == "auc" and r.auc_degenerate)]
-                    if vals:
-                        per_metric[metric] = sum(vals) / len(vals)
-                if len(per_metric) == len(RANK_METRICS):
-                    values[tech] = per_metric
-            if len(values) < 2:
-                logger.warning("ranks for %s skipped: fewer than 2 techniques "
-                               "with complete metrics", kind)
-                continue
-            sd_by_tech = rank_stability(records, kind)
-            for row in rank_techniques(values):
-                rs = dict(zip(RANK_METRICS, row.rankscores))
-                fh.write(f"{kind},{row.technique},{_fmt(rs['fscore'])},"
-                         f"{_fmt(rs['auc'])},{_fmt(rs['mcc'])},"
-                         f"{_fmt(rs['gmeasure'])},{_fmt(row.mean_rank_score)},"
-                         f"{row.rank},{_fmt(sd_by_tech.get(row.technique))}\n")
-
-
-def _write_comparisons(path: Path, records) -> None:
-    """Time-aware configurations pooled against the cross-validation baseline."""
-    baseline_kind = ConfigurationKind.CROSSVAL.value
-    baseline = [r for r in records if r.kind == baseline_kind]
-    time_aware = [r for r in records if r.kind != baseline_kind]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("technique,metric,p_value,cliffs_delta,magnitude\n")
-        if not baseline or not time_aware:
-            return
-        for tech in _technique_order(records):
-            for metric in RANK_METRICS:
-                a, _ = _metric_values(
-                    [r for r in time_aware if r.technique == tech], metric)
-                b, _ = _metric_values(
-                    [r for r in baseline if r.technique == tech], metric)
-                if not a or not b:
-                    continue
-                p = wilcoxon_rank_sum(a, b)
-                delta, label = cliffs_delta(a, b)
-                fh.write(f"{tech},{metric},{_fmt(p)},{_fmt(delta)},{label}\n")
-
-
-def _write_plotdata(path: Path, records) -> None:
-    """Per-cell metric means in the layout of the variation figures."""
-    cells: dict[tuple, list[ResultRecord]] = {}
-    for r in records:
-        cells.setdefault((r.technique, r.kind, r.window_k, r.split_index),
-                         []).append(r)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("technique,kind,window_k,split_index,metric,value\n")
-        for (tech, kind, window, split), group in cells.items():
-            for metric in RANK_METRICS:
-                vals = [getattr(r.scores, metric) for r in group
-                        if not (metric == "auc" and r.auc_degenerate)]
-                if not vals:
-                    continue
-                mean = sum(vals) / len(vals)
-                fh.write(f"{tech},{kind},{_fmt_window(window)},{split},"
-                         f"{metric},{_fmt(mean)}\n")
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:

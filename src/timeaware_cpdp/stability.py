@@ -11,30 +11,42 @@ samples and falls back to the tie-corrected normal approximation with
 continuity correction otherwise. Effect sizes use Cliff's delta with
 the conventional magnitude thresholds (negligible up to 0.147, small up
 to 0.33, medium up to 0.474, large beyond).
+
+write_reports writes four CSV reports from a run's records:
+stability.csv, ranks.csv (with the SD of each technique's per-cell
+rank), comparisons.csv (time-aware against the cross-validation
+baseline) and plotdata.csv (per-cell metric means).
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import logging
 import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BalancingError, ConfigError
 from .metrics import ConfusionMatrix, ScoreSet, midranks
+from .pairs import ConfigurationKind
 from .treatments import TreatedPair
+
+logger = logging.getLogger(__name__)
 
 RANK_METRICS = ("fscore", "auc", "mcc", "gmeasure")
 STABILITY_THRESHOLD = 0.05
 
 MAGNITUDE_LEVELS = (0.147, 0.33, 0.474)
 MAGNITUDE_NAMES = ("negligible", "small", "medium", "large")
+
+UNBOUNDED = "inf"
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,29 @@ class RankRow:
     rank: int
 
 
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _fmt_window(window_k: int | None) -> str:
+    return UNBOUNDED if window_k is None else str(window_k)
+
+
+def _group(records: Sequence[ResultRecord],
+           key: Callable[[ResultRecord], tuple]) -> dict[tuple, list[ResultRecord]]:
+    """Records grouped by key; groups and their members in record order."""
+    groups: dict[tuple, list[ResultRecord]] = {}
+    for r in records:
+        groups.setdefault(key(r), []).append(r)
+    return groups
+
+
 def _metric_values(records: Sequence[ResultRecord], metric: str) -> tuple[list[float], int]:
     """Values of one metric, AUC filtered of degenerate rows; returns (values, excluded)."""
     if metric == "auc":
@@ -101,10 +136,8 @@ def aggregate(records: Sequence[ResultRecord],
     groups report SD 0 and are flagged. Groups whose AUC values were all
     degenerate report no AUC mean at all.
     """
-    groups: dict[tuple, list[ResultRecord]] = {}
-    for r in records:
-        key = (r.technique, r.kind, r.window_k) if by_window else (r.technique, r.kind)
-        groups.setdefault(key, []).append(r)
+    width = 3 if by_window else 2
+    groups = _group(records, lambda r: (r.technique, r.kind, r.window_k)[:width])
 
     rows = []
     for key, group in groups.items():
@@ -250,6 +283,45 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
     return [row for _, _, row in rows]
 
 
+def _cell_means(records: Sequence[ResultRecord],
+                metrics: Sequence[str] = RANK_METRICS) -> dict[tuple, dict[str, float]]:
+    """Means per (technique, kind, window, split) cell; a metric without values is left out."""
+    out = {}
+    cells = _group(records, lambda r: (r.technique, r.kind, r.window_k, r.split_index))
+    for cell, group in cells.items():
+        means = {}
+        for metric in metrics:
+            values, _ = _metric_values(group, metric)
+            if values:
+                means[metric] = sum(values) / len(values)
+        out[cell] = means
+    return out
+
+
+def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]], kind: str,
+              metrics: Sequence[str] = RANK_METRICS) -> dict[str, float]:
+    """SD of each technique's per-cell rank within one configuration."""
+    cells: dict[tuple, dict[str, Mapping[str, float]]] = {}
+    ranks: dict[str, list[int]] = {}
+    for (tech, cell_kind, window, split), means in cell_means.items():
+        if cell_kind == kind:
+            cells.setdefault((window, split), {})[tech] = means
+            ranks.setdefault(tech, [])
+
+    for cell_key in sorted(cells, key=lambda c: (c[0] is None, c[0], c[1])):
+        cell = cells[cell_key]
+        if cell.keys() != ranks.keys():
+            continue
+        usable = [m for m in metrics if all(m in v for v in cell.values())]
+        if not usable:
+            continue
+        for row in rank_techniques(cell, metrics=usable):
+            ranks[row.technique].append(row.rank)
+    return {tech: _mean_sd([float(r) for r in tech_ranks])[1]
+            if len(tech_ranks) > 1 else 0.0
+            for tech, tech_ranks in ranks.items()}
+
+
 def rank_stability(records: Sequence[ResultRecord], kind: str,
                    metrics: Sequence[str] = RANK_METRICS) -> dict[str, float]:
     """SD of each technique's per-cell rank within one configuration.
@@ -261,46 +333,9 @@ def rank_stability(records: Sequence[ResultRecord], kind: str,
     fewer than two usable cells the SD is 0.
     """
     kind_records = [r for r in records if r.kind == kind]
-    techniques = list(dict.fromkeys(r.technique for r in kind_records))
-    if len(techniques) < 2:
+    if len({r.technique for r in kind_records}) < 2:
         raise ConfigError("rank stability needs at least 2 techniques")
-
-    cells: dict[tuple, dict[str, list[ResultRecord]]] = {}
-    for r in kind_records:
-        cell = cells.setdefault((r.window_k, r.split_index), {})
-        cell.setdefault(r.technique, []).append(r)
-
-    per_tech_ranks: dict[str, list[int]] = {t: [] for t in techniques}
-    for cell_key in sorted(cells, key=lambda c: (c[0] is None, c[0], c[1])):
-        cell = cells[cell_key]
-        if set(cell) != set(techniques):
-            continue
-        usable_metrics = []
-        cell_values: dict[str, dict[str, float]] = {t: {} for t in techniques}
-        for metric in metrics:
-            ok = True
-            for tech in techniques:
-                vals, _ = _metric_values(cell[tech], metric)
-                if not vals:
-                    ok = False
-                    break
-                cell_values[tech][metric] = sum(vals) / len(vals)
-            if ok:
-                usable_metrics.append(metric)
-        if not usable_metrics:
-            continue
-        for row in rank_techniques(cell_values, metrics=usable_metrics):
-            per_tech_ranks[row.technique].append(row.rank)
-
-    out = {}
-    for tech in techniques:
-        ranks = per_tech_ranks[tech]
-        if len(ranks) < 2:
-            out[tech] = 0.0
-        else:
-            _, sd, _ = _mean_sd([float(r) for r in ranks])
-            out[tech] = sd
-    return out
+    return _rank_sds(_cell_means(kind_records, metrics), kind, metrics)
 
 
 def undersample(tp: TreatedPair, seed: int) -> TreatedPair:
@@ -331,3 +366,84 @@ def undersample(tp: TreatedPair, seed: int) -> TreatedPair:
         train_features=tp.train_features[keep],
         train_labels=labels[keep],
         train_weights=tp.train_weights[keep])
+
+
+def write_reports(records: Sequence[ResultRecord], out_dir: Path,
+                  stability_threshold: float = STABILITY_THRESHOLD) -> None:
+    """Write stability.csv, ranks.csv, comparisons.csv and plotdata.csv."""
+    out_dir = Path(out_dir)
+    overall = aggregate(records, by_window=False, threshold=stability_threshold)
+    cell_means = _cell_means(records)
+    _write_stability(out_dir / "stability.csv", overall + aggregate(
+        records, by_window=True, threshold=stability_threshold))
+    _write_ranks(out_dir / "ranks.csv", overall, cell_means)
+    _write_comparisons(out_dir / "comparisons.csv", records)
+    _write_plotdata(out_dir / "plotdata.csv", cell_means)
+
+
+def _write_stability(path: Path, rows: Sequence[StabilityRow]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("technique,kind,window_k,metric,n,excluded,mean,sd,stable\n")
+        for row in rows:
+            window = "" if row.window_k is None else _fmt_window(row.window_k)
+            fh.write(f"{row.technique},{row.kind},{window},{row.metric},"
+                     f"{row.n},{row.excluded},{_fmt(row.mean)},{_fmt(row.sd)},"
+                     f"{_fmt(row.stable)}\n")
+
+
+def _write_ranks(path: Path, overall: Sequence[StabilityRow],
+                 cell_means: Mapping[tuple, Mapping[str, float]]) -> None:
+    """Rank scores per kind; techniques enter in first-appearance order over all records."""
+    techniques = list(dict.fromkeys(cell[0] for cell in cell_means))
+    kinds = list(dict.fromkeys(cell[1] for cell in cell_means))
+    means: dict[tuple, dict[str, float]] = {}
+    for row in overall:
+        if row.mean is not None:
+            means.setdefault((row.technique, row.kind), {})[row.metric] = row.mean
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("kind,technique,rankscore_fscore,rankscore_auc,rankscore_mcc,"
+                 "rankscore_gmeasure,mean_rank_score,rank,rank_sd\n")
+        if len(techniques) < 2:
+            return
+        for kind in kinds:
+            values = {t: means[t, kind] for t in techniques
+                      if len(means.get((t, kind), ())) == len(RANK_METRICS)}
+            if len(values) < 2:
+                logger.warning("ranks for %s skipped: fewer than 2 techniques "
+                               "with complete metrics", kind)
+                continue
+            sd_by_tech = _rank_sds(cell_means, kind)
+            for row in rank_techniques(values):
+                rs = dict(zip(RANK_METRICS, row.rankscores))
+                fh.write(f"{kind},{row.technique},{_fmt(rs['fscore'])},"
+                         f"{_fmt(rs['auc'])},{_fmt(rs['mcc'])},"
+                         f"{_fmt(rs['gmeasure'])},{_fmt(row.mean_rank_score)},"
+                         f"{row.rank},{_fmt(sd_by_tech[row.technique])}\n")
+
+
+def _write_comparisons(path: Path, records: Sequence[ResultRecord]) -> None:
+    """Time-aware configurations pooled against the cross-validation baseline."""
+    baseline_kind = ConfigurationKind.CROSSVAL.value
+    sides = _group(records, lambda r: (r.technique, r.kind == baseline_kind))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("technique,metric,p_value,cliffs_delta,magnitude\n")
+        for tech in dict.fromkeys(tech for tech, _ in sides):
+            for metric in RANK_METRICS:
+                a, _ = _metric_values(sides.get((tech, False), []), metric)
+                b, _ = _metric_values(sides.get((tech, True), []), metric)
+                if not a or not b:
+                    continue
+                p = wilcoxon_rank_sum(a, b)
+                delta, label = cliffs_delta(a, b)
+                fh.write(f"{tech},{metric},{_fmt(p)},{_fmt(delta)},{label}\n")
+
+
+def _write_plotdata(path: Path,
+                    cell_means: Mapping[tuple, Mapping[str, float]]) -> None:
+    """Per-cell metric means in the layout of the variation figures."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("technique,kind,window_k,split_index,metric,value\n")
+        for (tech, kind, window, split), means in cell_means.items():
+            for metric, mean in means.items():
+                fh.write(f"{tech},{kind},{_fmt_window(window)},{split},"
+                         f"{metric},{_fmt(mean)}\n")

@@ -81,8 +81,8 @@ class TreatedPair:
             raise ValueError("test labels do not match test rows")
         if len(self.test_version_keys) != len(self.test_features):
             raise ValueError("test version keys do not match test rows")
-        if np.any(self.train_weights <= 0):
-            raise ValueError("train weights must be positive")
+        if not np.all(np.isfinite(self.train_weights) & (self.train_weights > 0)):
+            raise ValueError("train weights must be finite and positive")
 
     @property
     def n_train(self) -> int:
@@ -137,14 +137,10 @@ def watanabe08(tp: TreatedPair) -> TreatedPair:
     test mean is exactly zero keep their values (factor 1). Training
     features are untouched.
     """
-    train_mean = tp.train_features.mean(axis=0)
-    test_mean = tp.test_features.mean(axis=0)
-    factor = np.where(test_mean == 0.0, 1.0, train_mean
-                      / np.where(test_mean == 0.0, 1.0, test_mean))
     return dataclasses.replace(
         tp,
         train_features=tp.train_features.copy(),
-        test_features=tp.test_features * factor,
+        test_features=tp.test_features * watanabe08_factors(tp),
         train_weights=np.ones(tp.n_train))
 
 

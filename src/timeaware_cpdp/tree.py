@@ -234,8 +234,8 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None) -> Decisi
         raise ValueError("training needs at least 2 instances")
     if not np.all(np.isfinite(x)):
         raise ValueError("training features must be finite")
-    if w.sum() <= 0:
-        raise ValueError("total training weight must be positive")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("training weights must be finite and positive")
 
     nodes = _grow(x, y, w, params.min_leaf_weight)
     if params.prune:

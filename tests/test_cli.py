@@ -56,13 +56,13 @@ def test_run_and_report_cycle(tmp_path, capsys):
                  "comparisons.csv", "plotdata.csv"):
         assert (out_dir / name).exists(), name
 
-    # reports can be rebuilt from results.csv alone
-    before = (out_dir / "ranks.csv").read_bytes()
-    (out_dir / "ranks.csv").unlink()
-    (out_dir / "stability.csv").unlink()
+    # reports can be rebuilt byte for byte from results.csv alone
+    reports = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
+    before = {name: (out_dir / name).read_bytes() for name in reports}
+    for name in reports:
+        (out_dir / name).unlink()
     assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 0
-    assert (out_dir / "ranks.csv").read_bytes() == before
-    assert (out_dir / "stability.csv").exists()
+    assert {name: (out_dir / name).read_bytes() for name in reports} == before
 
 
 def test_run_uses_config_output_dir_by_default(tmp_path):

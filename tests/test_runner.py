@@ -7,7 +7,8 @@ import pytest
 from e2e import write_experiment
 from timeaware_cpdp import __version__
 from timeaware_cpdp.config import ExperimentConfig, config_hash
-from timeaware_cpdp.errors import DatasetError
+from timeaware_cpdp.cli import main
+from timeaware_cpdp.errors import DatasetError, DegenerateTreatmentError
 from timeaware_cpdp.runner import (RESULTS_HEADER, build_tasks, load_dataset,
                                    load_results_csv, run_experiment, validate,
                                    write_pairs_csv, write_results_csv,
@@ -113,7 +114,7 @@ def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):
 
     def flaky(name, tp, config):
         if name == "ma12":
-            raise RuntimeError("forced failure")
+            raise DegenerateTreatmentError("forced failure")
         return real(name, tp, config)
 
     monkeypatch.setattr(runner_mod, "apply_treatment", flaky)
@@ -128,6 +129,22 @@ def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):
     assert acct["rows_from_failed_combinations"] > 0
     assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
             - acct["version_skips"] == acct["written_rows"])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
+                                                        threads):
+    import timeaware_cpdp.runner as runner_mod
+
+    def buggy(tp):
+        raise TypeError("forced bug")
+
+    monkeypatch.setattr(runner_mod, "ma12", buggy)
+    with pytest.raises(TypeError, match="forced bug"):
+        run(tmp_path, threads=threads)
+    cfg = write_experiment(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "cli"),
+                 "--threads", str(threads)]) == 2
 
 
 def test_results_roundtrip_through_csv(tmp_path):

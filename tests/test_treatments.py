@@ -1,5 +1,6 @@
 """Treatment semantics: fixtures with hand-computed expectations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,14 @@ def test_assemble_pair_flattens_releases():
     assert list(tp.train_labels) == [True, False]
     assert list(tp.train_weights) == [1.0, 1.0]
     assert tp.selected_attributes == (0, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_treated_pair_rejects_non_finite_or_non_positive_weights(bad):
+    tp = build_pair([[1.0], [2.0], [3.0], [4.0]], [True, True, False, False],
+                    [[1.5]], [True])
+    with pytest.raises(ValueError, match="finite and positive"):
+        dataclasses.replace(tp, train_weights=np.array([1.0, 1.0, bad, 1.0]))
 
 
 def test_identity_changes_nothing():

@@ -1,5 +1,7 @@
 """Decision tree behavior: splits, pruning, weights, probabilities."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,17 @@ def test_train_tree_input_validation():
         predict_proba_rows(tree, [1.0])
     with pytest.raises(ValueError):
         predict_proba_rows(tree, [[1.0], [np.nan]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_train_tree_rejects_non_finite_or_non_positive_weights(bad):
+    # a namespace, not a TreatedPair, so that the tree's own check is reached
+    treated = SimpleNamespace(
+        train_features=np.array([[1.0], [2.0], [3.0], [4.0]]),
+        train_labels=np.array([True, True, False, False]),
+        train_weights=np.array([1.0, 1.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="finite and positive"):
+        train_tree(treated)
 
 
 def test_nodes_are_stored_in_dump_order():
