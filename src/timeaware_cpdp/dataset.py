@@ -14,7 +14,10 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from typing import IO, Iterable
+
+import numpy as np
 
 from .errors import ConflictError, EmptyDatasetError, ParseError
 
@@ -70,6 +73,21 @@ class Release:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The records as a float64 feature matrix and a bool defect vector.
+
+        Built on first use and kept: a release takes part in many pairs.
+        Raises ValueError when the records differ in attribute count.
+        """
+        widths = sorted({len(rec.features) for rec in self.records})
+        if len(widths) > 1:
+            raise ValueError(f"inconsistent attribute counts: {widths}")
+        features = np.array([rec.features for rec in self.records],
+                            dtype=np.float64)
+        labels = np.array([rec.defective for rec in self.records], dtype=bool)
+        return features.reshape(len(self.records), *widths), labels
 
 
 @dataclass(frozen=True)

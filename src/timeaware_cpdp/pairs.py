@@ -16,7 +16,8 @@ out of the training window's immediate future; gap 0 makes the windows
 adjacent. Pairs whose test side shares a project with the training side
 after filtering, or that have an empty side, are dropped. Duplicate
 (train, test) set combinations arising from window truncation are kept
-and stay distinguishable through their (window, split) tag.
+and stay distinguishable through their (window, split) tag; a run
+computes each of them once and gives the results to every such tag.
 """
 
 from __future__ import annotations

@@ -1,13 +1,22 @@
-"""Experiment orchestration: results, manifest and tree dumps.
+"""Experiment orchestration: plan, run, fan out; results, manifest, dumps.
 
-The pipeline per pair is: enumerate -> optional under-sampling ->
-treatment -> tree training -> per-version scoring. A (pair, technique)
-combination is logged and skipped for a documented data condition
-(DegenerateTreatmentError, BalancingError, or a ValueError for input
-the treatments or the tree reject); any other exception fails the run.
-All output is byte-deterministic for a fixed config and seed: rows are
-written in enumeration order, floats use their shortest round-trip
-representation, and the manifest carries no timestamps.
+A run first plans its work (``plan_run``): the pairs are grouped by
+training side, and each group keeps every distinct test side once, since
+window truncation gives several (window, split) tags the same releases.
+Each group is then one unit of work, for one thread of the pool: per
+distinct (train, test) set, assembly -> optional under-sampling ->
+treatment -> tree training -> per-version scoring, with a tree fitted
+once per distinct training input of the group. Fan-out walks the pairs
+in enumeration order and gives every (pair, technique) tag the results
+of its set: rows, skip warnings, failures and tree dumps.
+
+A (pair, technique) combination is logged and skipped for a documented
+data condition (DegenerateTreatmentError, BalancingError, or a
+ValueError for input the treatments or the tree reject); any other
+exception fails the run. All output is byte-deterministic for a fixed
+config and seed: rows and warnings come in enumeration order, floats
+use their shortest round-trip representation, and the manifest carries
+no timestamps.
 """
 
 from __future__ import annotations
@@ -17,9 +26,9 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
@@ -27,11 +36,11 @@ from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
 from .errors import (BalancingError, ConfigError, DatasetError,
                      DegenerateTreatmentError)
-from .metrics import ConfusionMatrix, ScoreSet, evaluate_pair
+from .metrics import ConfusionMatrix, ScoreSet, VersionScore, evaluate_pair
 from .pairs import PairSpec, TrainTestPair, crossval_pairs, enumerate_pairs
 from .stability import (UNBOUNDED, ResultRecord, _fmt, _fmt_window,
                         undersample, write_reports)
-from .tree import dump_tree, train_tree
+from .tree import DecisionTree, dump_tree, train_tree
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 
@@ -112,60 +121,179 @@ def build_tasks(config: ExperimentConfig, ts: TimeSeriesDataset,
     return tasks
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """The distinct work of a run, and where each pair takes its results from.
+
+    groups holds one list per training side, in order of first
+    appearance: the first pair of each distinct test side trained on
+    it. slots gives every pair, in enumeration order, the (group,
+    position) of the pair whose results it shares.
+    """
+
+    groups: list[list[TrainTestPair]]
+    slots: list[tuple[int, int]]
+
+    @property
+    def distinct_pairs(self) -> int:
+        return sum(len(group) for group in self.groups)
+
+
+def plan_run(tasks: Sequence[TrainTestPair], config: ExperimentConfig) -> RunPlan:
+    """Group the pairs by training side and keep each test side once.
+
+    Window truncation at the dataset edges gives several (window, split)
+    tags the same train and test releases. Under-sampling draws with a
+    per-pair seed, so with balancing on the seed is part of the training
+    side and no two pairs share one.
+    """
+    groups: list[list[TrainTestPair]] = []
+    group_of: dict[tuple, int] = {}
+    slot_of: dict[tuple, tuple[int, int]] = {}
+    slots: list[tuple[int, int]] = []
+    for pair in tasks:
+        train: tuple = tuple(r.key for r in pair.train)
+        if config.balance:
+            train += (pair_seed(config.seed, pair.spec),)
+        if train not in group_of:
+            group_of[train] = len(groups)
+            groups.append([])
+        key = (train, tuple(r.key for r in pair.test))
+        if key not in slot_of:
+            group = group_of[train]
+            slot_of[key] = (group, len(groups[group]))
+            groups[group].append(pair)
+        slots.append(slot_of[key])
+    return RunPlan(groups, slots)
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """One technique on one distinct (train, test) set."""
+
+    version_scores: list[VersionScore]
+    tree_dump: str | None  # only with --dump-trees
+
+
+# the BalancingError that skipped a distinct (train, test) set, or per
+# technique its fit or the error that skipped it
+_SetResult = BalancingError | list[_Fit | DegenerateTreatmentError | ValueError]
+
+
+def _training_digest(treated: TreatedPair) -> bytes:
+    """Equal digests mean equal training input, hence equal trees.
+
+    TreeParams is the same for the whole run, so it is not part of it.
+    """
+    digest = hashlib.sha256()
+    for array in (treated.train_features, treated.train_labels,
+                  treated.train_weights):
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.digest()
+
+
+def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
+               dump_trees: bool) -> list[_SetResult]:
+    """Results of each distinct (train, test) set of one training side.
+
+    A tree is fitted once per distinct training input of the group; the
+    trees are dropped when the group ends. Errors are kept without their
+    tracebacks, which would hold the frames' arrays until fan-out.
+    """
+    trees: dict[bytes, DecisionTree] = {}
+    results: list[_SetResult] = []
+    for pair in pairs:
+        base = assemble_pair(pair)
+        if config.balance:
+            try:
+                base = undersample(base, pair_seed(config.seed, pair.spec))
+            except BalancingError as exc:
+                results.append(exc.with_traceback(None))
+                continue
+        fits: list[_Fit | DegenerateTreatmentError | ValueError] = []
+        for technique in config.techniques:
+            try:
+                treated = apply_treatment(technique, base, config)
+                key = _training_digest(treated)
+                tree = trees.get(key)
+                if tree is None:
+                    tree = trees[key] = train_tree(treated, config.tree_params)
+                version_scores = evaluate_pair(tree, treated)
+            except (DegenerateTreatmentError, ValueError) as exc:
+                fits.append(exc.with_traceback(None))
+                continue
+            fits.append(_Fit(version_scores,
+                             dump_tree(tree) if dump_trees else None))
+        results.append(fits)
+    return results
+
+
 @dataclass
-class _TaskOutput:
-    test_versions: int  # distinct (project, version) test releases of the pair
-    records: list[ResultRecord]
-    failures: int
-    version_skips: int
-    tree_dumps: list[tuple[str, str]]
+class _Tally:
+    """What the fan-out hands to the output files."""
+
+    records: list[ResultRecord] = field(default_factory=list)
+    dumps: list[tuple[str, str]] = field(default_factory=list)
+    failures: int = 0
+    version_skips: int = 0
+    expected_rows: int = 0
+    failure_rows: int = 0
 
 
-def _run_task(pair: TrainTestPair, config: ExperimentConfig,
-              dump_trees: bool) -> _TaskOutput:
-    spec = pair.spec
-    records: list[ResultRecord] = []
-    dumps: list[tuple[str, str]] = []
-    failures = 0
-    version_skips = 0
+def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
+             computed: Iterator[list[_SetResult]], config: ExperimentConfig,
+             dump_trees: bool) -> _Tally:
+    """Give every (pair, technique) tag, in enumeration order, its set's results.
 
-    assembled = assemble_pair(pair)
-    test_versions = len({(r.project_id, r.version_id) for r in pair.test})
-    base = assembled
-    if config.balance:
-        try:
-            base = undersample(assembled, pair_seed(config.seed, spec))
-        except BalancingError as exc:
+    A group's results are taken from computed when the walk first needs
+    them, and a set's result is dropped after its last tag. Under
+    balancing every set has one tag, so its version scores become
+    records as soon as they exist.
+    """
+    tally = _Tally()
+    results: list[list[_SetResult | None]] = []
+    last_use = {slot: i for i, slot in enumerate(plan.slots)}
+    n_techniques = len(config.techniques)
+    for i, (pair, (group, position)) in enumerate(zip(tasks, plan.slots)):
+        if group == len(results):  # groups are numbered by first use
+            results.append(next(computed))
+        result = results[group][position]
+        if last_use[group, position] == i:
+            results[group][position] = None
+        spec = pair.spec
+        test_versions = len({r.key for r in pair.test})
+        tally.expected_rows += test_versions * n_techniques
+        if isinstance(result, BalancingError):
             logger.warning("pair %s K=%s split=%s: balancing failed (%s); skipped",
                            spec.kind.value, _fmt_window(spec.window_k),
-                           spec.split_index, exc)
-            return _TaskOutput(test_versions, [], len(config.techniques), 0, [])
-
-    for technique in config.techniques:
-        try:
-            treated = apply_treatment(technique, base, config)
-            tree = train_tree(treated, config.tree_params)
-            version_scores = evaluate_pair(tree, treated)
-        except (DegenerateTreatmentError, ValueError) as exc:
-            logger.warning("pair %s K=%s split=%s technique=%s: %s; skipped",
-                           spec.kind.value, _fmt_window(spec.window_k),
-                           spec.split_index, technique, exc)
-            failures += 1
+                           spec.split_index, result)
+            tally.failures += n_techniques
+            tally.failure_rows += test_versions * n_techniques
             continue
-        version_skips += test_versions - len(version_scores)
-        if dump_trees:
-            title = (f"technique={technique} kind={spec.kind.value} "
-                     f"window={_fmt_window(spec.window_k)} "
-                     f"split={spec.split_index} gap={spec.gap_buckets}")
-            dumps.append((title, dump_tree(tree)))
-        for vs in version_scores:
-            records.append(ResultRecord(
+        for technique, fit in zip(config.techniques, result):
+            if not isinstance(fit, _Fit):
+                logger.warning("pair %s K=%s split=%s technique=%s: %s; skipped",
+                               spec.kind.value, _fmt_window(spec.window_k),
+                               spec.split_index, technique, fit)
+                tally.failures += 1
+                tally.failure_rows += test_versions
+                continue
+            tally.version_skips += test_versions - len(fit.version_scores)
+            if dump_trees:
+                tally.dumps.append((
+                    f"technique={technique} kind={spec.kind.value} "
+                    f"window={_fmt_window(spec.window_k)} "
+                    f"split={spec.split_index} gap={spec.gap_buckets}",
+                    fit.tree_dump))
+            tally.records.extend(ResultRecord(
                 technique=technique, kind=spec.kind.value,
                 window_k=spec.window_k, split_index=spec.split_index,
                 gap=spec.gap_buckets, test_project=vs.project_id,
                 test_version=vs.version_id, cm=vs.cm, scores=vs.scores,
-                auc_degenerate=vs.auc_degenerate))
-    return _TaskOutput(test_versions, records, failures, version_skips, dumps)
+                auc_degenerate=vs.auc_degenerate)
+                for vs in fit.version_scores)
+    return tally
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
@@ -176,32 +304,26 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
 
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
+    plan = plan_run(tasks, config)
+
+    def run_group(group: list[TrainTestPair]) -> list[_SetResult]:
+        return _run_group(group, config, dump_trees)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(
-                lambda pair: _run_task(pair, config, dump_trees), tasks))
+            tally = _fan_out(tasks, plan, pool.map(run_group, plan.groups),
+                             config, dump_trees)
     else:
-        outputs = [_run_task(pair, config, dump_trees) for pair in tasks]
-
-    records: list[ResultRecord] = []
-    failures = 0
-    version_skips = 0
-    dumps: list[tuple[str, str]] = []
-    for output in outputs:
-        records.extend(output.records)
-        failures += output.failures
-        version_skips += output.version_skips
-        dumps.extend(output.tree_dumps)
+        tally = _fan_out(tasks, plan, map(run_group, plan.groups), config,
+                         dump_trees)
+    records = tally.records
 
     write_results_csv(out / "results.csv", records)
     if dump_trees:
         with open(out / "trees.txt", "w", encoding="utf-8") as fh:
-            for title, text in dumps:
+            for title, text in tally.dumps:
                 fh.write(f"# {title}\n{text}")
 
-    expected_rows = sum(o.test_versions for o in outputs) * len(config.techniques)
-    failure_rows = sum(o.test_versions * o.failures for o in outputs)
     manifest = {
         "tool_version": __version__,
         "config_sha256": config_hash(config),
@@ -211,14 +333,15 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
         "releases": len(releases),
         "pair_counts": _pair_counts(tasks),
         "row_accounting": {
-            "expected_rows": expected_rows,
-            "rows_from_failed_combinations": failure_rows,
-            "version_skips": version_skips,
+            "expected_rows": tally.expected_rows,
+            "rows_from_failed_combinations": tally.failure_rows,
+            "version_skips": tally.version_skips,
             "written_rows": len(records),
         },
-        "pair_technique_failures": failures,
+        "pair_technique_failures": tally.failures,
     }
-    if expected_rows - failure_rows - version_skips != len(records):
+    if (tally.expected_rows - tally.failure_rows - tally.version_skips
+            != len(records)):
         raise RuntimeError("row accounting does not balance")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -227,8 +350,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     write_reports(records, out, config.stability_threshold)
     return RunSummary(out_dir=out, rows_written=len(records),
                       pairs_total=len(tasks),
-                      pair_technique_failures=failures,
-                      version_skips=version_skips)
+                      pair_technique_failures=tally.failures,
+                      version_skips=tally.version_skips)
 
 
 def _pair_counts(tasks: Sequence[TrainTestPair]) -> dict[str, int]:
@@ -355,4 +478,10 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             n = len(crossval_pairs(releases, config.baseline_crossval,
                                    config.seed))
             diags.append(Diagnostic("info", f"crossval: {n} pairs"))
+    if all(d.severity != "error" for d in diags):
+        tasks = build_tasks(config, ts, releases)
+        plan = plan_run(tasks, config)
+        diags.append(Diagnostic(
+            "info", f"plan: {len(tasks)} pairs, {plan.distinct_pairs} distinct "
+                    f"(train, test) sets, {len(plan.groups)} training sides"))
     return diags

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -94,30 +95,26 @@ class TreatedPair:
 
 
 def assemble_pair(pair: TrainTestPair) -> TreatedPair:
-    """Flatten a release-level pair into matrices with unit weights."""
-    widths = {len(rec.features)
-              for side in (pair.train, pair.test)
-              for rel in side for rec in rel.records}
+    """Stack the releases' matrices (``Release.arrays``) with unit weights."""
+    widths = {rel.arrays[0].shape[1] for side in (pair.train, pair.test)
+              for rel in side}
     if len(widths) != 1:
         raise ValueError(f"inconsistent attribute counts: {sorted(widths)}")
-    d = widths.pop()
 
     def rows(releases):
-        feats = [rec.features for rel in releases for rec in rel.records]
-        labels = [rec.defective for rel in releases for rec in rel.records]
-        return (np.array(feats, dtype=np.float64).reshape(len(feats), d),
-                np.array(labels, dtype=bool))
+        return (np.concatenate([rel.arrays[0] for rel in releases]),
+                np.concatenate([rel.arrays[1] for rel in releases]))
 
     train_x, train_y = rows(pair.train)
     test_x, test_y = rows(pair.test)
-    keys = tuple((rel.project_id, rel.version_id)
-                 for rel in pair.test for _ in rel.records)
+    keys = tuple(chain.from_iterable(repeat(rel.key, len(rel))
+                                     for rel in pair.test))
     return TreatedPair(
         train_features=train_x, train_labels=train_y,
         train_weights=np.ones(len(train_x)),
         test_features=test_x, test_labels=test_y,
         test_version_keys=keys,
-        selected_attributes=tuple(range(d)))
+        selected_attributes=tuple(range(widths.pop())))
 
 
 def identity_treatment(tp: TreatedPair) -> TreatedPair:

@@ -1,6 +1,7 @@
 """End-to-end runner behavior: files, determinism, accounting, validation."""
 
 import json
+import logging
 
 import pytest
 
@@ -10,9 +11,9 @@ from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import DatasetError, DegenerateTreatmentError
 from timeaware_cpdp.runner import (RESULTS_HEADER, build_tasks, load_dataset,
-                                   load_results_csv, run_experiment, validate,
-                                   write_pairs_csv, write_results_csv,
-                                   write_summary_csv)
+                                   load_results_csv, plan_run, run_experiment,
+                                   validate, write_pairs_csv,
+                                   write_results_csv, write_summary_csv)
 
 REPORT_FILES = ("results.csv", "stability.csv", "ranks.csv",
                 "comparisons.csv", "plotdata.csv", "manifest.json")
@@ -132,6 +133,40 @@ def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_skip_warnings_come_per_tag_in_enumeration_order(
+        tmp_path, monkeypatch, caplog, threads):
+    import runner_oracle
+    import timeaware_cpdp.runner as runner_mod
+    real = runner_mod.apply_treatment
+
+    def flaky(name, tp, config):
+        # 12 rows per release: fails on training sides of 4 releases
+        if name == "ma12" and tp.n_train == 48:
+            raise DegenerateTreatmentError("forced failure")
+        return real(name, tp, config)
+
+    monkeypatch.setattr(runner_mod, "apply_treatment", flaky)
+    monkeypatch.setattr(runner_oracle, "apply_treatment", flaky)
+    cfg = ExperimentConfig.from_file(write_experiment(tmp_path))
+    with caplog.at_level(logging.WARNING):
+        runner_oracle.run_experiment(cfg, out_dir=tmp_path / "oracle")
+    expected = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        summary = run_experiment(cfg, out_dir=tmp_path / "planned",
+                                 threads=threads)
+    assert [r.getMessage() for r in caplog.records] == expected
+    assert len(expected) == summary.pair_technique_failures
+    # some tags, not all, are skipped, and tags share (train, test) sets
+    releases, ts = load_dataset(cfg)
+    tasks = build_tasks(cfg, ts, releases)
+    assert 0 < len(expected) < len(tasks)
+    assert plan_run(tasks, cfg).distinct_pairs < len(tasks)
+    assert expected[0] == ("pair CC K=2 split=2 technique=ma12: "
+                           "forced failure; skipped")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
                                                         threads):
     import timeaware_cpdp.runner as runner_mod
@@ -192,6 +227,8 @@ def test_validate_reports_dataset_and_pair_info(tmp_path):
     assert any("4 buckets of 6 months" in m for m in messages)
     assert any(m == "CC: 12 pairs" for m in messages)
     assert any(m == "crossval: 3 pairs" for m in messages)
+    assert ("plan: 36 pairs, 13 distinct (train, test) sets, "
+            "9 training sides") in messages
 
 
 def test_validate_flags_missing_column(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeaware_cpdp.errors import DegenerateTreatmentError
 from timeaware_cpdp.treatments import (TreatedPair, amasaki15, assemble_pair,
@@ -46,6 +48,27 @@ def test_assemble_pair_flattens_releases():
     assert list(tp.train_labels) == [True, False]
     assert list(tp.train_weights) == [1.0, 1.0]
     assert tp.selected_attributes == (0, 1)
+
+
+@pytest.mark.parametrize("test_rows", [
+    [((5.0, 6.0, 7.0), True)],                   # widths differ by release
+    [((5.0, 6.0), True), ((7.0, 8.0, 9.0), False)],  # and within one
+])
+def test_assemble_pair_rejects_inconsistent_attribute_counts(test_rows):
+    from datetime import date
+
+    from timeaware_cpdp.pairs import ConfigurationKind, PairSpec, TrainTestPair
+    from synth import make_release
+
+    pair = TrainTestPair(
+        spec=PairSpec(kind=ConfigurationKind.II, window_k=None, split_index=1,
+                      gap_buckets=0),
+        train=(make_release("a", "1", date(2001, 1, 1),
+                            [((1.0, 2.0), True), ((3.0, 4.0), False)]),),
+        test=(make_release("b", "1", date(2002, 1, 1), test_rows),))
+    with pytest.raises(ValueError,
+                       match=r"inconsistent attribute counts: \[2, 3\]"):
+        assemble_pair(pair)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -346,3 +369,39 @@ def test_treatments_carry_test_rows_through_unchanged():
         assert out.n_test == 7
         assert np.array_equal(out.test_labels, tp.test_labels)
         assert out.test_version_keys == tp.test_version_keys
+
+
+# few values, so ties, equal medians and zero test means occur
+VALUES = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.5, 8.0))
+
+
+def training_side(treat, tp):
+    """What a treatment hands to the tree, or the error it raises instead."""
+    try:
+        out = treat(tp)
+    except (DegenerateTreatmentError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (out.train_features.shape, out.train_features.tobytes(),
+            out.train_labels.tobytes(), out.train_weights.tobytes(),
+            out.selected_attributes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_treatments_never_read_test_labels(data):
+    d = data.draw(st.integers(1, 3))
+
+    def rows(n):
+        return [[data.draw(VALUES) for _ in range(d)] for _ in range(n)]
+
+    n_train = data.draw(st.integers(2, 9))
+    n_test = data.draw(st.integers(2, 7))
+    train_y = [i % 2 == 0 for i in range(n_train)]
+    test_y = data.draw(st.lists(st.booleans(), min_size=n_test,
+                                max_size=n_test))
+    tp = build_pair(rows(n_train), train_y, rows(n_test), test_y)
+    permuted = dataclasses.replace(tp, test_labels=np.array(
+        data.draw(st.permutations(test_y)), dtype=bool))
+    for treat in (identity_treatment, watanabe08, camargocruz09, ma12,
+                  amasaki15, nam15):
+        assert training_side(treat, permuted) == training_side(treat, tp)
