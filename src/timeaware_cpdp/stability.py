@@ -370,12 +370,18 @@ def undersample(tp: TreatedPair, seed: int) -> TreatedPair:
 
 def write_reports(records: Sequence[ResultRecord], out_dir: Path,
                   stability_threshold: float = STABILITY_THRESHOLD) -> None:
-    """Write stability.csv, ranks.csv, comparisons.csv and plotdata.csv."""
+    """Write stability.csv, ranks.csv, comparisons.csv and plotdata.csv.
+
+    stability.csv has the overall rows, then the per-window rows of the
+    windowed configurations; a group without a window (II, crossval)
+    has only its overall row.
+    """
     out_dir = Path(out_dir)
     overall = aggregate(records, by_window=False, threshold=stability_threshold)
     cell_means = _cell_means(records)
-    _write_stability(out_dir / "stability.csv", overall + aggregate(
-        records, by_window=True, threshold=stability_threshold))
+    per_window = aggregate(records, by_window=True, threshold=stability_threshold)
+    _write_stability(out_dir / "stability.csv", overall + [
+        row for row in per_window if row.window_k is not None])
     _write_ranks(out_dir / "ranks.csv", overall, cell_means)
     _write_comparisons(out_dir / "comparisons.csv", records)
     _write_plotdata(out_dir / "plotdata.csv", cell_means)
@@ -385,10 +391,9 @@ def _write_stability(path: Path, rows: Sequence[StabilityRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("technique,kind,window_k,metric,n,excluded,mean,sd,stable\n")
         for row in rows:
-            window = "" if row.window_k is None else _fmt_window(row.window_k)
-            fh.write(f"{row.technique},{row.kind},{window},{row.metric},"
-                     f"{row.n},{row.excluded},{_fmt(row.mean)},{_fmt(row.sd)},"
-                     f"{_fmt(row.stable)}\n")
+            fh.write(f"{row.technique},{row.kind},{_fmt(row.window_k)},"
+                     f"{row.metric},{row.n},{row.excluded},{_fmt(row.mean)},"
+                     f"{_fmt(row.sd)},{_fmt(row.stable)}\n")
 
 
 def _write_ranks(path: Path, overall: Sequence[StabilityRow],

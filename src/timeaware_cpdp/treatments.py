@@ -36,6 +36,16 @@ from .pairs import TrainTestPair
 
 # weights are floored here so that instance weights stay strictly positive
 MIN_INSTANCE_WEIGHT = 1e-6
+# amasaki15 computes nearest-test distances for at most this many
+# (train, test) cells at a time, in at most two 2 MB buffers; a call
+# with fewer cells allocates only what it needs. glibc raises its mmap
+# threshold to the largest block freed. On the demo, whose largest calls
+# fill both buffers, 512 KB buffers left the threshold below the tree's
+# per-node temporaries, which were then mapped and unmapped on every
+# fit. That was measured on the demo only, and the fix belongs in
+# tree._best_split (ROADMAP item 1, "Allocator churn"); once the tree
+# keeps its temporaries small, this size needs no other reason.
+DISTANCE_CHUNK_CELLS = 1 << 18
 
 TREATMENT_NAMES = (
     "identity",
@@ -222,11 +232,30 @@ def _nearest_other_distances(values: np.ndarray, pool: np.ndarray) -> np.ndarray
 
 
 def _min_test_distances(train: np.ndarray, test: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each training row to its nearest test row."""
-    sq = (np.sum(train ** 2, axis=1)[:, None]
-          + np.sum(test ** 2, axis=1)[None, :]
-          - 2.0 * train @ test.T)
-    return np.sqrt(np.maximum(sq.min(axis=1), 0.0))
+    """Euclidean distance from each training row to its nearest test row.
+
+    The squared differences are summed attribute by attribute, for a
+    chunk of training rows against every test row at a time, so each of
+    the two buffers holds at most DISTANCE_CHUNK_CELLS cells (or one
+    training row). Direct differences do not cancel the way
+    |a|² + |b|² - 2a·b does, and make no BLAS call.
+    """
+    n, m = len(train), len(test)
+    rows = max(1, DISTANCE_CHUNK_CELLS // max(m, 1))
+    total = np.empty((min(rows, n), m))
+    term = np.empty_like(total)
+    nearest = np.empty(n)
+    for start in range(0, n, rows):
+        chunk = train[start:start + rows]
+        sq, diff = total[:len(chunk)], term[:len(chunk)]
+        np.subtract.outer(chunk[:, 0], test[:, 0], out=sq)
+        np.square(sq, out=sq)
+        for k in range(1, train.shape[1]):
+            np.subtract.outer(chunk[:, k], test[:, k], out=diff)
+            np.square(diff, out=diff)
+            sq += diff
+        nearest[start:start + len(chunk)] = sq.min(axis=1)
+    return np.sqrt(nearest)
 
 
 def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
@@ -239,9 +268,10 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
     deviation. Relevancy filtering then keeps a training instance when
     its Euclidean nearest neighbor among test instances (over the kept
     attributes) is within relevancy_mult times the median such
-    nearest-neighbor distance. Requires non-negative features; raises
-    DegenerateTreatmentError when every attribute or every training
-    instance would be dropped.
+    nearest-neighbor distance. The distances are exact: sums of squared
+    direct differences, not an expansion through dot products. Requires
+    non-negative features; raises DegenerateTreatmentError when every
+    attribute or every training instance would be dropped.
     """
     _require_nonnegative("amasaki15", tp.train_features, "train")
     _require_nonnegative("amasaki15", tp.test_features, "test")

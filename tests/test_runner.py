@@ -1,7 +1,10 @@
 """End-to-end runner behavior: files, determinism, accounting, validation."""
 
+import csv
+import importlib.util
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,27 @@ def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "cli"),
                  "--threads", str(threads)]) == 2
+
+
+def test_demo_stability_report_has_no_duplicate_lines(tmp_path):
+    """`sort stability.csv | uniq -d` prints nothing on the quick-start demo."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo.py"
+    spec = importlib.util.spec_from_file_location("make_demo", script)
+    make_demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_demo)
+    make_demo.generate(tmp_path / "demo", seed=7)
+    cfg = ExperimentConfig.from_file(tmp_path / "demo" / "experiment.cfg")
+    run_experiment(cfg, out_dir=tmp_path / "out")
+
+    text = (tmp_path / "out" / "stability.csv").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert len(lines) == len(set(lines))
+    # II and crossval have no window: one overall row per technique and metric
+    rows = list(csv.DictReader(lines))
+    for kind in ("II", "crossval"):
+        assert len([r for r in rows if r["kind"] == kind]) == 5 * 4
+        assert {r["window_k"] for r in rows if r["kind"] == kind} == {""}
+    assert {r["window_k"] for r in rows if r["kind"] == "CC"} > {""}
 
 
 def test_results_roundtrip_through_csv(tmp_path):
