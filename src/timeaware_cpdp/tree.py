@@ -11,10 +11,12 @@ between adjacent distinct sorted values of an attribute, splits are
 chosen by gain ratio, and ties are broken by the lowest attribute index
 and then the lowest threshold. All counts and entropies use instance
 weights, so a duplicated instance and a doubled weight produce the same
-tree. Pruning is the classic pessimistic error estimate with a
-confidence parameter, applied bottom-up with subtree replacement only
-(no subtree raising). Prediction descends all rows of a matrix level by
-level.
+tree. Each fit sorts its rows by every attribute once; a node passes
+its sorted rows to its children by a stable partition, so every node
+scans its attributes in the order its own stable sort would give.
+Pruning is the classic pessimistic error estimate with a confidence
+parameter, applied bottom-up with subtree replacement only (no subtree
+raising). Prediction descends all rows of a matrix level by level.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import numpy as np
 from .treatments import TreatedPair
 
 _GAIN_EPS = 1e-12
+# ndarray.sum without its Python wrapper: the same pairwise summation
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class TreeParams:
     pruning_confidence must lie in [0.10, 0.30]; smaller values prune
     more aggressively. min_leaf_weight is the smallest total instance
     weight a split may leave on either side; nodes lighter than twice
-    this weight are not split at all.
+    this weight are not split at all. It must be positive and finite.
     """
 
     pruning_confidence: float = 0.25
@@ -48,8 +52,9 @@ class TreeParams:
         if not 0.10 <= self.pruning_confidence <= 0.30:
             raise ValueError(
                 f"pruning_confidence {self.pruning_confidence} outside [0.10, 0.30]")
-        if self.min_leaf_weight <= 0:
-            raise ValueError("min_leaf_weight must be positive")
+        if not (math.isfinite(self.min_leaf_weight) and self.min_leaf_weight > 0):
+            raise ValueError(
+                f"min_leaf_weight must be positive and finite, got {self.min_leaf_weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,83 +77,134 @@ class DecisionTree:
     params: TreeParams
 
 
-def _binary_entropy(w_pos: np.ndarray, w_total: np.ndarray) -> np.ndarray:
-    """Entropy (bits) of two-class weight splits with positive total weights."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.clip(w_pos / w_total, 0.0, 1.0)
-        q = 1.0 - p
-        hp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        hq = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
-    return -(hp + hq)
+def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
+           weights: np.ndarray, total_w: float, total_d: float,
+           min_leaf: float) -> tuple[int, float] | None:
+    """Highest gain-ratio admissible split of one node, or None.
 
+    ids holds the node's rows sorted by each attribute, one row of ids
+    per attribute. xt is the training matrix attribute by attribute,
+    flattened, and offsets each attribute's start in it; weights stacks
+    the instance weights over the defective instances' weights. Cut r
+    of an attribute lies after its r-th smallest value. Admissible: the
+    values on both sides differ, both sides carry at least min_leaf
+    weight and the information gain is positive. Ties keep the first
+    attribute, then the first threshold.
 
-def _best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                min_leaf: float) -> tuple[int, float] | None:
-    """Highest gain-ratio admissible split over all attributes, or None.
-
-    Admissible: both sides carry at least min_leaf weight and the
-    information gain is positive. Row r of the cut arrays is the cut
-    after the r-th smallest value of each attribute (one column per
-    attribute); ties keep the first attribute, then the first threshold.
+    Most nodes are small, so the cost is the number of NumPy calls:
+    ufuncs are called directly, mostly in place. Every value is computed
+    by the same operations in the same order as a clip/where form that
+    sorts each node anew (kept as the test oracle), so trees match it
+    bit for bit. Clamps that cannot bind are left out: a running sum of
+    defective weights never exceeds the running sum of all weights it is
+    part of, so every left side's share already lies in [0, 1].
     """
-    total_w = w.sum()
-    total_d = w[y].sum()
-
-    order = np.argsort(x, axis=0, kind="stable")
-    vs = np.take_along_axis(x, order, axis=0)
-    lw = np.cumsum(w[order], axis=0)[:-1]
-    ld = np.cumsum((w * y)[order], axis=0)[:-1]
-    rw = np.maximum(total_w - lw, 0.0)
-    ok = (np.diff(vs, axis=0) > 0) & (lw >= min_leaf) & (rw >= min_leaf)
-    if not ok.any():
+    d, m = ids.shape
+    vs = xt.take(np.add(ids, offsets))
+    cum = weights.take(ids, axis=1)
+    cum.cumsum(axis=2, out=cum)
+    rw = np.subtract(total_w, cum[0])
+    np.maximum(rw, 0.0, out=rw)
+    # the last cut of an attribute would leave its right side empty
+    ok = np.zeros((d, m), dtype=bool)
+    np.greater(vs[:, 1:], vs[:, :-1], out=ok[:, :-1])
+    ok &= np.minimum(cum[0], rw) >= min_leaf
+    cuts = ok.ravel().nonzero()[0]
+    k = len(cuts)
+    if k == 0:
         return None
+    lw, ld = cum.reshape(2, -1).take(cuts, axis=1)
+    rw = rw.ravel().take(cuts)
 
-    lw, ld, rw = lw[ok], ld[ok], rw[ok]
-    rd = np.clip(total_d - ld, 0.0, rw)
-    ld = np.clip(ld, 0.0, lw)
-    # one entropy pass over the node itself, then every left and right side
-    h = _binary_entropy(np.concatenate(([total_d], ld, rd)),
-                        np.concatenate(([total_w], lw, rw)))
-    h_left, h_right = h[1:len(lw) + 1], h[len(lw) + 1:]
-    children = (lw * h_left + rw * h_right) / total_w
-    gain = h[0] - children
-    pl = lw / total_w
-    split_info = -(pl * np.log2(pl) + (1.0 - pl) * np.log2(1.0 - pl))
-    ratio = np.full(ok.shape, -math.inf)
-    ratio[ok] = np.where(gain > _GAIN_EPS, gain / split_info, -math.inf)
+    # the defective shares of the node, of every left side and of every
+    # right side, then every left side's share of the node's weight; the
+    # second half holds one minus each
+    n_h = 2 * k + 1
+    half = n_h + k
+    share = np.empty(2 * half)
+    share[0] = min(max(total_d / total_w, 0.0), 1.0)
+    np.divide(ld, lw, out=share[1:k + 1])
+    right = share[k + 1:n_h]
+    np.subtract(total_d, ld, out=right)
+    np.maximum(right, 0.0, out=right)
+    np.minimum(right, rw, out=right)
+    right /= rw
+    np.divide(lw, total_w, out=share[n_h:half])
+    np.subtract(1.0, share[:half], out=share[half:])
+    # a class share of 0 adds no entropy: its log2 is taken of 1 instead
+    # (adding False leaves every other share as it is); weight shares
+    # are never replaced
+    no_class = share <= 0.0
+    no_class[n_h:half] = False
+    no_class[half + n_h:] = False
+    h = np.add(share, no_class)
+    np.log2(h, out=h)
+    h *= share
+    h = np.add(h[:half], h[half:], out=h[:half])
+    np.negative(h, out=h)
+    # h: entropies of the node and of each left and right side, then
+    # each cut's split information
 
-    attr = int(np.argmax(ratio.max(axis=0)))
-    cut = int(np.argmax(ratio[:, attr]))
-    if ratio[cut, attr] == -math.inf:
+    gain = np.multiply(lw, h[1:k + 1])
+    rw *= h[k + 1:n_h]
+    gain += rw
+    gain /= total_w
+    np.subtract(h[0], gain, out=gain)
+    # entropies are finite, so the gain is never NaN
+    low = gain <= _GAIN_EPS
+    gain /= h[n_h:]
+    gain[low] = -math.inf
+    best = int(gain.argmax())
+    if gain[best] == -math.inf:
         return None
-    return attr, float((vs[cut, attr] + vs[cut + 1, attr]) / 2.0)
+    attr, cut = divmod(int(cuts[best]), m)
+    return attr, float((vs[attr, cut] + vs[attr, cut + 1]) / 2.0)
 
 
 def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
           min_leaf: float) -> tuple[list, ...]:
-    """Node lists (feature, threshold, left, right, w_def, w_clean) in pre-order."""
+    """Node lists (feature, threshold, left, right, w_def, w_clean) in pre-order.
+
+    The rows are sorted by every attribute once. A node holds its rows
+    in that order, one row of ids per attribute, plus a last row with
+    the ids ascending; its children get the same rows by a stable
+    partition, so each node sees the order its own stable sort would
+    give.
+    """
+    n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
+    ids = np.empty((d + 1, n), dtype=np.intp)
+    ids[:d] = np.argsort(xt, axis=1, kind="stable")
+    ids[d] = np.arange(n)
+    xt = xt.ravel()
+    offsets = np.arange(0, d * n, n)[:, np.newaxis]
+    weights = np.stack((w, w * y))
+    goes_left = np.empty(n, dtype=bool)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     w_def: list[float] = []
     w_cln: list[float] = []
-    # (row indices, node whose right child this is, or -1); the left
+    # (sorted ids, node whose right child this is, or -1); the left
     # child is pushed last so that it is grown next, right after its parent
-    stack = [(np.arange(len(y)), -1)]
+    stack = [(ids, -1)]
     while stack:
-        rows, parent = stack.pop()
+        ids, parent = stack.pop()
         node = len(feature)
         if parent >= 0:
             right[parent] = node
-        xs, ys, ws = x[rows], y[rows], w[rows]
-        wd = float(ws[ys].sum())
-        wc = float(ws[~ys].sum())
+        rows = ids[d]
+        ws, ys = w[rows], y[rows]
+        wd = float(_sum(ws[ys]))
+        wc = float(_sum(ws[~ys]))
         w_def.append(wd)
         w_cln.append(wc)
         found = None
-        if ys.any() and not ys.all() and wd + wc >= 2.0 * min_leaf:
-            found = _best_split(xs, ys, ws, min_leaf)
+        # positive weights: a class is present iff its weight is positive
+        if wd > 0.0 and wc > 0.0 and wd + wc >= 2.0 * min_leaf:
+            found = _split(ids[:d], xt, offsets, weights, float(_sum(ws)), wd,
+                           min_leaf)
         if found is None:
             feature.append(-1)
             threshold.append(math.nan)
@@ -160,9 +216,15 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
         threshold.append(thr)
         left.append(node + 1)
         right.append(-1)
-        goes_left = xs[:, attr] <= thr
-        stack.append((rows[~goes_left], node))
-        stack.append((rows[goes_left], -1))
+        # a stable partition of every row list; taking by position is
+        # much faster than boolean indexing on large nodes
+        goes_left[rows] = x[rows, attr] <= thr
+        mask = goes_left.take(ids).ravel()
+        flat = ids.ravel()
+        to_left = flat.take(mask.nonzero()[0]).reshape(d + 1, -1)
+        to_right = flat.take((~mask).nonzero()[0]).reshape(d + 1, -1)
+        stack.append((to_right, node))
+        stack.append((to_left, -1))
     return feature, threshold, left, right, w_def, w_cln
 
 

@@ -133,6 +133,13 @@ def test_numeric_range_validation():
             dict(MINIMAL, **{"treatments.nam15.violation_threshold": "1.5"}))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_min_leaf_weight_is_a_config_error(value):
+    with pytest.raises(ConfigError, match="min_leaf_weight"):
+        ExperimentConfig.from_mapping(
+            dict(MINIMAL, **{"tree.min_leaf_weight": value}))
+
+
 def test_schema_and_feature_cols():
     cfg = ExperimentConfig.from_mapping(dict(MINIMAL, **{
         "dataset.project_col": "name",

@@ -1,10 +1,12 @@
 """Decision tree behavior: splits, pruning, weights, probabilities."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, dump_tree,
                                  leaf_count, predict, predict_proba,
                                  predict_proba_rows, train_tree, tree_depth)
@@ -168,6 +170,31 @@ def test_param_validation():
         TreeParams(min_leaf_weight=0.0)
     TreeParams(pruning_confidence=0.10)
     TreeParams(pruning_confidence=0.30)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_min_leaf_weight_must_be_positive_and_finite(bad):
+    # a NaN limit would fail every comparison and hold each tree to one leaf
+    with pytest.raises(ValueError, match="min_leaf_weight"):
+        TreeParams(min_leaf_weight=bad)
+
+
+def test_each_fit_sorts_its_rows_once(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(tree_module.np, "argsort", counting_argsort)
+    x, y = xor_dataset()
+    tree = fit(x, y, prune=False)
+    # the root and both of its children were searched for a split
+    assert np.count_nonzero(tree.feature >= 0) >= 3
+    assert len(calls) == 1
+    fit(x, y, prune=False)
+    assert len(calls) == 2
 
 
 def test_train_tree_input_validation():

@@ -3,7 +3,10 @@
 Random weighted data with tied values, constant columns, single-class
 nodes and leaf-weight limits near the side weights must give the same
 dump text, bit-identical probabilities, ranks and confusion counts, and
-the same per-version scores as the code in tree_oracle.py.
+the same per-version scores as the code in tree_oracle.py. The
+presorted grower must also give the per-node array grower's unpruned
+node lists bit for bit, on data large enough that the sorted row lists
+are partitioned many levels deep.
 """
 
 import numpy as np
@@ -13,8 +16,8 @@ from hypothesis import strategies as st
 import tree_oracle as oracle
 from timeaware_cpdp.metrics import (auc, confusion, evaluate_pair, midranks,
                                     scores)
-from timeaware_cpdp.tree import (TreeParams, dump_tree, predict_proba_rows,
-                                 train_tree)
+from timeaware_cpdp.tree import (TreeParams, _grow, dump_tree,
+                                 predict_proba_rows, train_tree)
 from timeaware_cpdp.treatments import TreatedPair
 
 # few distinct values per column, so most columns have ties; a column of
@@ -28,16 +31,18 @@ WEIGHTS = (0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 1.0, 1.0, 1.5, 2.0, 3.0)
 
 @st.composite
 def weighted_data(draw):
-    n = draw(st.integers(2, 60))
-    m = draw(st.integers(1, 4))
-    spread = [draw(st.integers(1, len(LEVELS))) for _ in range(m)]
-    x = np.array([[LEVELS[draw(st.integers(0, spread[j] - 1))]
-                   for j in range(m)] for _ in range(n)])
-    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    n = draw(st.integers(2, 300))
+    m = draw(st.integers(1, 8))
+    spread = draw(st.lists(st.integers(1, len(LEVELS)), min_size=m, max_size=m))
+    # the cells come from a drawn seed: drawing a few thousand of them one
+    # at a time would take most of the test's time
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.array(LEVELS)[rng.integers(0, spread, size=(n, m))]
+    y = rng.random(n) < draw(st.sampled_from((0.1, 0.5, 0.9)))
     if draw(st.booleans()):
         # labels that follow one attribute give deeper, purer trees
         y = y ^ (x[:, 0] > 0.5)
-    w = np.array(draw(st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n)))
+    w = np.array(WEIGHTS)[rng.integers(0, len(WEIGHTS), size=n)]
     min_leaf = draw(st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 50.0)))
     cf = draw(st.sampled_from((0.10, 0.25, 0.30)))
     prune = draw(st.booleans())
@@ -53,16 +58,16 @@ def treated(x, y, w, test_x, test_y, keys):
 
 
 @settings(max_examples=300, deadline=None)
-@given(weighted_data(), st.randoms(use_true_random=False))
-def test_tree_matches_recursive_oracle(data, rnd):
+@given(weighted_data(), st.integers(0, 2**32 - 1))
+def test_tree_matches_recursive_oracle(data, seed):
     x, y, w, params = data
     n, m = x.shape
+    rng = np.random.default_rng(seed)
     # test rows: the training rows, then rows on candidate thresholds
-    on_cut = np.array([[rnd.choice(MIDPOINTS) for _ in range(m)]
-                       for _ in range(n)])
+    on_cut = np.array(MIDPOINTS)[rng.integers(0, len(MIDPOINTS), size=(n, m))]
     test_x = np.vstack([x, on_cut])
     test_y = np.concatenate([y, y[::-1]])
-    keys = tuple(("p", str(rnd.randrange(3))) for _ in range(2 * n))
+    keys = tuple(("p", str(v)) for v in rng.integers(0, 3, size=2 * n))
     pair = treated(x, y, w, test_x, test_y, keys)
 
     tree = train_tree(pair, params)
@@ -97,6 +102,23 @@ def test_tree_matches_recursive_oracle(data, rnd):
             area = ((float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0)
                     / (n_pos * n_neg))
             assert score.scores.auc == area == auc(expected[idx], labels)
+
+
+def node_bits(nodes):
+    """Unpruned node lists with every float as its exact bits."""
+    feature, threshold, left, right, w_def, w_cln = nodes
+    return (list(feature), [float(t).hex() for t in threshold], list(left),
+            list(right), [float(v).hex() for v in w_def],
+            [float(v).hex() for v in w_cln])
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_data())
+def test_presorted_growth_matches_per_node_oracle(data):
+    x, y, w, params = data
+    grown = _grow(x, y, w, params.min_leaf_weight)
+    expected = oracle.grow_nodes(x, y, w, params.min_leaf_weight)
+    assert node_bits(grown) == node_bits(expected)
 
 
 @settings(max_examples=300, deadline=None)

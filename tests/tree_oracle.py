@@ -6,6 +6,12 @@ that sorts one attribute at a time, recursive pruning and one-row
 prediction, plus the loop forms of ``confusion`` and ``midranks``. The
 arithmetic is kept exactly as it was, so the array code must reproduce
 its trees, dumps, probabilities and ranks bit for bit.
+
+``grow_nodes`` is the array grower that came after it and before each
+fit sorted its rows once: it sorts every node's rows again and searches
+all attributes of the node with clip/where NumPy expressions. It returns
+the unpruned node lists, so the presorted grower must give the same
+lists, bit for bit.
 """
 
 from __future__ import annotations
@@ -107,6 +113,100 @@ def _grow(x, y, w, min_leaf_weight: float) -> Leaf | Split:
     left = _grow(x[mask], y[mask], w[mask], min_leaf_weight)
     right = _grow(x[~mask], y[~mask], w[~mask], min_leaf_weight)
     return Split(attr, thr, left, right, w_def, w_cln)
+
+
+def _node_binary_entropy(w_pos: np.ndarray, w_total: np.ndarray) -> np.ndarray:
+    """Entropy (bits) of two-class weight splits with positive total weights."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.clip(w_pos / w_total, 0.0, 1.0)
+        q = 1.0 - p
+        hp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        hq = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
+    return -(hp + hq)
+
+
+def _node_best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                     min_leaf: float) -> tuple[int, float] | None:
+    """Highest gain-ratio admissible split over all attributes, or None.
+
+    Admissible: both sides carry at least min_leaf weight and the
+    information gain is positive. Row r of the cut arrays is the cut
+    after the r-th smallest value of each attribute (one column per
+    attribute); ties keep the first attribute, then the first threshold.
+    """
+    total_w = w.sum()
+    total_d = w[y].sum()
+
+    order = np.argsort(x, axis=0, kind="stable")
+    vs = np.take_along_axis(x, order, axis=0)
+    lw = np.cumsum(w[order], axis=0)[:-1]
+    ld = np.cumsum((w * y)[order], axis=0)[:-1]
+    rw = np.maximum(total_w - lw, 0.0)
+    ok = (np.diff(vs, axis=0) > 0) & (lw >= min_leaf) & (rw >= min_leaf)
+    if not ok.any():
+        return None
+
+    lw, ld, rw = lw[ok], ld[ok], rw[ok]
+    rd = np.clip(total_d - ld, 0.0, rw)
+    ld = np.clip(ld, 0.0, lw)
+    # one entropy pass over the node itself, then every left and right side
+    h = _node_binary_entropy(np.concatenate(([total_d], ld, rd)),
+                             np.concatenate(([total_w], lw, rw)))
+    h_left, h_right = h[1:len(lw) + 1], h[len(lw) + 1:]
+    children = (lw * h_left + rw * h_right) / total_w
+    gain = h[0] - children
+    pl = lw / total_w
+    split_info = -(pl * np.log2(pl) + (1.0 - pl) * np.log2(1.0 - pl))
+    ratio = np.full(ok.shape, -math.inf)
+    ratio[ok] = np.where(gain > _GAIN_EPS, gain / split_info, -math.inf)
+
+    attr = int(np.argmax(ratio.max(axis=0)))
+    cut = int(np.argmax(ratio[:, attr]))
+    if ratio[cut, attr] == -math.inf:
+        return None
+    return attr, float((vs[cut, attr] + vs[cut + 1, attr]) / 2.0)
+
+
+def grow_nodes(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+               min_leaf: float) -> tuple[list, ...]:
+    """Node lists (feature, threshold, left, right, w_def, w_clean) in pre-order."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    w_def: list[float] = []
+    w_cln: list[float] = []
+    # (row indices, node whose right child this is, or -1); the left
+    # child is pushed last so that it is grown next, right after its parent
+    stack = [(np.arange(len(y)), -1)]
+    while stack:
+        rows, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        xs, ys, ws = x[rows], y[rows], w[rows]
+        wd = float(ws[ys].sum())
+        wc = float(ws[~ys].sum())
+        w_def.append(wd)
+        w_cln.append(wc)
+        found = None
+        if ys.any() and not ys.all() and wd + wc >= 2.0 * min_leaf:
+            found = _node_best_split(xs, ys, ws, min_leaf)
+        if found is None:
+            feature.append(-1)
+            threshold.append(math.nan)
+            left.append(-1)
+            right.append(-1)
+            continue
+        attr, thr = found
+        feature.append(attr)
+        threshold.append(thr)
+        left.append(node + 1)
+        right.append(-1)
+        goes_left = xs[:, attr] <= thr
+        stack.append((rows[~goes_left], node))
+        stack.append((rows[goes_left], -1))
+    return feature, threshold, left, right, w_def, w_cln
 
 
 def _added_errors(n: float, e: float, z: float, cf: float) -> float:
