@@ -18,6 +18,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import IO, Callable
 
 from .config import ExperimentConfig
 from .errors import ConfigError, DatasetError
@@ -84,16 +85,22 @@ def cmd_validate(args) -> int:
     return 1 if errors else 0
 
 
+def _emit(out: Path | None, name: str, write: Callable[[IO[str]], None]) -> None:
+    """Write to stdout, or to out/name when --out is given."""
+    if out is None:
+        write(sys.stdout)
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh)
+    print(f"wrote {path}")
+
+
 def cmd_summary(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     _, ts = load_dataset(config)
-    if args.out is None:
-        write_summary_csv(sys.stdout, ts)
-    else:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "summary.csv"
-        write_summary_csv(path, ts)
-        print(f"wrote {path}")
+    _emit(args.out, "summary.csv", lambda fh: write_summary_csv(fh, ts))
     return 0
 
 
@@ -101,13 +108,7 @@ def cmd_pairs(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
-    if args.out is None:
-        write_pairs_csv(sys.stdout, tasks)
-    else:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "pairs.csv"
-        write_pairs_csv(path, tasks)
-        print(f"wrote {path}")
+    _emit(args.out, "pairs.csv", lambda fh: write_pairs_csv(fh, tasks))
     return 0
 
 

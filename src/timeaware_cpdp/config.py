@@ -3,65 +3,34 @@
 Example:
 
     dataset.path = releases.csv
-    dataset.date_col = release_date
-    buckets.granularity_months = 6
-    pairs.gap_buckets = 1
-    pairs.configurations = CC,IC,CI,II
-    run.techniques = watanabe08,camargocruz09,ma12,amasaki15,nam15
     run.seed = 17
-    run.balance = false
-    run.baseline_crossval = 10
-    run.output_dir = out
-    tree.pruning_confidence = 0.25
-    tree.min_leaf_weight = 2.0
-    treatments.amasaki15.attr_mad_mult = 1.0
-    treatments.amasaki15.relevancy_mult = 2.0
-    treatments.nam15.violation_threshold = 0.5
-    report.stability_threshold = 0.05
+    pairs.configurations = CC,IC
 
-Blank lines and lines starting with '#' are ignored. Unknown or
-duplicate keys are rejected. Relative paths are resolved against the
-directory of the config file. The seed is mandatory.
+``CONFIG_KEYS`` lists every key; README's "Configuration reference"
+gives each with its default. Blank lines and lines starting with '#'
+are ignored. Unknown or duplicate keys are rejected. A key left empty
+keeps its default, except that an empty ``pairs.configurations`` means
+"baseline only". Relative paths are resolved against the directory of
+the config file. ``dataset.path`` and ``run.seed`` are required.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .dataset import DatasetSchema
 from .errors import ConfigError
 from .pairs import ConfigurationKind
+from .stability import STABILITY_THRESHOLD
 from .tree import TreeParams
 from .treatments import TREATMENT_NAMES
 
 DEFAULT_TECHNIQUES = ("watanabe08", "camargocruz09", "ma12", "amasaki15", "nam15")
-
-_KNOWN_KEYS = {
-    "dataset.path",
-    "dataset.project_col",
-    "dataset.version_col",
-    "dataset.date_col",
-    "dataset.class_col",
-    "dataset.defects_col",
-    "dataset.feature_cols",
-    "buckets.granularity_months",
-    "pairs.gap_buckets",
-    "pairs.configurations",
-    "run.techniques",
-    "run.seed",
-    "run.balance",
-    "run.baseline_crossval",
-    "run.output_dir",
-    "tree.pruning_confidence",
-    "tree.min_leaf_weight",
-    "treatments.amasaki15.attr_mad_mult",
-    "treatments.amasaki15.relevancy_mult",
-    "treatments.nam15.violation_threshold",
-    "report.stability_threshold",
-}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -84,27 +53,67 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _to_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {value!r}") from None
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {value!r}") from None
+def _kinds(text: str) -> tuple[ConfigurationKind, ...]:
+    kinds = []
+    for token in _names(text):
+        if token.lower() == ConfigurationKind.CROSSVAL.value:
+            raise ValueError("use run.baseline_crossval for the baseline")
+        try:
+            kinds.append(ConfigurationKind(token.upper()))
+        except ValueError:
+            raise ValueError(f"unknown configuration {token!r}") from None
+    return tuple(kinds)
 
 
-def _to_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
+def _bool(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: not a boolean: {value!r}")
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# Every config key in canonical order: the part of ExperimentConfig it
+# sets (None for the config itself), the field, and the parser of its
+# text. A parser raises ValueError on text it cannot read.
+CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
+    "dataset.path": (None, "dataset_path", Path),
+    "dataset.project_col": ("schema", "project_col", str),
+    "dataset.version_col": ("schema", "version_col", str),
+    "dataset.date_col": ("schema", "date_col", str),
+    "dataset.class_col": ("schema", "class_col", str),
+    "dataset.defects_col": ("schema", "defects_col", str),
+    "dataset.feature_cols": ("schema", "feature_cols", _names),
+    "buckets.granularity_months": (None, "granularity_months", int),
+    "pairs.gap_buckets": (None, "gap_buckets", int),
+    "pairs.configurations": (None, "configurations", _kinds),
+    "run.techniques": (None, "techniques", _names),
+    "run.seed": (None, "seed", int),
+    "run.balance": (None, "balance", _bool),
+    "run.baseline_crossval": (None, "baseline_crossval", int),
+    "run.output_dir": (None, "output_dir", Path),
+    "tree.pruning_confidence": ("tree_params", "pruning_confidence", float),
+    "tree.min_leaf_weight": ("tree_params", "min_leaf_weight", float),
+    "treatments.amasaki15.attr_mad_mult": (None, "amasaki_attr_mad_mult", float),
+    "treatments.amasaki15.relevancy_mult": (None, "amasaki_relevancy_mult", float),
+    "treatments.nam15.violation_threshold": (None, "nam_violation_threshold", float),
+    "report.stability_threshold": (None, "stability_threshold", float),
+}
+
+
+def _canonical(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(getattr(v, "value", v) for v in value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -125,12 +134,14 @@ class ExperimentConfig:
     amasaki_attr_mad_mult: float = 1.0
     amasaki_relevancy_mult: float = 2.0
     nam_violation_threshold: float | None = None
-    stability_threshold: float = 0.05
+    stability_threshold: float = STABILITY_THRESHOLD
 
     def __post_init__(self) -> None:
         if not self.configurations and self.baseline_crossval is None:
             raise ConfigError(
                 "need at least one configuration or a baseline_crossval fold count")
+        if len(set(self.configurations)) != len(self.configurations):
+            raise ConfigError("pairs.configurations: duplicates")
         if not self.techniques:
             raise ConfigError("need at least one technique")
         unknown = [t for t in self.techniques if t not in TREATMENT_NAMES]
@@ -146,100 +157,45 @@ class ExperimentConfig:
             raise ConfigError("pairs.gap_buckets must be >= 0")
         if self.baseline_crossval is not None and self.baseline_crossval < 2:
             raise ConfigError("run.baseline_crossval must be >= 2")
+        for key, value in (
+                ("treatments.amasaki15.attr_mad_mult", self.amasaki_attr_mad_mult),
+                ("treatments.amasaki15.relevancy_mult", self.amasaki_relevancy_mult),
+                ("report.stability_threshold", self.stability_threshold)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        threshold = self.nam_violation_threshold
+        if threshold is not None and not 0 <= threshold <= 1:
+            raise ConfigError(
+                "treatments.nam15.violation_threshold must lie in [0, 1]")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str],
                      base_dir: Path | None = None) -> "ExperimentConfig":
-        base = base_dir or Path.cwd()
-        unknown = sorted(set(mapping) - _KNOWN_KEYS)
+        unknown = sorted(set(mapping) - CONFIG_KEYS.keys())
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        if "dataset.path" not in mapping:
-            raise ConfigError("dataset.path is required")
-        if "run.seed" not in mapping:
-            raise ConfigError("run.seed is required")
-
-        def get(key: str, default: str | None = None) -> str | None:
-            value = mapping.get(key)
-            if value is None or value == "":
-                return default
-            return value
-
-        feature_cols_raw = get("dataset.feature_cols")
-        schema = DatasetSchema(
-            project_col=get("dataset.project_col", "project"),
-            version_col=get("dataset.version_col", "version"),
-            date_col=get("dataset.date_col", "release_date"),
-            class_col=get("dataset.class_col", "class"),
-            defects_col=get("dataset.defects_col", "defects"),
-            feature_cols=tuple(
-                c.strip() for c in feature_cols_raw.split(",") if c.strip())
-            if feature_cols_raw else None)
-
-        # an explicitly empty value means "no time-aware configurations",
-        # which is valid together with run.baseline_crossval
-        configurations_raw = mapping.get("pairs.configurations", "CC,IC,CI,II")
-        kinds = []
-        for token in configurations_raw.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token.lower() == ConfigurationKind.CROSSVAL.value:
-                raise ConfigError(
-                    "pairs.configurations: use run.baseline_crossval for the baseline")
-            try:
-                kind = ConfigurationKind(token.upper())
-            except ValueError:
-                raise ConfigError(
-                    f"pairs.configurations: unknown configuration {token!r}") from None
-            kinds.append(kind)
-        if len(set(kinds)) != len(kinds):
-            raise ConfigError("pairs.configurations: duplicates")
-
-        techniques_raw = get("run.techniques", ",".join(DEFAULT_TECHNIQUES))
-        techniques = tuple(
-            t.strip() for t in techniques_raw.split(",") if t.strip())
-
+        for key in ("dataset.path", "run.seed"):
+            if not mapping.get(key):
+                raise ConfigError(f"{key} is required")
+        parts: dict[str | None, dict] = {None: {}, "schema": {}, "tree_params": {}}
+        for key, (part, name, parse) in CONFIG_KEYS.items():
+            text = mapping.get(key, "")
+            # an explicitly empty value means "no time-aware configurations",
+            # which is valid together with run.baseline_crossval
+            if text or (key == "pairs.configurations" and key in mapping):
+                try:
+                    parts[part][name] = parse(text)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
         try:
-            tree_params = TreeParams(
-                pruning_confidence=_to_float(
-                    "tree.pruning_confidence", get("tree.pruning_confidence", "0.25")),
-                min_leaf_weight=_to_float(
-                    "tree.min_leaf_weight", get("tree.min_leaf_weight", "2.0")))
-        except ValueError as exc:
+            config = cls(**parts[None], schema=DatasetSchema(**parts["schema"]),
+                         tree_params=TreeParams(**parts["tree_params"]))
+        except ValueError as exc:  # TreeParams checks its own ranges
             raise ConfigError(str(exc)) from None
-
-        baseline_raw = get("run.baseline_crossval")
-        nam_raw = get("treatments.nam15.violation_threshold")
-        nam_threshold = _to_float("treatments.nam15.violation_threshold", nam_raw) \
-            if nam_raw is not None else None
-        if nam_threshold is not None and not 0 <= nam_threshold <= 1:
-            raise ConfigError(
-                "treatments.nam15.violation_threshold must lie in [0, 1]")
-
-        return cls(
-            dataset_path=(base / get("dataset.path")).resolve(),
-            seed=_to_int("run.seed", mapping["run.seed"]),
-            schema=schema,
-            granularity_months=_to_int(
-                "buckets.granularity_months", get("buckets.granularity_months", "6")),
-            gap_buckets=_to_int("pairs.gap_buckets", get("pairs.gap_buckets", "1")),
-            configurations=tuple(kinds),
-            techniques=techniques,
-            tree_params=tree_params,
-            balance=_to_bool("run.balance", get("run.balance", "false")),
-            baseline_crossval=_to_int("run.baseline_crossval", baseline_raw)
-            if baseline_raw is not None else None,
-            output_dir=(base / get("run.output_dir", "out")).resolve(),
-            amasaki_attr_mad_mult=_to_float(
-                "treatments.amasaki15.attr_mad_mult",
-                get("treatments.amasaki15.attr_mad_mult", "1.0")),
-            amasaki_relevancy_mult=_to_float(
-                "treatments.amasaki15.relevancy_mult",
-                get("treatments.amasaki15.relevancy_mult", "2.0")),
-            nam_violation_threshold=nam_threshold,
-            stability_threshold=_to_float(
-                "report.stability_threshold", get("report.stability_threshold", "0.05")))
+        base = base_dir or Path.cwd()
+        return dataclasses.replace(
+            config, dataset_path=(base / config.dataset_path).resolve(),
+            output_dir=(base / config.output_dir).resolve())
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -256,35 +212,9 @@ class ExperimentConfig:
         The output directory is deliberately left out: writing the same
         experiment somewhere else must not change its hash.
         """
-        schema = self.schema
-        items = [
-            ("dataset.path", str(self.dataset_path)),
-            ("dataset.project_col", schema.project_col),
-            ("dataset.version_col", schema.version_col),
-            ("dataset.date_col", schema.date_col),
-            ("dataset.class_col", schema.class_col),
-            ("dataset.defects_col", schema.defects_col),
-            ("dataset.feature_cols",
-             ",".join(schema.feature_cols) if schema.feature_cols else ""),
-            ("buckets.granularity_months", str(self.granularity_months)),
-            ("pairs.gap_buckets", str(self.gap_buckets)),
-            ("pairs.configurations",
-             ",".join(k.value for k in self.configurations)),
-            ("run.techniques", ",".join(self.techniques)),
-            ("run.seed", str(self.seed)),
-            ("run.balance", str(self.balance).lower()),
-            ("run.baseline_crossval",
-             "" if self.baseline_crossval is None else str(self.baseline_crossval)),
-            ("tree.pruning_confidence", repr(self.tree_params.pruning_confidence)),
-            ("tree.min_leaf_weight", repr(self.tree_params.min_leaf_weight)),
-            ("treatments.amasaki15.attr_mad_mult", repr(self.amasaki_attr_mad_mult)),
-            ("treatments.amasaki15.relevancy_mult", repr(self.amasaki_relevancy_mult)),
-            ("treatments.nam15.violation_threshold",
-             "" if self.nam_violation_threshold is None
-             else repr(self.nam_violation_threshold)),
-            ("report.stability_threshold", repr(self.stability_threshold)),
-        ]
-        return items
+        return [(key, _canonical(getattr(getattr(self, part) if part else self, name)))
+                for key, (part, name, _) in CONFIG_KEYS.items()
+                if key != "run.output_dir"]
 
 
 def config_hash(config: ExperimentConfig) -> str:

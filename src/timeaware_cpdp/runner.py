@@ -28,7 +28,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
@@ -381,59 +381,51 @@ def load_results_csv(path: Path) -> list[ResultRecord]:
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != list(RESULTS_COLUMNS):
-            raise DatasetError(f"{path}: unexpected results header")
-        for row in reader:
-            records.append(ResultRecord(
-                technique=row["technique"], kind=row["kind"],
-                window_k=_parse_window(row["window_k"]),
-                split_index=int(row["split_index"]), gap=int(row["gap"]),
-                test_project=row["test_project"],
-                test_version=row["test_version"],
-                cm=ConfusionMatrix(tp=int(row["tp"]), fp=int(row["fp"]),
-                                   tn=int(row["tn"]), fn=int(row["fn"])),
-                scores=ScoreSet(precision=float(row["precision"]),
-                                recall=float(row["recall"]),
-                                fscore=float(row["fscore"]),
-                                gmeasure=float(row["gmeasure"]),
-                                mcc=float(row["mcc"]),
-                                auc=float(row["auc"])),
-                auc_degenerate=row["auc_degenerate"] == "true"))
+        try:
+            if reader.fieldnames != list(RESULTS_COLUMNS):
+                raise DatasetError(f"{path}: unexpected results header")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(RESULTS_COLUMNS)} fields")
+                if row["auc_degenerate"] not in ("true", "false"):
+                    raise ValueError(
+                        f"auc_degenerate is not true or false: {row['auc_degenerate']!r}")
+                records.append(ResultRecord(
+                    technique=row["technique"], kind=row["kind"],
+                    window_k=_parse_window(row["window_k"]),
+                    split_index=int(row["split_index"]), gap=int(row["gap"]),
+                    test_project=row["test_project"],
+                    test_version=row["test_version"],
+                    cm=ConfusionMatrix(tp=int(row["tp"]), fp=int(row["fp"]),
+                                       tn=int(row["tn"]), fn=int(row["fn"])),
+                    scores=ScoreSet(precision=float(row["precision"]),
+                                    recall=float(row["recall"]),
+                                    fscore=float(row["fscore"]),
+                                    gmeasure=float(row["gmeasure"]),
+                                    mcc=float(row["mcc"]),
+                                    auc=float(row["auc"])),
+                    auc_degenerate=row["auc_degenerate"] == "true"))
+        except (ValueError, csv.Error) as exc:
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 
-def write_summary_csv(path_or_buffer, ts: TimeSeriesDataset) -> None:
-    rows = dataset_summary(ts)
-
-    def emit(fh):
-        fh.write("bucket_index,start,end,releases,instances,defective_pct\n")
-        for row in rows:
-            fh.write(f"{row.bucket_index},{row.start.isoformat()},"
-                     f"{row.end.isoformat()},{row.releases},{row.instances},"
-                     f"{row.defective_pct!r}\n")
-
-    if hasattr(path_or_buffer, "write"):
-        emit(path_or_buffer)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+def write_summary_csv(fh: IO[str], ts: TimeSeriesDataset) -> None:
+    fh.write("bucket_index,start,end,releases,instances,defective_pct\n")
+    for row in dataset_summary(ts):
+        fh.write(f"{row.bucket_index},{row.start.isoformat()},"
+                 f"{row.end.isoformat()},{row.releases},{row.instances},"
+                 f"{row.defective_pct!r}\n")
 
 
-def write_pairs_csv(path_or_buffer, tasks: Sequence[TrainTestPair]) -> None:
-    def emit(fh):
-        fh.write("kind,window_k,split_index,gap,train_versions,test_versions\n")
-        for pair in tasks:
-            train = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.train)
-            test = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.test)
-            fh.write(f"{pair.spec.kind.value},{_fmt_window(pair.spec.window_k)},"
-                     f"{pair.spec.split_index},{pair.spec.gap_buckets},"
-                     f"{train},{test}\n")
-
-    if hasattr(path_or_buffer, "write"):
-        emit(path_or_buffer)
-    else:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+def write_pairs_csv(fh: IO[str], tasks: Sequence[TrainTestPair]) -> None:
+    fh.write("kind,window_k,split_index,gap,train_versions,test_versions\n")
+    for pair in tasks:
+        train = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.train)
+        test = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.test)
+        fh.write(f"{pair.spec.kind.value},{_fmt_window(pair.spec.window_k)},"
+                 f"{pair.spec.split_index},{pair.spec.gap_buckets},"
+                 f"{train},{test}\n")
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:

@@ -86,6 +86,27 @@ def test_bad_config_exits_one(tmp_path):
     assert main(["validate", "--config", str(cfg)]) == 1
 
 
+def test_empty_dataset_path_exits_one(tmp_path, caplog):
+    cfg = write_experiment(tmp_path, **{"dataset.path": ""})
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert "dataset.path is required" in caplog.text
+
+
+def test_malformed_results_row_exits_one(tmp_path, caplog):
+    cfg = write_experiment(tmp_path)
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    results = out_dir / "results.csv"
+    lines = results.read_text(encoding="utf-8").splitlines()
+    fields = lines[3].split(",")
+    fields[7] = "x"  # the tp count
+    lines[3] = ",".join(fields)
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert f"{results}: line 4:" in caplog.text
+    assert "internal error" not in caplog.text
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

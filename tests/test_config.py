@@ -4,12 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from timeaware_cpdp.config import (DEFAULT_TECHNIQUES, ExperimentConfig,
-                                   config_hash, parse_config_text)
+from timeaware_cpdp.config import (CONFIG_KEYS, DEFAULT_TECHNIQUES,
+                                   ExperimentConfig, config_hash,
+                                   parse_config_text)
 from timeaware_cpdp.errors import ConfigError
 from timeaware_cpdp.pairs import ConfigurationKind
 
 MINIMAL = {"dataset.path": "data.csv", "run.seed": "17"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_parse_config_text_basics():
@@ -58,6 +60,11 @@ def test_required_keys():
         ExperimentConfig.from_mapping({"run.seed": "1"})
     with pytest.raises(ConfigError, match="run.seed"):
         ExperimentConfig.from_mapping({"dataset.path": "x.csv"})
+    # present but empty is as good as missing
+    with pytest.raises(ConfigError, match="dataset.path is required"):
+        ExperimentConfig.from_mapping({"dataset.path": "", "run.seed": "1"})
+    with pytest.raises(ConfigError, match="run.seed is required"):
+        ExperimentConfig.from_mapping({"dataset.path": "x.csv", "run.seed": ""})
 
 
 def test_unknown_keys_are_rejected():
@@ -133,6 +140,34 @@ def test_numeric_range_validation():
             dict(MINIMAL, **{"treatments.nam15.violation_threshold": "1.5"}))
 
 
+@pytest.mark.parametrize("key,name,value", [
+    ("treatments.amasaki15.attr_mad_mult", "amasaki_attr_mad_mult", "nan"),
+    ("treatments.amasaki15.attr_mad_mult", "amasaki_attr_mad_mult", "inf"),
+    ("treatments.amasaki15.attr_mad_mult", "amasaki_attr_mad_mult", "-0.5"),
+    ("treatments.amasaki15.relevancy_mult", "amasaki_relevancy_mult", "nan"),
+    ("treatments.amasaki15.relevancy_mult", "amasaki_relevancy_mult", "-inf"),
+    ("treatments.amasaki15.relevancy_mult", "amasaki_relevancy_mult", "-1"),
+    ("report.stability_threshold", "stability_threshold", "nan"),
+    ("report.stability_threshold", "stability_threshold", "inf"),
+    ("report.stability_threshold", "stability_threshold", "-0.05"),
+    ("treatments.nam15.violation_threshold", "nam_violation_threshold", "nan"),
+    ("treatments.nam15.violation_threshold", "nam_violation_threshold", "1.5"),
+    ("treatments.nam15.violation_threshold", "nam_violation_threshold", "-0.1"),
+])
+def test_out_of_range_settings_fail_from_file_and_constructor(tmp_path, key, name,
+                                                              value):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"dataset.path = x.csv\nrun.seed = 1\n{key} = {value}\n",
+                        encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_file(cfg_file)
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(dataset_path=Path("x.csv"), seed=1, **{name: float(value)})
+    # the ends of the ranges are allowed
+    edge = 1.0 if name == "nam_violation_threshold" else 0.0
+    ExperimentConfig(dataset_path=Path("x.csv"), seed=1, **{name: edge})
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_min_leaf_weight_is_a_config_error(value):
     with pytest.raises(ConfigError, match="min_leaf_weight"):
@@ -173,3 +208,18 @@ def test_hash_ignores_output_dir_but_not_seed():
     keys = [k for k, _ in a.canonical_items()]
     assert "run.output_dir" not in keys
     assert len(keys) == len(set(keys))
+
+
+def test_readme_reference_lists_every_key_with_its_default():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```ini\n", text.index("## Configuration reference")) + 7
+    block = text[start:text.index("```", start)]
+    mapping = parse_config_text(
+        "\n".join(line.partition("#")[0] for line in block.splitlines()))
+    assert list(mapping) == list(CONFIG_KEYS)
+    documented = ExperimentConfig.from_mapping(mapping, base_dir=Path("/tmp"))
+    minimal = ExperimentConfig.from_mapping(
+        {"dataset.path": mapping["dataset.path"], "run.seed": mapping["run.seed"]},
+        base_dir=Path("/tmp"))
+    assert documented.canonical_items() == minimal.canonical_items()
+    assert documented.output_dir == minimal.output_dir

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import json
 import logging
 from pathlib import Path
@@ -222,19 +223,36 @@ def test_load_results_rejects_foreign_header(tmp_path):
         load_results_csv(bad)
 
 
+def test_load_results_rejects_malformed_rows(tmp_path):
+    _, out, _ = run(tmp_path)
+    lines = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+    fields = lines[2].split(",")
+    not_a_count = fields[:7] + ["x"] + fields[8:]
+    cases = ((fields[:-1], "expected 18 fields"),
+             (fields + ["extra"], "expected 18 fields"),
+             (fields[:-1] + ["maybe"], "auc_degenerate is not true or false"),
+             (not_a_count, "invalid literal for int"))
+    for broken, message in cases:
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:2] + [",".join(broken)] + lines[3:]) + "\n",
+                       encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"bad.csv: line 3: {message}"):
+            load_results_csv(bad)
+
+
 def test_summary_and_pairs_writers(tmp_path):
     cfg = ExperimentConfig.from_file(write_experiment(tmp_path))
     releases, ts = load_dataset(cfg)
-    summary_path = tmp_path / "summary.csv"
-    write_summary_csv(summary_path, ts)
-    lines = summary_path.read_text(encoding="utf-8").splitlines()
+    buffer = io.StringIO()
+    write_summary_csv(buffer, ts)
+    lines = buffer.getvalue().splitlines()
     assert lines[0] == "bucket_index,start,end,releases,instances,defective_pct"
     assert lines[1].startswith("0,2001-01-01,2001-07-01,2,24,")
 
     tasks = build_tasks(cfg, ts, releases)
-    pairs_path = tmp_path / "pairs.csv"
-    write_pairs_csv(pairs_path, tasks)
-    lines = pairs_path.read_text(encoding="utf-8").splitlines()
+    buffer = io.StringIO()
+    write_pairs_csv(buffer, tasks)
+    lines = buffer.getvalue().splitlines()
     assert lines[0] == "kind,window_k,split_index,gap,train_versions,test_versions"
     assert lines[1] == "CC,1,1,0,alpha/1.0;beta/1.0,gamma/1.0;delta/1.0"
     # II rows render the unbounded window as inf
