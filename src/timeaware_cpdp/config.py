@@ -188,10 +188,13 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ConfigError(f"{key}: {exc}") from None
         try:
-            config = cls(**parts[None], schema=DatasetSchema(**parts["schema"]),
-                         tree_params=TreeParams(**parts["tree_params"]))
-        except ValueError as exc:  # TreeParams checks its own ranges
-            raise ConfigError(str(exc)) from None
+            tree_params = TreeParams(**parts["tree_params"])
+        except ValueError as exc:
+            # TreeParams checks its own ranges; its messages start with
+            # the field, which is the key after "tree."
+            raise ConfigError(f"tree.{exc}") from None
+        config = cls(**parts[None], schema=DatasetSchema(**parts["schema"]),
+                     tree_params=tree_params)
         base = base_dir or Path.cwd()
         return dataclasses.replace(
             config, dataset_path=(base / config.dataset_path).resolve(),

@@ -5,10 +5,15 @@ training side, and each group keeps every distinct test side once, since
 window truncation gives several (window, split) tags the same releases.
 Each group is then one unit of work, for one thread of the pool: per
 distinct (train, test) set, assembly -> optional under-sampling ->
-treatment -> tree training -> per-version scoring, with a tree fitted
-once per distinct training input of the group. Fan-out walks the pairs
-in enumeration order and gives every (pair, technique) tag the results
-of its set: rows, skip warnings, failures and tree dumps.
+treatment -> tree training -> per-version scoring, with a tree grown
+once per distinct training order of the group: an input whose
+attributes sort and tie as an earlier input's, with the same labels
+and weights, takes that tree with thresholds from its own values
+(``tree.rethreshold``), bit for bit the tree a fit would give. So
+treatments that only map each attribute through an increasing function,
+such as camargocruz09 against watanabe08, share a tree. Fan-out walks
+the pairs in enumeration order and gives every (pair, technique) tag
+the results of its set: rows, skip warnings, failures and tree dumps.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or a
@@ -40,7 +45,8 @@ from .metrics import ConfusionMatrix, ScoreSet, VersionScore, evaluate_pair
 from .pairs import PairSpec, TrainTestPair, crossval_pairs, enumerate_pairs
 from .stability import (UNBOUNDED, ResultRecord, _fmt, _fmt_window,
                         undersample, write_reports)
-from .tree import DecisionTree, dump_tree, train_tree
+from .tree import (DecisionTree, dump_tree, rethreshold, train_tree,
+                   training_order)
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 
@@ -180,26 +186,13 @@ class _Fit:
 _SetResult = BalancingError | list[_Fit | DegenerateTreatmentError | ValueError]
 
 
-def _training_digest(treated: TreatedPair) -> bytes:
-    """Equal digests mean equal training input, hence equal trees.
-
-    TreeParams is the same for the whole run, so it is not part of it.
-    """
-    digest = hashlib.sha256()
-    for array in (treated.train_features, treated.train_labels,
-                  treated.train_weights):
-        digest.update(repr(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.digest()
-
-
 def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
                dump_trees: bool) -> list[_SetResult]:
     """Results of each distinct (train, test) set of one training side.
 
-    A tree is fitted once per distinct training input of the group; the
-    trees are dropped when the group ends. Errors are kept without their
-    tracebacks, which would hold the frames' arrays until fan-out.
+    Trees are kept by training order key (TreeParams is the same for the
+    whole run) and dropped when the group ends. Errors are kept without
+    their tracebacks, which would hold the frames' arrays until fan-out.
     """
     trees: dict[bytes, DecisionTree] = {}
     results: list[_SetResult] = []
@@ -215,10 +208,13 @@ def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
         for technique in config.techniques:
             try:
                 treated = apply_treatment(technique, base, config)
-                key = _training_digest(treated)
+                order, key = training_order(treated)
                 tree = trees.get(key)
                 if tree is None:
-                    tree = trees[key] = train_tree(treated, config.tree_params)
+                    tree = trees[key] = train_tree(treated, config.tree_params,
+                                                   order=order)
+                else:
+                    tree = rethreshold(tree, treated)
                 version_scores = evaluate_pair(tree, treated)
             except (DegenerateTreatmentError, ValueError) as exc:
                 fits.append(exc.with_traceback(None))

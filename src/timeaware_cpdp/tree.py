@@ -9,7 +9,9 @@ the arrays top to bottom.
 Training is fully deterministic: candidate thresholds are the midpoints
 between adjacent distinct sorted values of an attribute, splits are
 chosen by gain ratio, and ties are broken by the lowest attribute index
-and then the lowest threshold. All counts and entropies use instance
+and then the lowest threshold. A midpoint that rounds to the upper value
+or overflows is replaced by the lower value, so a split always sends
+the rows up to its cut left. All counts and entropies use instance
 weights, so a duplicated instance and a doubled weight produce the same
 tree. Each fit sorts its rows by every attribute once; a node passes
 its sorted rows to its children by a stable partition, so every node
@@ -17,10 +19,19 @@ scans its attributes in the order its own stable sort would give.
 Pruning is the classic pessimistic error estimate with a confidence
 parameter, applied bottom-up with subtree replacement only (no subtree
 raising). Prediction descends all rows of a matrix level by level.
+
+A tree therefore depends on its training input only through each
+attribute's sorted order and ties, the labels and the weights; the
+values set only the thresholds, from the two training rows either side
+of each cut. ``training_order`` gives the sort and a key of those, and
+``rethreshold`` turns a tree into the tree of another input with the
+same key.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -65,6 +76,8 @@ class DecisionTree:
     the left child when its value is <= threshold (NaN at a leaf), else
     to the right one; left and right are node indices, -1 at a leaf.
     w_defective and w_clean are the training weights reaching the node.
+    lo and hi are the training rows either side of a split's cut, -1 at
+    a leaf.
     """
 
     feature: np.ndarray
@@ -73,14 +86,30 @@ class DecisionTree:
     right: np.ndarray
     w_defective: np.ndarray
     w_clean: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     n_attributes: int
     params: TreeParams
 
 
+def _threshold(below: float, above: float) -> float:
+    """The threshold of a cut between two adjacent distinct sorted values.
+
+    Their midpoint, unless rounding lands it on the upper value or the
+    sum overflows; then the lower value, as scikit-learn does. Either
+    way the rows up to the cut, and only those, go left.
+    """
+    mid = (below + above) / 2.0
+    return mid if below <= mid < above else below
+
+
 def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
            weights: np.ndarray, total_w: float, total_d: float,
-           min_leaf: float) -> tuple[int, float] | None:
+           min_leaf: float) -> tuple[int, int, int, float] | None:
     """Highest gain-ratio admissible split of one node, or None.
+
+    A split is its attribute, the rows either side of its cut and its
+    threshold (_threshold of their values).
 
     ids holds the node's rows sorted by each attribute, one row of ids
     per attribute. xt is the training matrix attribute by attribute,
@@ -158,14 +187,17 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     if gain[best] == -math.inf:
         return None
     attr, cut = divmod(int(cuts[best]), m)
-    return attr, float((vs[attr, cut] + vs[attr, cut + 1]) / 2.0)
+    return (attr, int(ids[attr, cut]), int(ids[attr, cut + 1]),
+            _threshold(float(vs[attr, cut]), float(vs[attr, cut + 1])))
 
 
-def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-          min_leaf: float) -> tuple[list, ...]:
-    """Node lists (feature, threshold, left, right, w_def, w_clean) in pre-order.
+def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
+          order: np.ndarray | None = None) -> tuple[list, ...]:
+    """Node lists in pre-order: feature, threshold, left, right, w_def,
+    w_clean, and lo and hi, the rows either side of a split's cut.
 
-    The rows are sorted by every attribute once. A node holds its rows
+    The rows are sorted by every attribute once, unless order (from
+    training_order) already holds that sort. A node holds its rows
     in that order, one row of ids per attribute, plus a last row with
     the ids ascending; its children get the same rows by a stable
     partition, so each node sees the order its own stable sort would
@@ -174,7 +206,7 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     n, d = x.shape
     xt = np.ascontiguousarray(x.T)
     ids = np.empty((d + 1, n), dtype=np.intp)
-    ids[:d] = np.argsort(xt, axis=1, kind="stable")
+    ids[:d] = np.argsort(xt, axis=1, kind="stable") if order is None else order
     ids[d] = np.arange(n)
     xt = xt.ravel()
     offsets = np.arange(0, d * n, n)[:, np.newaxis]
@@ -186,6 +218,8 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     right: list[int] = []
     w_def: list[float] = []
     w_cln: list[float] = []
+    lo: list[int] = []
+    hi: list[int] = []
     # (sorted ids, node whose right child this is, or -1); the left
     # child is pushed last so that it is grown next, right after its parent
     stack = [(ids, -1)]
@@ -210,12 +244,16 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
             threshold.append(math.nan)
             left.append(-1)
             right.append(-1)
+            lo.append(-1)
+            hi.append(-1)
             continue
-        attr, thr = found
+        attr, lo_row, hi_row, thr = found
         feature.append(attr)
         threshold.append(thr)
         left.append(node + 1)
         right.append(-1)
+        lo.append(lo_row)
+        hi.append(hi_row)
         # a stable partition of every row list; taking by position is
         # much faster than boolean indexing on large nodes
         goes_left[rows] = x[rows, attr] <= thr
@@ -225,7 +263,7 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray,
         to_right = flat.take((~mask).nonzero()[0]).reshape(d + 1, -1)
         stack.append((to_right, node))
         stack.append((to_left, -1))
-    return feature, threshold, left, right, w_def, w_cln
+    return feature, threshold, left, right, w_def, w_cln, lo, hi
 
 
 def _added_errors(n: float, e: float, z: float, cf: float) -> float:
@@ -258,7 +296,7 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
     are decided before it. A subtree's error is the sum of its two
     children's, each a leaf's own estimate or its subtree's sum.
     """
-    feature, threshold, left, right, w_def, w_cln = nodes
+    feature, threshold, left, right, w_def, w_cln, lo, hi = nodes
     z = NormalDist().inv_cdf(1.0 - cf)
     n = len(feature)
     errors = [0.0] * n
@@ -276,6 +314,7 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
             errors[i] = as_leaf
             keep[i + 1:last[i] + 1] = [False] * (last[i] - i)
             feature[i], threshold[i], left[i], right[i] = -1, math.nan, -1, -1
+            lo[i] = hi[i] = -1
         else:
             errors[i] = as_subtree
     new_index = np.cumsum(keep) - 1
@@ -283,12 +322,12 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
     return ([feature[i] for i in kept], [threshold[i] for i in kept],
             [int(new_index[left[i]]) if left[i] >= 0 else -1 for i in kept],
             [int(new_index[right[i]]) if right[i] >= 0 else -1 for i in kept],
-            [w_def[i] for i in kept], [w_cln[i] for i in kept])
+            [w_def[i] for i in kept], [w_cln[i] for i in kept],
+            [lo[i] for i in kept], [hi[i] for i in kept])
 
 
-def train_tree(treated: TreatedPair, params: TreeParams | None = None) -> DecisionTree:
-    """Grow and (by default) prune a tree on the treated training data."""
-    params = params or TreeParams()
+def _training_arrays(treated: TreatedPair) -> tuple[np.ndarray, ...]:
+    """The training features, labels and weights, checked for training."""
     x = np.asarray(treated.train_features, dtype=np.float64)
     y = np.asarray(treated.train_labels, dtype=bool)
     w = np.asarray(treated.train_weights, dtype=np.float64)
@@ -298,11 +337,54 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None) -> Decisi
         raise ValueError("training features must be finite")
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("training weights must be finite and positive")
+    return x, y, w
 
-    nodes = _grow(x, y, w, params.min_leaf_weight)
+
+def training_order(treated: TreatedPair) -> tuple[np.ndarray, bytes]:
+    """The stable sort of the training rows by every attribute, and its key.
+
+    The key hashes the shape, each attribute's sort and tie mask (sorted
+    neighbours equal), the labels and the weights: two inputs with the
+    same key grow trees that differ at most in their thresholds. Raises
+    the ValueError train_tree raises for input it cannot train on.
+    """
+    x, y, w = _training_arrays(treated)
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    ranked = np.take_along_axis(xt, order, axis=1)
+    digest = hashlib.sha256(repr(x.shape).encode())
+    for array in (order, ranked[:, 1:] == ranked[:, :-1], y, w):
+        digest.update(array.tobytes())
+    return order, digest.digest()
+
+
+def rethreshold(tree: DecisionTree, treated: TreatedPair) -> DecisionTree:
+    """The tree train_tree gives on treated, from a tree of the same order key.
+
+    A fit on treated makes the same splits between the same rows, so
+    only the thresholds are taken anew, from treated's values.
+    """
+    x = np.asarray(treated.train_features, dtype=np.float64)
+    split = np.flatnonzero(tree.feature >= 0)
+    attr = tree.feature[split]
+    threshold = tree.threshold.copy()
+    threshold[split] = [_threshold(below, above) for below, above in zip(
+        x[tree.lo[split], attr].tolist(), x[tree.hi[split], attr].tolist())]
+    return dataclasses.replace(tree, threshold=threshold)
+
+
+def train_tree(treated: TreatedPair, params: TreeParams | None = None,
+               order: np.ndarray | None = None) -> DecisionTree:
+    """Grow and (by default) prune a tree on the treated training data.
+
+    order, from training_order on the same input, saves the sort.
+    """
+    params = params or TreeParams()
+    x, y, w = _training_arrays(treated)
+    nodes = _grow(x, y, w, params.min_leaf_weight, order)
     if params.prune:
         nodes = _prune(nodes, params.pruning_confidence)
-    feature, threshold, left, right, w_def, w_cln = nodes
+    feature, threshold, left, right, w_def, w_cln, lo, hi = nodes
     return DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
@@ -310,6 +392,7 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None) -> Decisi
         right=np.array(right, dtype=np.intp),
         w_defective=np.array(w_def, dtype=np.float64),
         w_clean=np.array(w_cln, dtype=np.float64),
+        lo=np.array(lo, dtype=np.intp), hi=np.array(hi, dtype=np.intp),
         n_attributes=x.shape[1], params=params)
 
 

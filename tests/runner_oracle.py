@@ -5,7 +5,8 @@ scored on its own, even when another pair has the same (train, test)
 releases or a technique leaves the same training input. Skip warnings
 are logged where the skip happens. ``tests/test_runner_oracle.py``
 checks that ``timeaware_cpdp.runner.run_experiment`` writes the same
-bytes and logs the same warnings.
+bytes and logs the same warnings. ``training_digest`` is the byte digest
+the planned run once keyed its fits on.
 
 The layer functions are bound here under the names ``runner`` binds, so
 a test that replaces one of them has to replace it in both modules.
@@ -13,6 +14,7 @@ a test that replaces one of them has to replace it in both modules.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -30,9 +32,22 @@ from timeaware_cpdp.runner import (RunSummary, _pair_counts, apply_treatment,
 from timeaware_cpdp.stability import (ResultRecord, _fmt_window, undersample,
                                       write_reports)
 from timeaware_cpdp.tree import dump_tree, train_tree
-from timeaware_cpdp.treatments import assemble_pair
+from timeaware_cpdp.treatments import TreatedPair, assemble_pair
 
 logger = logging.getLogger(__name__)
+
+
+def training_digest(treated: TreatedPair) -> bytes:
+    """Equal digests mean equal training input, hence equal trees.
+
+    TreeParams is the same for the whole run, so it is not part of it.
+    """
+    digest = hashlib.sha256()
+    for array in (treated.train_features, treated.train_labels,
+                  treated.train_weights):
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.digest()
 
 
 @dataclass

@@ -170,9 +170,21 @@ def test_out_of_range_settings_fail_from_file_and_constructor(tmp_path, key, nam
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_min_leaf_weight_is_a_config_error(value):
-    with pytest.raises(ConfigError, match="min_leaf_weight"):
+    with pytest.raises(ConfigError, match="tree.min_leaf_weight"):
         ExperimentConfig.from_mapping(
             dict(MINIMAL, **{"tree.min_leaf_weight": value}))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("tree.pruning_confidence", "0.05", "0.05 outside [0.10, 0.30]"),
+    ("tree.pruning_confidence", "0.31", "0.31 outside [0.10, 0.30]"),
+    ("tree.min_leaf_weight", "0", "must be positive and finite, got 0.0"),
+    ("tree.min_leaf_weight", "-2", "must be positive and finite, got -2.0"),
+])
+def test_tree_range_errors_name_the_config_key(key, value, message):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_mapping(dict(MINIMAL, **{key: value}))
+    assert str(info.value) == f"{key} {message}"
 
 
 def test_schema_and_feature_cols():

@@ -7,10 +7,13 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from e2e import write_experiment
 from timeaware_cpdp import __version__
+from timeaware_cpdp import runner as runner_module
+from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import DatasetError, DegenerateTreatmentError
@@ -134,6 +137,77 @@ def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):
     assert acct["rows_from_failed_combinations"] > 0
     assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
             - acct["version_skips"] == acct["written_rows"])
+
+
+class CountingNumpy:
+    """numpy as the tree module sees it, counting argsort calls."""
+
+    def __init__(self):
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, *args, **kwargs):
+        self.sorts += 1
+        return np.argsort(*args, **kwargs)
+
+
+def counted_run(tmp_path, monkeypatch, techniques):
+    """Run the toy experiment; count treated inputs, tree fits and sorts."""
+    counting_np = CountingNumpy()
+    monkeypatch.setattr(tree_module, "np", counting_np)
+    treated, fits = [], []
+    real_treatment = runner_module.apply_treatment
+    real_train_tree = runner_module.train_tree
+
+    def apply_treatment(name, tp, config):
+        treated.append(real_treatment(name, tp, config))
+        return treated[-1]
+
+    def train_tree(tp, params=None, **kwargs):
+        fits.append(kwargs)
+        return real_train_tree(tp, params, **kwargs)
+
+    monkeypatch.setattr(runner_module, "apply_treatment", apply_treatment)
+    monkeypatch.setattr(runner_module, "train_tree", train_tree)
+    cfg, out, _ = run(tmp_path, out_name=techniques.replace(",", "-"),
+                      **{"run.techniques": techniques})
+    monkeypatch.undo()  # a second run wraps the real functions again
+    return cfg, out, len(treated), fits, counting_np.sorts
+
+
+def test_one_sort_per_treated_input(tmp_path, monkeypatch):
+    _, _, treated, fits, sorts = counted_run(
+        tmp_path, monkeypatch, "watanabe08,camargocruz09,ma12,amasaki15,nam15")
+    assert 0 < len(fits) < treated
+    assert sorts == treated
+    assert all(kwargs["order"] is not None for kwargs in fits)
+    # growth takes the sort it is given
+    counting_np = CountingNumpy()
+    monkeypatch.setattr(tree_module, "np", counting_np)
+    x = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 2.0], [0.0, 5.0]])
+    order = np.argsort(x.T, axis=1, kind="stable")
+    tree_module._grow(x, np.array([True, False, True, False]), np.ones(4),
+                      0.5, order)
+    assert counting_np.sorts == 0
+
+
+def test_camargocruz09_shares_the_watanabe08_tree(tmp_path, monkeypatch):
+    cfg, alone, _, fits_alone, _ = counted_run(tmp_path, monkeypatch,
+                                               "watanabe08")
+    _, both, _, fits_both, _ = counted_run(tmp_path, monkeypatch,
+                                           "watanabe08,camargocruz09")
+    releases, ts = load_dataset(cfg)
+    plan = plan_run(build_tasks(cfg, ts, releases), cfg)
+    # one tree per training side: watanabe08 leaves the training values
+    # as they are, and camargocruz09 maps them through log1p and a shift
+    assert len(fits_alone) == len(fits_both) == len(plan.groups)
+    records = load_results_csv(both / "results.csv")
+    assert {r.technique for r in records} == {"watanabe08", "camargocruz09"}
+    assert ((alone / "results.csv").read_text().splitlines()
+            == [line for line in (both / "results.csv").read_text().splitlines()
+                if not line.startswith("camargocruz09,")])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

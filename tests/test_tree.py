@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from timeaware_cpdp import tree as tree_module
-from timeaware_cpdp.tree import (DecisionTree, TreeParams, dump_tree,
-                                 leaf_count, predict, predict_proba,
+from timeaware_cpdp.tree import (DecisionTree, TreeParams, _threshold,
+                                 dump_tree, leaf_count, predict, predict_proba,
                                  predict_proba_rows, train_tree, tree_depth)
 from timeaware_cpdp.treatments import TreatedPair
 
@@ -43,6 +43,23 @@ def test_separable_data_yields_midpoint_threshold():
     # Laplace-smoothed leaf estimates: (0+1)/(3+2) and (3+1)/(3+2)
     assert predict_proba(tree, [1.0]) == pytest.approx(0.2, abs=1e-12)
     assert predict_proba(tree, [11.0]) == pytest.approx(0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("low,high", [
+    # consecutive floats, the lower one with an odd last mantissa bit:
+    # the midpoint rounds to the upper value
+    (1.0000000000000002, 1.0000000000000004),
+    # the sum overflows to +inf and to -inf
+    (1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_threshold_falls_back_to_the_lower_value(low, high):
+    # checked first: a split whose threshold sent every row left grew
+    # the same node again without end
+    assert _threshold(low, high) == low
+    tree = fit([[low], [low], [high], [high]], [False, False, True, True],
+               prune=False)
+    assert tree.threshold[0] == low
+    assert tree.w_defective.tolist() == [2.0, 0.0, 2.0]
+    assert (tree.lo[0], tree.hi[0]) in ((0, 2), (1, 2))
 
 
 def test_constant_features_collapse_to_single_leaf():

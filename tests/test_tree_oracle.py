@@ -6,18 +6,21 @@ dump text, bit-identical probabilities, ranks and confusion counts, and
 the same per-version scores as the code in tree_oracle.py. The
 presorted grower must also give the per-node array grower's unpruned
 node lists bit for bit, on data large enough that the sorted row lists
-are partitioned many levels deep.
+are partitioned many levels deep. A tree re-thresholded onto an input
+with the same training order key must be the tree a fresh fit on that
+input gives, bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tree_oracle as oracle
 from timeaware_cpdp.metrics import (auc, confusion, evaluate_pair, midranks,
                                     scores)
 from timeaware_cpdp.tree import (TreeParams, _grow, dump_tree,
-                                 predict_proba_rows, train_tree)
+                                 predict_proba_rows, rethreshold, train_tree,
+                                 training_order)
 from timeaware_cpdp.treatments import TreatedPair
 
 # few distinct values per column, so most columns have ties; a column of
@@ -118,7 +121,92 @@ def test_presorted_growth_matches_per_node_oracle(data):
     x, y, w, params = data
     grown = _grow(x, y, w, params.min_leaf_weight)
     expected = oracle.grow_nodes(x, y, w, params.min_leaf_weight)
-    assert node_bits(grown) == node_bits(expected)
+    assert node_bits(grown[:6]) == node_bits(expected)
+    # each split records the rows either side of its cut
+    feature, threshold, *_, lo, hi = grown
+    for attr, thr, lo_row, hi_row in zip(feature, threshold, lo, hi):
+        if attr < 0:
+            assert lo_row == hi_row == -1
+        else:
+            assert x[lo_row, attr] <= thr < x[hi_row, attr]
+
+
+@st.composite
+def increasing_map(draw, column):
+    """A map of one column's values, strictly increasing before rounding.
+
+    log1p plus a shift, as camargocruz09 applies; an affine map, whose
+    rounding can merge neighbouring values; consecutive floats,
+    where a midpoint rounds up to the upper value when the lower one's
+    last mantissa bit is odd; and magnitudes whose sums overflow.
+    """
+    kind = draw(st.sampled_from(("log1p", "affine", "adjacent", "overflow")))
+    if kind == "log1p":
+        shift = draw(st.sampled_from((-3.7, 0.0, 0.31, 12.5)))
+        return np.log1p(column - column.min()) + shift
+    if kind == "affine":
+        scale = draw(st.sampled_from((1e-17, 1e-12, 0.3, 1.0, 7.0, 1e9)))
+        offset = draw(st.sampled_from((0.0, 1.0, -2.5, 1e6)))
+        return column * scale + offset
+    rank = np.unique(column, return_inverse=True)[1].reshape(column.shape)
+    if kind == "adjacent":
+        base = draw(st.sampled_from((1.0, 3.0, 1e-300, -7.5)))
+        bits = np.float64(base).view(np.int64) + draw(st.integers(0, 3))
+        # float64 bits of one sign are ordered like the values they encode
+        step = 1 if base > 0 else -1
+        return (bits + step * rank).view(np.float64)
+    # every sum overflows, or only the sums of the upper levels
+    low, step = draw(st.sampled_from(((9e307, 1.5e307), (-1.65e308, 1.5e307),
+                                      (0.0, 3.4e307))))
+    return low + step * rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_data(), st.data())
+def test_rethresholded_tree_matches_fresh_fit(data, draws):
+    x, y, w, params = data
+    mapped = [draws.draw(increasing_map(x[:, j])) for j in range(x.shape[1])]
+    if draws.draw(st.booleans()):
+        # rows in attribute 0's order, and a map that merges its lower
+        # values through rounding: its sort stays, so only the tie mask
+        # tells the order keys apart
+        rows = np.argsort(x[:, 0], kind="stable")
+        x, y, w = x[rows], y[rows], w[rows]
+        scale, offset = draws.draw(st.sampled_from(((1e-17, 1.0), (1e-12, 1e6))))
+        mapped = [x[:, 0] * scale + offset] + [m[rows] for m in mapped[1:]]
+    mapped = np.column_stack(mapped)
+    assert np.all(np.isfinite(mapped))
+    # either side may be the input whose tree is shared
+    if draws.draw(st.booleans()):
+        x, mapped = mapped, x
+    keys = (("p", "1"),)
+    grown_on = treated(x, y, w, x[:1], y[:1], keys)
+    new_input = treated(mapped, y, w, mapped[:1], y[:1], keys)
+    order, key = training_order(grown_on)
+    tree = train_tree(grown_on, params, order=order)
+    fresh = train_tree(new_input, params)
+    if training_order(new_input)[1] != key:
+        event("order keys differ")
+        return
+    shared = rethreshold(tree, new_input)
+    assert tree_bits(shared) == tree_bits(fresh)
+    split = shared.feature >= 0
+    below = mapped[shared.lo[split], shared.feature[split]]
+    above = mapped[shared.hi[split], shared.feature[split]]
+    with np.errstate(over="ignore"):
+        mid = (below + above) / 2.0
+    if np.any((mid < below) | (mid >= above)):
+        event("shared; a midpoint of the new input fell back to the lower value")
+    else:
+        event("shared; every threshold a midpoint")
+
+
+def tree_bits(tree):
+    """Every array of a tree, floats as their exact bits."""
+    return (node_bits((tree.feature.tolist(), tree.threshold.tolist(),
+                       tree.left.tolist(), tree.right.tolist(),
+                       tree.w_defective.tolist(), tree.w_clean.tolist())),
+            tree.lo.tolist(), tree.hi.tolist())
 
 
 @settings(max_examples=300, deadline=None)
