@@ -19,8 +19,8 @@ from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     window_sizes)
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
-from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count, predict,
-                   predict_proba, predict_proba_rows, train_tree, tree_depth)
+from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count,
+                   predict_proba_rows, train_tree)
 from .metrics import (ConfusionMatrix, ScoreSet, VersionScore, auc, confusion,
                       evaluate_pair, midranks, scores)
 from .stability import (RankRow, ResultRecord, StabilityRow, aggregate,

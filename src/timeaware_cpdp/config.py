@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 from .dataset import DatasetSchema
 from .errors import ConfigError
 from .pairs import ConfigurationKind
-from .stability import STABILITY_THRESHOLD
+from .stability import STABILITY_THRESHOLD, _fmt
 from .tree import TreeParams
 from .treatments import TREATMENT_NAMES
 
@@ -107,13 +107,9 @@ CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
 
 
 def _canonical(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(getattr(v, "value", v) for v in value)
-    return str(value)
+    return _fmt(value)
 
 
 @dataclass(frozen=True)

@@ -173,9 +173,11 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     release date. Releases are returned sorted by (date, project,
     version); records keep their source order within a release.
 
-    Raises ParseError (with a line number) for malformed content,
-    ConflictError for contradictory release dates, and
-    EmptyDatasetError when there are no data rows.
+    Raises ParseError (with a line number) for malformed content, such
+    as a header that names a column twice or a feature_cols entry that
+    is repeated or is an identity column; ConflictError, a ParseError,
+    for contradictory release dates; and EmptyDatasetError when there
+    are no data rows.
     """
     schema = schema or DatasetSchema()
     if isinstance(source, str):
@@ -187,20 +189,28 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     except StopIteration:
         raise EmptyDatasetError("dataset has no content") from None
     header = [h.strip() for h in header]
-    positions = {name: i for i, name in enumerate(header)}
+    positions: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if positions.setdefault(name, i) != i:
+            raise ParseError(f"column {name!r} appears twice in the header",
+                             line=1)
 
     identity_cols = (schema.project_col, schema.version_col, schema.date_col,
                      schema.class_col, schema.defects_col)
-    missing = [c for c in identity_cols if c not in positions]
-    if schema.feature_cols is not None:
-        missing += [c for c in schema.feature_cols if c not in positions]
-    if missing:
-        raise ParseError(f"missing columns: {', '.join(missing)}", line=1)
-
     if schema.feature_cols is not None:
         feature_cols = schema.feature_cols
+        for i, col in enumerate(feature_cols):
+            if col in identity_cols:
+                raise ParseError(
+                    f"feature column {col!r} is an identity column", line=1)
+            if col in feature_cols[:i]:
+                raise ParseError(f"feature column {col!r} is listed twice",
+                                 line=1)
     else:
         feature_cols = tuple(c for c in header if c not in identity_cols)
+    missing = [c for c in (*identity_cols, *feature_cols) if c not in positions]
+    if missing:
+        raise ParseError(f"missing columns: {', '.join(missing)}", line=1)
     if not feature_cols:
         raise ParseError("no feature columns", line=1)
     feature_pos = [positions[c] for c in feature_cols]

@@ -19,14 +19,8 @@ class ParseError(DatasetError):
         super().__init__(message)
 
 
-class ConflictError(DatasetError):
+class ConflictError(ParseError):
     """Contradictory rows, e.g. one project version with two release dates."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class EmptyDatasetError(DatasetError):

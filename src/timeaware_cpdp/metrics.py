@@ -19,6 +19,9 @@ import numpy as np
 from .tree import DecisionTree, predict_proba_rows
 from .treatments import TreatedPair
 
+# a row is predicted defective iff its leaf probability reaches this
+PREDICTION_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -156,8 +159,7 @@ def auc(score_values: Sequence[float], actual: Sequence[bool]) -> float:
                                labels, group, 1)[0])
 
 
-def evaluate_pair(tree: DecisionTree, treated: TreatedPair,
-                  threshold: float = 0.5) -> list[VersionScore]:
+def evaluate_pair(tree: DecisionTree, treated: TreatedPair) -> list[VersionScore]:
     """Score the model separately on every test project version.
 
     Rows are grouped by their (project, version) tag, in order of first
@@ -173,7 +175,8 @@ def evaluate_pair(tree: DecisionTree, treated: TreatedPair,
     version = np.repeat(np.array(run_version, dtype=np.intp), run_length)
     probas = predict_proba_rows(tree, treated.test_features)
     actual = np.asarray(treated.test_labels, dtype=bool)
-    cells = _confusion_cells(version, probas >= threshold, actual, len(index))
+    cells = _confusion_cells(version, probas >= PREDICTION_THRESHOLD, actual,
+                             len(index))
     areas = _auc_by_group(probas, actual, version, len(index))
 
     out = []

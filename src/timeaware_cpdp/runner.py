@@ -450,24 +450,27 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic(
             "warning", f"only {ts.bucket_count} buckets with gap "
                        f"{config.gap_buckets}: no room for any time-aware pair"))
+    # the pairs of build_tasks, each configuration enumerated once
+    tasks: list[TrainTestPair] = []
     for kind in config.configurations:
-        n = len(enumerate_pairs(ts, kind, config.gap_buckets))
-        if n == 0:
+        pairs = enumerate_pairs(ts, kind, config.gap_buckets)
+        tasks.extend(pairs)
+        if not pairs:
             diags.append(Diagnostic(
                 "warning", f"no feasible pairs for configuration {kind.value}"))
         else:
-            diags.append(Diagnostic("info", f"{kind.value}: {n} pairs"))
+            diags.append(Diagnostic("info", f"{kind.value}: {len(pairs)} pairs"))
     if config.baseline_crossval is not None:
         if config.baseline_crossval > len(releases):
             diags.append(Diagnostic(
                 "error", f"baseline_crossval={config.baseline_crossval} "
                          f"exceeds the {len(releases)} releases"))
         else:
-            n = len(crossval_pairs(releases, config.baseline_crossval,
-                                   config.seed))
-            diags.append(Diagnostic("info", f"crossval: {n} pairs"))
+            pairs = crossval_pairs(releases, config.baseline_crossval,
+                                   config.seed)
+            tasks.extend(pairs)
+            diags.append(Diagnostic("info", f"crossval: {len(pairs)} pairs"))
     if all(d.severity != "error" for d in diags):
-        tasks = build_tasks(config, ts, releases)
         plan = plan_run(tasks, config)
         diags.append(Diagnostic(
             "info", f"plan: {len(tasks)} pairs, {plan.distinct_pairs} distinct "

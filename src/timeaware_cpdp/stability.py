@@ -42,6 +42,8 @@ logger = logging.getLogger(__name__)
 
 RANK_METRICS = ("fscore", "auc", "mcc", "gmeasure")
 STABILITY_THRESHOLD = 0.05
+# the rank-sum test is exact when neither sample is longer than this
+RANK_SUM_EXACT_LIMIT = 10
 
 MAGNITUDE_LEVELS = (0.147, 0.33, 0.474)
 MAGNITUDE_NAMES = ("negligible", "small", "medium", "large")
@@ -158,11 +160,10 @@ def aggregate(records: Sequence[ResultRecord],
     return rows
 
 
-def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float],
-                      exact_limit: int = 10) -> float:
+def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided rank-sum test p-value.
 
-    Both samples at most exact_limit long: the rank-sum null
+    Both samples at most RANK_SUM_EXACT_LIMIT long: the rank-sum null
     distribution is enumerated exactly over all assignments of the
     pooled values (midranks fixed, so ties are handled). Larger samples
     use the normal approximation with tie correction and a 0.5
@@ -180,7 +181,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float],
     ranks = midranks(pooled)
     w_obs = float(ranks[:n_a].sum())
 
-    if n_a <= exact_limit and n_b <= exact_limit:
+    if n_a <= RANK_SUM_EXACT_LIMIT and n_b <= RANK_SUM_EXACT_LIMIT:
         rank_list = ranks.tolist()
         total = comb(n, n_a)
         count_le = 0
@@ -283,14 +284,13 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
     return [row for _, _, row in rows]
 
 
-def _cell_means(records: Sequence[ResultRecord],
-                metrics: Sequence[str] = RANK_METRICS) -> dict[tuple, dict[str, float]]:
+def _cell_means(records: Sequence[ResultRecord]) -> dict[tuple, dict[str, float]]:
     """Means per (technique, kind, window, split) cell; a metric without values is left out."""
     out = {}
     cells = _group(records, lambda r: (r.technique, r.kind, r.window_k, r.split_index))
     for cell, group in cells.items():
         means = {}
-        for metric in metrics:
+        for metric in RANK_METRICS:
             values, _ = _metric_values(group, metric)
             if values:
                 means[metric] = sum(values) / len(values)
@@ -298,8 +298,8 @@ def _cell_means(records: Sequence[ResultRecord],
     return out
 
 
-def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]], kind: str,
-              metrics: Sequence[str] = RANK_METRICS) -> dict[str, float]:
+def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]],
+              kind: str) -> dict[str, float]:
     """SD of each technique's per-cell rank within one configuration."""
     cells: dict[tuple, dict[str, Mapping[str, float]]] = {}
     ranks: dict[str, list[int]] = {}
@@ -312,7 +312,7 @@ def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]], kind: str,
         cell = cells[cell_key]
         if cell.keys() != ranks.keys():
             continue
-        usable = [m for m in metrics if all(m in v for v in cell.values())]
+        usable = [m for m in RANK_METRICS if all(m in v for v in cell.values())]
         if not usable:
             continue
         for row in rank_techniques(cell, metrics=usable):
@@ -322,8 +322,7 @@ def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]], kind: str,
             for tech, tech_ranks in ranks.items()}
 
 
-def rank_stability(records: Sequence[ResultRecord], kind: str,
-                   metrics: Sequence[str] = RANK_METRICS) -> dict[str, float]:
+def rank_stability(records: Sequence[ResultRecord], kind: str) -> dict[str, float]:
     """SD of each technique's per-cell rank within one configuration.
 
     A cell is one (window, split) combination. Within each cell the
@@ -335,7 +334,7 @@ def rank_stability(records: Sequence[ResultRecord], kind: str,
     kind_records = [r for r in records if r.kind == kind]
     if len({r.technique for r in kind_records}) < 2:
         raise ConfigError("rank stability needs at least 2 techniques")
-    return _rank_sds(_cell_means(kind_records, metrics), kind, metrics)
+    return _rank_sds(_cell_means(kind_records), kind)
 
 
 def undersample(tp: TreatedPair, seed: int) -> TreatedPair:

@@ -1,11 +1,12 @@
 """Training-data treatments applied before model construction.
 
 Every treatment consumes an assembled train/test pair and returns a new
-one; inputs are never mutated. Treatments may rescale features, weight
-or drop training instances, drop attributes, or replace the training
-labels, but they never look at test labels. When a treatment leaves
-nothing to train on it raises DegenerateTreatmentError and the caller
-skips the pair.
+one, which may share arrays with its input; neither is ever written, and
+assemble_pair makes its arrays read-only. Treatments may rescale
+features, weight or drop training instances, drop attributes, or replace
+the training labels, but they never look at test labels. When a
+treatment leaves nothing to train on it raises DegenerateTreatmentError
+and the caller skips the pair.
 
 The five named treatments follow the published descriptions of the
 respective defect prediction approaches:
@@ -109,7 +110,10 @@ class TreatedPair:
 
 
 def assemble_pair(pair: TrainTestPair) -> TreatedPair:
-    """Stack the releases' matrices (``Release.arrays``) with unit weights."""
+    """Stack the releases' matrices (``Release.arrays``) with unit weights.
+
+    The arrays are read-only: treatments pass them on without copies.
+    """
     widths = {rel.arrays[0].shape[1] for side in (pair.train, pair.test)
               for rel in side}
     if len(widths) != 1:
@@ -121,23 +125,21 @@ def assemble_pair(pair: TrainTestPair) -> TreatedPair:
 
     train_x, train_y = rows(pair.train)
     test_x, test_y = rows(pair.test)
+    weights = np.ones(len(train_x))
+    for array in (train_x, train_y, weights, test_x, test_y):
+        array.flags.writeable = False
     keys = tuple(chain.from_iterable(repeat(rel.key, len(rel))
                                      for rel in pair.test))
     return TreatedPair(
         train_features=train_x, train_labels=train_y,
-        train_weights=np.ones(len(train_x)),
-        test_features=test_x, test_labels=test_y,
+        train_weights=weights, test_features=test_x, test_labels=test_y,
         test_version_keys=keys,
         selected_attributes=tuple(range(widths.pop())))
 
 
 def identity_treatment(tp: TreatedPair) -> TreatedPair:
     """Pass-through treatment: unit weights, all attributes."""
-    return dataclasses.replace(
-        tp,
-        train_features=tp.train_features.copy(),
-        test_features=tp.test_features.copy(),
-        train_weights=np.ones(tp.n_train))
+    return dataclasses.replace(tp, train_weights=np.ones(tp.n_train))
 
 
 def watanabe08(tp: TreatedPair) -> TreatedPair:
@@ -150,7 +152,6 @@ def watanabe08(tp: TreatedPair) -> TreatedPair:
     """
     return dataclasses.replace(
         tp,
-        train_features=tp.train_features.copy(),
         test_features=tp.test_features * watanabe08_factors(tp),
         train_weights=np.ones(tp.n_train))
 
@@ -207,11 +208,7 @@ def ma12(tp: TreatedPair) -> TreatedPair:
     simatts = inside.sum(axis=1).astype(np.float64)
     weights = simatts / (p - simatts + 1.0) ** 2
     weights = np.maximum(weights, MIN_INSTANCE_WEIGHT)
-    return dataclasses.replace(
-        tp,
-        train_features=tp.train_features.copy(),
-        test_features=tp.test_features.copy(),
-        train_weights=weights)
+    return dataclasses.replace(tp, train_weights=weights)
 
 
 def _nearest_other_distances(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -374,9 +371,5 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
 
 
 def _nam15_fallback(tp: TreatedPair) -> TreatedPair:
-    return dataclasses.replace(
-        tp,
-        train_features=tp.train_features.copy(),
-        test_features=tp.test_features.copy(),
-        train_weights=np.ones(tp.n_train),
-        label_fallback=True)
+    return dataclasses.replace(tp, train_weights=np.ones(tp.n_train),
+                               label_fallback=True)

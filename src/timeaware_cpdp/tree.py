@@ -16,9 +16,10 @@ weights, so a duplicated instance and a doubled weight produce the same
 tree. Each fit sorts its rows by every attribute once; a node passes
 its sorted rows to its children by a stable partition, so every node
 scans its attributes in the order its own stable sort would give.
-Pruning is the classic pessimistic error estimate with a confidence
-parameter, applied bottom-up with subtree replacement only (no subtree
-raising). Prediction descends all rows of a matrix level by level.
+Every tree is pruned by the classic pessimistic error estimate with a
+confidence parameter, applied bottom-up with subtree replacement only
+(no subtree raising). Prediction descends all rows of a matrix level by
+level.
 
 A tree therefore depends on its training input only through each
 attribute's sorted order and ties, the labels and the weights; the
@@ -57,7 +58,6 @@ class TreeParams:
 
     pruning_confidence: float = 0.25
     min_leaf_weight: float = 2.0
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if not 0.10 <= self.pruning_confidence <= 0.30:
@@ -375,16 +375,14 @@ def rethreshold(tree: DecisionTree, treated: TreatedPair) -> DecisionTree:
 
 def train_tree(treated: TreatedPair, params: TreeParams | None = None,
                order: np.ndarray | None = None) -> DecisionTree:
-    """Grow and (by default) prune a tree on the treated training data.
+    """Grow and prune a tree on the treated training data.
 
     order, from training_order on the same input, saves the sort.
     """
     params = params or TreeParams()
     x, y, w = _training_arrays(treated)
-    nodes = _grow(x, y, w, params.min_leaf_weight, order)
-    if params.prune:
-        nodes = _prune(nodes, params.pruning_confidence)
-    feature, threshold, left, right, w_def, w_cln, lo, hi = nodes
+    feature, threshold, left, right, w_def, w_cln, lo, hi = _prune(
+        _grow(x, y, w, params.min_leaf_weight, order), params.pruning_confidence)
     return DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
@@ -421,20 +419,6 @@ def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
     return (w_def + 1.0) / (w_def + tree.w_clean[node] + 2.0)
 
 
-def predict_proba(tree: DecisionTree, instance) -> float:
-    """Laplace-smoothed defect probability of the leaf the instance reaches."""
-    row = np.asarray(instance, dtype=np.float64)
-    if row.shape != (tree.n_attributes,):
-        raise ValueError(
-            f"expected {tree.n_attributes} attribute values, got shape {row.shape}")
-    return float(predict_proba_rows(tree, row[np.newaxis])[0])
-
-
-def predict(tree: DecisionTree, instance, threshold: float = 0.5) -> bool:
-    """Defective iff the leaf probability reaches the threshold."""
-    return predict_proba(tree, instance) >= threshold
-
-
 def leaf_count(tree: DecisionTree) -> int:
     return int(np.count_nonzero(tree.feature < 0))
 
@@ -445,10 +429,6 @@ def _depths(tree: DecisionTree) -> list[int]:
     for i in np.flatnonzero(tree.feature >= 0).tolist():
         depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
     return depth
-
-
-def tree_depth(tree: DecisionTree) -> int:
-    return max(_depths(tree))
 
 
 def dump_tree(tree: DecisionTree) -> str:

@@ -23,6 +23,14 @@ def test_validate_exit_one_on_dataset_error(tmp_path, capsys):
     assert "ERROR:" in capsys.readouterr().out
 
 
+def test_run_exits_one_on_identity_feature_column(tmp_path, caplog):
+    cfg = write_experiment(tmp_path, **{"dataset.feature_cols": "f1,defects"})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert ("line 1: feature column 'defects' is an identity column"
+            in caplog.text)
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_summary_to_stdout_and_file(tmp_path, capsys):
     cfg = write_experiment(tmp_path)
     assert main(["summary", "--config", str(cfg)]) == 0

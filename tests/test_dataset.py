@@ -70,6 +70,29 @@ def test_parse_errors_carry_line_numbers():
         parse_dataset("project,version\n")
 
 
+@pytest.mark.parametrize("header,column", [
+    # the second wmc used to shadow the first: features (2.0, 2.0)
+    ("project,version,release_date,class,defects,wmc,wmc", "wmc"),
+    # the second project used to replace the project id
+    ("project,version,release_date,class,defects,project,wmc", "project")])
+def test_parse_rejects_a_repeated_header_name(header, column):
+    with pytest.raises(ParseError, match=f"column '{column}' appears twice") as err:
+        parse_dataset(f"{header}\na,1,2001-01-01,A,0,1,2\n")
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("feature_cols,message", [
+    (("m1", "m1"), "feature column 'm1' is listed twice"),
+    # the defect count is the label; it must not become a feature
+    (("m1", "defects"), "feature column 'defects' is an identity column"),
+    (("project",), "feature column 'project' is an identity column")])
+def test_parse_rejects_bad_feature_cols(feature_cols, message):
+    schema = DatasetSchema(feature_cols=feature_cols)
+    with pytest.raises(ParseError, match=message) as err:
+        parse_dataset(CSV_HEADER + "a,1,2001-01-01,A,0,7,8\n", schema)
+    assert err.value.line == 1
+
+
 def test_parse_conflicting_release_dates():
     text = CSV_HEADER + (
         "a,1,2001-01-01,A,0,1,1\n"
@@ -77,6 +100,9 @@ def test_parse_conflicting_release_dates():
     with pytest.raises(ConflictError) as err:
         parse_dataset(text)
     assert err.value.line == 3
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == ("line 3: release a/1 has conflicting dates "
+                              "2001-01-01 and 2001-06-01")
 
 
 def test_parse_empty_inputs():

@@ -8,7 +8,7 @@ import pytest
 
 from timeaware_cpdp.metrics import (ConfusionMatrix, auc, confusion,
                                     evaluate_pair, midranks, scores)
-from timeaware_cpdp.tree import TreeParams, train_tree
+from timeaware_cpdp.tree import TreeParams, predict_proba_rows, train_tree
 from timeaware_cpdp.treatments import TreatedPair
 
 
@@ -142,17 +142,26 @@ def test_evaluate_pair_flags_single_class_versions():
     assert only.scores.auc == 0.5
 
 
-def test_evaluate_pair_threshold_is_inclusive():
-    # constant features give one leaf with probability exactly 0.5
+@pytest.mark.parametrize("clean_weight,defective", [
+    # equal class weights give a leaf probability of exactly 0.5
+    (1.0, True),
+    # a little more clean weight puts it just below 0.5
+    (1.0 + 1e-9, False)])
+def test_evaluate_pair_threshold_is_inclusive(clean_weight, defective):
+    # constant features give one leaf
     train_x = np.array([[1.0], [1.0], [1.0], [1.0]])
     train_y = np.array([True, False, True, False])
     tp = TreatedPair(
         train_features=train_x, train_labels=train_y,
-        train_weights=np.ones(4), test_features=np.array([[1.0], [1.0]]),
+        train_weights=np.array([1.0, clean_weight, 1.0, clean_weight]),
+        test_features=np.array([[1.0], [1.0]]),
         test_labels=np.array([True, False]),
         test_version_keys=(("d", "4"), ("d", "4")), selected_attributes=(0,))
     tree = train_tree(tp, TreeParams())
-    (only,) = evaluate_pair(tree, tp, threshold=0.5)
-    assert (only.cm.tp, only.cm.fp) == (1, 1)
-    (only,) = evaluate_pair(tree, tp, threshold=np.nextafter(0.5, 1.0))
-    assert (only.cm.tn, only.cm.fn) == (1, 1)
+    (p,) = predict_proba_rows(tree, [[1.0]])
+    assert p == 0.5 if defective else 0.5 - 1e-9 < p < 0.5
+    (only,) = evaluate_pair(tree, tp)
+    if defective:
+        assert (only.cm.tp, only.cm.fp) == (1, 1)
+    else:
+        assert (only.cm.tn, only.cm.fn) == (1, 1)

@@ -36,6 +36,15 @@ def run(tmp_path, out_name="out", seed=17, threads=1, dump_trees=False,
     return cfg, out, summary
 
 
+def make_demo(out: Path, seed: int) -> None:
+    """Write the quick-start demo of scripts/make_demo.py into out."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo.py"
+    spec = importlib.util.spec_from_file_location("make_demo", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.generate(out, seed=seed)
+
+
 def read_all(out, names=REPORT_FILES):
     return {name: (out / name).read_bytes() for name in names}
 
@@ -262,11 +271,7 @@ def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
 
 def test_demo_stability_report_has_no_duplicate_lines(tmp_path):
     """`sort stability.csv | uniq -d` prints nothing on the quick-start demo."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo.py"
-    spec = importlib.util.spec_from_file_location("make_demo", script)
-    make_demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_demo)
-    make_demo.generate(tmp_path / "demo", seed=7)
+    make_demo(tmp_path / "demo", seed=7)
     cfg = ExperimentConfig.from_file(tmp_path / "demo" / "experiment.cfg")
     run_experiment(cfg, out_dir=tmp_path / "out")
 
@@ -345,6 +350,44 @@ def test_validate_reports_dataset_and_pair_info(tmp_path):
     assert any(m == "crossval: 3 pairs" for m in messages)
     assert ("plan: 36 pairs, 13 distinct (train, test) sets, "
             "9 training sides") in messages
+
+
+# validate's diagnostics on the quick-start demo (make_demo.py, seed 7)
+DEMO_DIAGNOSTICS = [
+    ("info", "24 releases from 10 projects, 2138 instances"),
+    ("info", "7 buckets of 6 months from 2001-01-01 to 2004-07-01"),
+    ("info", "bucket 0 [2001-01-01..2001-07-01): 1 releases"),
+    ("info", "bucket 1 [2001-07-01..2002-01-01): 5 releases"),
+    ("info", "bucket 2 [2002-01-01..2002-07-01): 6 releases"),
+    ("info", "bucket 3 [2002-07-01..2003-01-01): 4 releases"),
+    ("info", "bucket 4 [2003-01-01..2003-07-01): 5 releases"),
+    ("info", "bucket 5 [2003-07-01..2004-01-01): 2 releases"),
+    ("info", "bucket 6 [2004-01-01..2004-07-01): 1 releases"),
+    ("info", "CC: 15 pairs"),
+    ("info", "IC: 12 pairs"),
+    ("info", "CI: 14 pairs"),
+    ("info", "II: 2 pairs"),
+    ("info", "crossval: 2 pairs"),
+    ("info", "plan: 45 pairs, 15 distinct (train, test) sets, "
+             "7 training sides"),
+]
+
+
+def test_validate_demo_diagnostics_enumerate_each_configuration_once(
+        tmp_path, monkeypatch):
+    make_demo(tmp_path / "demo", seed=7)
+    cfg = ExperimentConfig.from_file(tmp_path / "demo" / "experiment.cfg")
+    calls = []
+    enumerate_pairs = runner_module.enumerate_pairs
+
+    def counting(ts, kind, gap):
+        calls.append(kind.value)
+        return enumerate_pairs(ts, kind, gap)
+
+    monkeypatch.setattr(runner_module, "enumerate_pairs", counting)
+    diags = validate(cfg)
+    assert [(d.severity, d.message) for d in diags] == DEMO_DIAGNOSTICS
+    assert calls == ["CC", "IC", "CI", "II"]
 
 
 def test_validate_flags_missing_column(tmp_path):

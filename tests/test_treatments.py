@@ -28,7 +28,7 @@ def build_pair(train_x, train_y, test_x, test_y) -> TreatedPair:
         selected_attributes=tuple(range(train_x.shape[1])))
 
 
-def test_assemble_pair_flattens_releases():
+def assembled_pair() -> TreatedPair:
     from datetime import date
 
     from timeaware_cpdp.pairs import ConfigurationKind, PairSpec, TrainTestPair
@@ -42,7 +42,11 @@ def test_assemble_pair_flattens_releases():
         spec=PairSpec(kind=ConfigurationKind.II, window_k=None, split_index=1,
                       gap_buckets=0),
         train=(train,), test=(test1, test2))
-    tp = assemble_pair(pair)
+    return assemble_pair(pair)
+
+
+def test_assemble_pair_flattens_releases():
+    tp = assembled_pair()
     assert tp.train_features.shape == (2, 2)
     assert tp.test_version_keys == (("b", "1"), ("c", "1"))
     assert list(tp.train_labels) == [True, False]
@@ -354,6 +358,25 @@ def test_treatments_do_not_mutate_inputs():
         assert np.array_equal(tp.train_features, train_copy)
         assert np.array_equal(tp.test_features, test_copy)
         assert np.all(tp.train_weights == 1.0)
+
+
+@pytest.mark.parametrize("field", ["train_features", "train_labels",
+                                   "train_weights", "test_features",
+                                   "test_labels"])
+def test_assembled_arrays_are_read_only(field):
+    # treatments pass these arrays on uncopied, so nothing may write them
+    tp = assembled_pair()
+    array = getattr(tp, field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[1]
+
+
+def test_treatments_share_the_arrays_they_keep():
+    tp = assembled_pair()
+    for treat in (identity_treatment, watanabe08, ma12):
+        assert treat(tp).train_features is tp.train_features
+    for treat in (identity_treatment, ma12):
+        assert treat(tp).test_features is tp.test_features
 
 
 def test_treatments_carry_test_rows_through_unchanged():

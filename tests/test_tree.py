@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from timeaware_cpdp import tree as tree_module
-from timeaware_cpdp.tree import (DecisionTree, TreeParams, _threshold,
-                                 dump_tree, leaf_count, predict, predict_proba,
-                                 predict_proba_rows, train_tree, tree_depth)
+from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _threshold,
+                                 dump_tree, leaf_count, predict_proba_rows,
+                                 train_tree)
 from timeaware_cpdp.treatments import TreatedPair
 
 
@@ -29,6 +29,25 @@ def fit(train_x, train_y, weights=None, **param_kwargs) -> DecisionTree:
     return train_tree(tp, TreeParams(**param_kwargs))
 
 
+def grow(train_x, train_y, min_leaf_weight=2.0):
+    """The unpruned node lists train_tree grows on unit weights: feature,
+    threshold, left, right, w_def, w_clean, lo, hi."""
+    train_x = np.asarray(train_x, dtype=float)
+    return _grow(train_x, np.asarray(train_y, dtype=bool),
+                 np.ones(len(train_x)), min_leaf_weight)
+
+
+def proba(tree, row) -> float:
+    """The leaf probability of one row."""
+    (p,) = predict_proba_rows(tree, [row])
+    return float(p)
+
+
+def depth(tree) -> int:
+    """The number of splits on the longest root-to-leaf path."""
+    return max(tree_module._depths(tree))
+
+
 def test_separable_data_yields_midpoint_threshold():
     tree = fit([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]],
                [False, False, False, True, True, True])
@@ -36,13 +55,12 @@ def test_separable_data_yields_midpoint_threshold():
     assert tree.threshold[0] == pytest.approx(6.5, abs=0)
     assert list(tree.left) == [1, -1, -1]
     assert list(tree.right) == [2, -1, -1]
-    assert tree_depth(tree) == 1
+    assert depth(tree) == 1
     assert leaf_count(tree) == 2
-    assert not predict(tree, [6.4])
-    assert predict(tree, [6.6])
+    assert proba(tree, [6.4]) < 0.5 <= proba(tree, [6.6])
     # Laplace-smoothed leaf estimates: (0+1)/(3+2) and (3+1)/(3+2)
-    assert predict_proba(tree, [1.0]) == pytest.approx(0.2, abs=1e-12)
-    assert predict_proba(tree, [11.0]) == pytest.approx(0.8, abs=1e-12)
+    assert proba(tree, [1.0]) == pytest.approx(0.2, abs=1e-12)
+    assert proba(tree, [11.0]) == pytest.approx(0.8, abs=1e-12)
 
 
 @pytest.mark.parametrize("low,high", [
@@ -55,19 +73,19 @@ def test_threshold_falls_back_to_the_lower_value(low, high):
     # checked first: a split whose threshold sent every row left grew
     # the same node again without end
     assert _threshold(low, high) == low
-    tree = fit([[low], [low], [high], [high]], [False, False, True, True],
-               prune=False)
-    assert tree.threshold[0] == low
-    assert tree.w_defective.tolist() == [2.0, 0.0, 2.0]
-    assert (tree.lo[0], tree.hi[0]) in ((0, 2), (1, 2))
+    _, threshold, _, _, w_def, _, lo, hi = grow(
+        [[low], [low], [high], [high]], [False, False, True, True])
+    assert threshold[0] == low
+    assert w_def == [2.0, 0.0, 2.0]
+    assert (lo[0], hi[0]) in ((0, 2), (1, 2))
 
 
 def test_constant_features_collapse_to_single_leaf():
     tree = fit([[5.0, 5.0]] * 4, [True, False, True, False])
     assert list(tree.feature) == [-1]
     assert leaf_count(tree) == 1
-    assert tree_depth(tree) == 0
-    assert predict_proba(tree, [5.0, 5.0]) == pytest.approx(0.5, abs=0)
+    assert depth(tree) == 0
+    assert proba(tree, [5.0, 5.0]) == pytest.approx(0.5, abs=0)
 
 
 def xor_dataset():
@@ -91,10 +109,9 @@ def test_xor_requires_depth_two_and_fits_exactly():
             assert 0 < left.sum() < len(left)
             assert 0 < right.sum() < len(right)
     tree = fit(x, y)
-    assert tree_depth(tree) == 2
+    assert depth(tree) == 2
     assert leaf_count(tree) >= 3
-    for row, label in zip(x, y):
-        assert predict(tree, row) == bool(label)
+    assert ((predict_proba_rows(tree, x) >= 0.5) == y).all()
 
 
 def test_tied_attributes_break_to_lowest_index():
@@ -106,10 +123,10 @@ def test_tied_attributes_break_to_lowest_index():
 def test_tied_thresholds_break_to_lowest_value():
     # cuts at 0.5 and 1.5 produce mirror-image partitions with equal
     # gain ratio; the lower threshold must win
-    tree = fit([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]],
-               [False, False, True, True, False, False], prune=False)
-    assert tree.feature[0] == 0
-    assert tree.threshold[0] == pytest.approx(0.5, abs=0)
+    feature, threshold, *_ = grow([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]],
+                                  [False, False, True, True, False, False])
+    assert feature[0] == 0
+    assert threshold[0] == pytest.approx(0.5, abs=0)
 
 
 def test_training_is_deterministic():
@@ -131,7 +148,7 @@ def test_duplicated_instance_equals_doubled_weight():
     assert dump_tree(a) == dump_tree(b)
     grid = [[v] for v in np.linspace(-1.0, 6.0, 29)]
     for row in grid:
-        assert predict_proba(a, row) == predict_proba(b, row)
+        assert proba(a, row) == proba(b, row)
 
 
 def test_pruning_collapses_noise():
@@ -139,10 +156,9 @@ def test_pruning_collapses_noise():
     # gain, but the pessimistic estimate favors a single leaf
     x = [[float(i)] for i in range(20)]
     y = [i % 2 == 1 for i in range(20)]
-    unpruned = fit(x, y, prune=False)
-    pruned = fit(x, y, prune=True)
-    assert leaf_count(unpruned) > 1
-    assert leaf_count(pruned) < leaf_count(unpruned)
+    unpruned_leaves = grow(x, y)[0].count(-1)
+    assert unpruned_leaves > 1
+    assert leaf_count(fit(x, y)) < unpruned_leaves
 
 
 def test_pruned_leaf_count_never_exceeds_unpruned():
@@ -152,30 +168,30 @@ def test_pruned_leaf_count_never_exceeds_unpruned():
         x = rng.normal(size=(n, 2))
         y = rng.random(n) < 0.35
         y[:2] = [True, False]
-        assert leaf_count(fit(x, y, prune=True)) <= leaf_count(
-            fit(x, y, prune=False))
+        assert leaf_count(fit(x, y)) <= grow(x, y)[0].count(-1)
 
 
-def test_predict_threshold_is_inclusive():
+def test_laplace_estimate_on_mixed_leaf():
     tree = fit([[1.0]] * 4, [True, True, True, False])
-    proba = predict_proba(tree, [1.0])
-    assert proba == pytest.approx(4.0 / 6.0, abs=1e-15)
-    assert predict(tree, [1.0], threshold=proba)
-    assert not predict(tree, [1.0], threshold=np.nextafter(proba, 1.0))
+    assert proba(tree, [1.0]) == pytest.approx(4.0 / 6.0, abs=1e-15)
 
 
 def test_laplace_estimates_on_pure_leaf():
     tree = fit([[1.0]] * 8, [True] * 8)
-    assert predict_proba(tree, [1.0]) == pytest.approx(0.9, abs=0)
+    assert proba(tree, [1.0]) == pytest.approx(0.9, abs=0)
     tree = fit([[1.0]] * 8, [False] * 8)
-    assert predict_proba(tree, [1.0]) == pytest.approx(0.1, abs=0)
+    assert proba(tree, [1.0]) == pytest.approx(0.1, abs=0)
 
 
 def test_min_leaf_weight_blocks_thin_splits():
     # a perfect cut exists but would isolate a single instance
-    tree = fit([[0.0], [1.0], [2.0]], [True, False, False],
-               min_leaf_weight=2.0, prune=False)
-    assert list(tree.feature) == [-1]
+    feature, *_ = grow([[0.0], [1.0], [2.0]], [True, False, False],
+                       min_leaf_weight=2.0)
+    assert feature == [-1]
+    # with a lower limit the cut is made
+    feature, *_ = grow([[0.0], [1.0], [2.0]], [True, False, False],
+                       min_leaf_weight=1.0)
+    assert feature[0] == 0
 
 
 def test_param_validation():
@@ -206,11 +222,11 @@ def test_each_fit_sorts_its_rows_once(monkeypatch):
 
     monkeypatch.setattr(tree_module.np, "argsort", counting_argsort)
     x, y = xor_dataset()
-    tree = fit(x, y, prune=False)
+    feature, *_ = grow(x, y)
     # the root and both of its children were searched for a split
-    assert np.count_nonzero(tree.feature >= 0) >= 3
+    assert sum(attr >= 0 for attr in feature) >= 3
     assert len(calls) == 1
-    fit(x, y, prune=False)
+    fit(x, y)
     assert len(calls) == 2
 
 
@@ -221,9 +237,9 @@ def test_train_tree_input_validation():
         fit([[1.0], [np.nan]], [True, False])
     tree = fit([[1.0], [2.0]], [True, False])
     with pytest.raises(ValueError):
-        predict_proba(tree, [1.0, 2.0])
+        predict_proba_rows(tree, [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        predict_proba(tree, [np.inf])
+        predict_proba_rows(tree, [[np.inf]])
     with pytest.raises(ValueError):
         predict_proba_rows(tree, [1.0])
     with pytest.raises(ValueError):
@@ -243,7 +259,7 @@ def test_train_tree_rejects_non_finite_or_non_positive_weights(bad):
 
 def test_nodes_are_stored_in_dump_order():
     x, y = xor_dataset()
-    tree = fit(x, y, prune=False)
+    tree = fit(x, y)
     lines = dump_tree(tree).splitlines()
     assert len(lines) == len(tree.feature)
     for line, attr, left, right in zip(lines, tree.feature, tree.left,
@@ -262,5 +278,5 @@ def test_batch_prediction_matches_single_rows():
     grid = np.array([[a, b] for a in (-1.0, 0.0, 0.5, 1.0, 2.0)
                      for b in (-1.0, 0.0, 0.5, 1.0, 2.0)])
     batch = predict_proba_rows(tree, grid)
-    assert batch.tolist() == [predict_proba(tree, row) for row in grid]
+    assert batch.tolist() == [proba(tree, row) for row in grid]
     assert predict_proba_rows(tree, np.empty((0, 2))).shape == (0,)

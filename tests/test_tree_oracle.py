@@ -2,8 +2,9 @@
 
 Random weighted data with tied values, constant columns, single-class
 nodes and leaf-weight limits near the side weights must give the same
-dump text, bit-identical probabilities, ranks and confusion counts, and
-the same per-version scores as the code in tree_oracle.py. The
+dump text, pruned (train_tree) and unpruned (_grow's node lists),
+bit-identical probabilities, ranks and confusion counts, and the same
+per-version scores as the code in tree_oracle.py. The
 presorted grower must also give the per-node array grower's unpruned
 node lists bit for bit, on data large enough that the sorted row lists
 are partitioned many levels deep. A tree re-thresholded onto an input
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import tree_oracle as oracle
 from timeaware_cpdp.metrics import (auc, confusion, evaluate_pair, midranks,
                                     scores)
-from timeaware_cpdp.tree import (TreeParams, _grow, dump_tree,
+from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, dump_tree,
                                  predict_proba_rows, rethreshold, train_tree,
                                  training_order)
 from timeaware_cpdp.treatments import TreatedPair
@@ -48,9 +49,7 @@ def weighted_data(draw):
     w = np.array(WEIGHTS)[rng.integers(0, len(WEIGHTS), size=n)]
     min_leaf = draw(st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 50.0)))
     cf = draw(st.sampled_from((0.10, 0.25, 0.30)))
-    prune = draw(st.booleans())
-    return x, y, w, TreeParams(pruning_confidence=cf, min_leaf_weight=min_leaf,
-                               prune=prune)
+    return x, y, w, TreeParams(pruning_confidence=cf, min_leaf_weight=min_leaf)
 
 
 def treated(x, y, w, test_x, test_y, keys):
@@ -60,9 +59,23 @@ def treated(x, y, w, test_x, test_y, keys):
         selected_attributes=tuple(range(x.shape[1])))
 
 
+def unpruned_tree(x, y, w, params):
+    """The tree train_tree grows on x, y, w, before it is pruned."""
+    feature, threshold, left, right, w_def, w_cln, lo, hi = _grow(
+        x, y, w, params.min_leaf_weight)
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+        w_defective=np.array(w_def, dtype=np.float64),
+        w_clean=np.array(w_cln, dtype=np.float64),
+        lo=np.array(lo, dtype=np.intp), hi=np.array(hi, dtype=np.intp),
+        n_attributes=x.shape[1], params=params)
+
+
 @settings(max_examples=300, deadline=None)
-@given(weighted_data(), st.integers(0, 2**32 - 1))
-def test_tree_matches_recursive_oracle(data, seed):
+@given(weighted_data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_tree_matches_recursive_oracle(data, prune, seed):
     x, y, w, params = data
     n, m = x.shape
     rng = np.random.default_rng(seed)
@@ -73,9 +86,9 @@ def test_tree_matches_recursive_oracle(data, seed):
     keys = tuple(("p", str(v)) for v in rng.integers(0, 3, size=2 * n))
     pair = treated(x, y, w, test_x, test_y, keys)
 
-    tree = train_tree(pair, params)
+    tree = train_tree(pair, params) if prune else unpruned_tree(x, y, w, params)
     root = oracle.train(x, y, w, params.pruning_confidence,
-                        params.min_leaf_weight, params.prune)
+                        params.min_leaf_weight, prune)
     assert dump_tree(tree) == oracle.dump(root)
 
     probas = predict_proba_rows(tree, test_x)
