@@ -21,12 +21,11 @@ from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count,
                    predict_proba_rows, train_tree)
-from .metrics import (ConfusionMatrix, ScoreSet, VersionScore, auc, confusion,
-                      evaluate_pair, midranks, scores)
-from .stability import (RankRow, ResultRecord, StabilityRow, aggregate,
-                        cliffs_delta, magnitude_label, rank_stability,
-                        rank_techniques, rankscores, undersample,
-                        wilcoxon_rank_sum, write_reports)
+from .metrics import VersionScore, auc, evaluate_pair, midranks, scores
+from .stability import (RESULTS_HEADER, RankRow, ResultRecord, StabilityRow,
+                        aggregate, cliffs_delta, load_results_csv,
+                        magnitude_label, rank_stability, rank_techniques,
+                        rankscores, undersample, wilcoxon_rank_sum,
+                        write_reports)
 from .config import ExperimentConfig, config_hash, parse_config_text
-from .runner import (RESULTS_HEADER, Diagnostic, RunSummary, run_experiment,
-                     validate)
+from .runner import Diagnostic, RunSummary, run_experiment, validate

@@ -174,8 +174,9 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     version); records keep their source order within a release.
 
     Raises ParseError (with a line number) for malformed content, such
-    as a header that names a column twice or a feature_cols entry that
-    is repeated or is an identity column; ConflictError, a ParseError,
+    as a header that names a column twice, two identity roles of the
+    schema naming one column, or a feature_cols entry that is repeated
+    or is an identity column; ConflictError, a ParseError,
     for contradictory release dates; and EmptyDatasetError when there
     are no data rows.
     """
@@ -195,8 +196,14 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
             raise ParseError(f"column {name!r} appears twice in the header",
                              line=1)
 
-    identity_cols = (schema.project_col, schema.version_col, schema.date_col,
-                     schema.class_col, schema.defects_col)
+    roles = ("project_col", "version_col", "date_col", "class_col",
+             "defects_col")
+    identity_cols = tuple(getattr(schema, role) for role in roles)
+    for i, col in enumerate(identity_cols):
+        first = identity_cols.index(col)
+        if first != i:
+            raise ParseError(f"{roles[first]} and {roles[i]} both name "
+                             f"column {col!r}", line=1)
     if schema.feature_cols is not None:
         feature_cols = schema.feature_cols
         for i, col in enumerate(feature_cols):

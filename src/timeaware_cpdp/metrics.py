@@ -5,12 +5,15 @@ confusion matrices never raise; MCC is 0 whenever any factor under its
 root is 0. AUC is the rank-based Mann-Whitney statistic with midranks
 for tied scores; when the actual labels contain only one class it is
 undefined and reported as 0.5 together with a degenerate flag.
+
+evaluate_pair gives one flat VersionScore per test version: the id,
+confusion counts, scores and flag, in the column order of results.csv.
+Its values are plain Python ints, floats and bools.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
@@ -23,44 +26,21 @@ from .treatments import TreatedPair
 PREDICTION_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class VersionScore(NamedTuple):
+    """The scores of one test version: the last 13 columns of a results row."""
+
+    test_project: str
+    test_version: str
     tp: int
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-class CoreScores(NamedTuple):
-    precision: float
-    recall: float
-    fscore: float
-    gmeasure: float
-    mcc: float
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    """The six per-version performance numbers."""
-
     precision: float
     recall: float
     fscore: float
     gmeasure: float
     mcc: float
     auc: float
-
-
-@dataclass(frozen=True)
-class VersionScore:
-    project_id: str
-    version_id: str
-    cm: ConfusionMatrix
-    scores: ScoreSet
     auc_degenerate: bool
 
 
@@ -71,41 +51,21 @@ def _confusion_cells(group: np.ndarray, predicted: np.ndarray,
     return np.bincount(cell, minlength=4 * n_groups).reshape(n_groups, 4)
 
 
-def _matrix(cells) -> ConfusionMatrix:
-    tn, fn, fp, tp = (int(c) for c in cells)
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def confusion(predicted: Sequence[bool], actual: Sequence[bool]) -> ConfusionMatrix:
-    if len(predicted) != len(actual):
-        raise ValueError(
-            f"length mismatch: {len(predicted)} predictions, {len(actual)} labels")
-    if len(predicted) == 0:
-        raise ValueError("cannot build a confusion matrix from zero instances")
-    group = np.zeros(len(predicted), dtype=np.intp)
-    return _matrix(_confusion_cells(group, np.asarray(predicted, dtype=bool),
-                                    np.asarray(actual, dtype=bool), 1)[0])
-
-
 def _ratio(num: float, den: float) -> float:
     return num / den if den != 0 else 0.0
 
 
-def scores(cm: ConfusionMatrix) -> CoreScores:
+def scores(tp: int, fp: int, tn: int,
+           fn: int) -> tuple[float, float, float, float, float]:
     """Precision, recall, F-score, G-measure and MCC of a confusion matrix."""
-    precision = _ratio(cm.tp, cm.tp + cm.fp)
-    recall = _ratio(cm.tp, cm.tp + cm.fn)
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
     fscore = _ratio(2.0 * precision * recall, precision + recall)
-    pf = _ratio(cm.fp, cm.tn + cm.fp)
+    pf = _ratio(fp, tn + fp)
     gmeasure = _ratio(2.0 * recall * (1.0 - pf), recall + (1.0 - pf))
-    denom = ((cm.tp + cm.fp) * (cm.tp + cm.fn)
-             * (cm.tn + cm.fp) * (cm.tn + cm.fn))
-    if denom == 0:
-        mcc = 0.0
-    else:
-        mcc = (cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(denom)
-    return CoreScores(precision=precision, recall=recall, fscore=fscore,
-                      gmeasure=gmeasure, mcc=mcc)
+    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    mcc = 0.0 if denom == 0 else (tp * tn - fp * fn) / math.sqrt(denom)
+    return precision, recall, fscore, gmeasure, mcc
 
 
 def _midranks_within(values: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -179,15 +139,8 @@ def evaluate_pair(tree: DecisionTree, treated: TreatedPair) -> list[VersionScore
                              len(index))
     areas = _auc_by_group(probas, actual, version, len(index))
 
-    out = []
-    for (project, version_id), counts, area in zip(index, cells.tolist(),
-                                                  areas.tolist()):
-        cm = _matrix(counts)
-        core = scores(cm)
-        out.append(VersionScore(
-            project_id=project, version_id=version_id, cm=cm,
-            scores=ScoreSet(precision=core.precision, recall=core.recall,
-                            fscore=core.fscore, gmeasure=core.gmeasure,
-                            mcc=core.mcc, auc=area),
-            auc_degenerate=cm.tp + cm.fn == 0 or cm.tn + cm.fp == 0))
-    return out
+    return [VersionScore(project, version_id, tp, fp, tn, fn,
+                         *scores(tp, fp, tn, fn), area,
+                         tp + fn == 0 or tn + fp == 0)
+            for (project, version_id), (tn, fn, fp, tp), area
+            in zip(index, cells.tolist(), areas.tolist())]

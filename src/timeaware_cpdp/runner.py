@@ -14,6 +14,9 @@ treatments that only map each attribute through an increasing function,
 such as camargocruz09 against watanabe08, share a tree. Fan-out walks
 the pairs in enumeration order and gives every (pair, technique) tag
 the results of its set: rows, skip warnings, failures and tree dumps.
+A row is the tag followed by one of the set's VersionScores, as one
+flat stability.ResultRecord; write_results_csv, next to that type,
+writes them to results.csv.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or a
@@ -26,7 +29,6 @@ no timestamps.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -41,25 +43,16 @@ from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
 from .errors import (BalancingError, ConfigError, DatasetError,
                      DegenerateTreatmentError)
-from .metrics import ConfusionMatrix, ScoreSet, VersionScore, evaluate_pair
+from .metrics import VersionScore, evaluate_pair
 from .pairs import PairSpec, TrainTestPair, crossval_pairs, enumerate_pairs
-from .stability import (UNBOUNDED, ResultRecord, _fmt, _fmt_window,
-                        undersample, write_reports)
+from .stability import (ResultRecord, _csv_field, _fmt_window, undersample,
+                        write_reports, write_results_csv)
 from .tree import (DecisionTree, dump_tree, rethreshold, train_tree,
                    training_order)
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 
 logger = logging.getLogger(__name__)
-
-RESULTS_COLUMNS = (
-    "technique", "kind", "window_k", "split_index", "gap",
-    "test_project", "test_version",
-    "tp", "fp", "tn", "fn",
-    "precision", "recall", "fscore", "gmeasure", "mcc", "auc",
-    "auc_degenerate",
-)
-RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -75,10 +68,6 @@ class RunSummary:
     pairs_total: int
     pair_technique_failures: int
     version_skips: int
-
-
-def _parse_window(text: str) -> int | None:
-    return None if text == UNBOUNDED else int(text)
 
 
 def apply_treatment(name: str, tp: TreatedPair,
@@ -282,13 +271,10 @@ def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
                     f"window={_fmt_window(spec.window_k)} "
                     f"split={spec.split_index} gap={spec.gap_buckets}",
                     fit.tree_dump))
-            tally.records.extend(ResultRecord(
-                technique=technique, kind=spec.kind.value,
-                window_k=spec.window_k, split_index=spec.split_index,
-                gap=spec.gap_buckets, test_project=vs.project_id,
-                test_version=vs.version_id, cm=vs.cm, scores=vs.scores,
-                auc_degenerate=vs.auc_degenerate)
-                for vs in fit.version_scores)
+            tag = (technique, spec.kind.value, spec.window_k,
+                   spec.split_index, spec.gap_buckets)
+            tally.records.extend(ResultRecord(*tag, *vs)
+                                 for vs in fit.version_scores)
     return tally
 
 
@@ -357,55 +343,6 @@ def _pair_counts(tasks: Sequence[TrainTestPair]) -> dict[str, int]:
     return counts
 
 
-def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for r in records:
-            fields = (
-                r.technique, r.kind, _fmt_window(r.window_k),
-                str(r.split_index), str(r.gap), r.test_project, r.test_version,
-                str(r.cm.tp), str(r.cm.fp), str(r.cm.tn), str(r.cm.fn),
-                _fmt(r.scores.precision), _fmt(r.scores.recall),
-                _fmt(r.scores.fscore), _fmt(r.scores.gmeasure),
-                _fmt(r.scores.mcc), _fmt(r.scores.auc),
-                _fmt(r.auc_degenerate),
-            )
-            fh.write(",".join(fields) + "\n")
-
-
-def load_results_csv(path: Path) -> list[ResultRecord]:
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames != list(RESULTS_COLUMNS):
-                raise DatasetError(f"{path}: unexpected results header")
-            for row in reader:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(RESULTS_COLUMNS)} fields")
-                if row["auc_degenerate"] not in ("true", "false"):
-                    raise ValueError(
-                        f"auc_degenerate is not true or false: {row['auc_degenerate']!r}")
-                records.append(ResultRecord(
-                    technique=row["technique"], kind=row["kind"],
-                    window_k=_parse_window(row["window_k"]),
-                    split_index=int(row["split_index"]), gap=int(row["gap"]),
-                    test_project=row["test_project"],
-                    test_version=row["test_version"],
-                    cm=ConfusionMatrix(tp=int(row["tp"]), fp=int(row["fp"]),
-                                       tn=int(row["tn"]), fn=int(row["fn"])),
-                    scores=ScoreSet(precision=float(row["precision"]),
-                                    recall=float(row["recall"]),
-                                    fscore=float(row["fscore"]),
-                                    gmeasure=float(row["gmeasure"]),
-                                    mcc=float(row["mcc"]),
-                                    auc=float(row["auc"])),
-                    auc_degenerate=row["auc_degenerate"] == "true"))
-        except (ValueError, csv.Error) as exc:
-            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records
-
-
 def write_summary_csv(fh: IO[str], ts: TimeSeriesDataset) -> None:
     fh.write("bucket_index,start,end,releases,instances,defective_pct\n")
     for row in dataset_summary(ts):
@@ -421,7 +358,7 @@ def write_pairs_csv(fh: IO[str], tasks: Sequence[TrainTestPair]) -> None:
         test = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.test)
         fh.write(f"{pair.spec.kind.value},{_fmt_window(pair.spec.window_k)},"
                  f"{pair.spec.split_index},{pair.spec.gap_buckets},"
-                 f"{train},{test}\n")
+                 f"{_csv_field(train)},{_csv_field(test)}\n")
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:

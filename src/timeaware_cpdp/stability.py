@@ -12,6 +12,11 @@ continuity correction otherwise. Effect sizes use Cliff's delta with
 the conventional magnitude thresholds (negligible up to 0.147, small up
 to 0.33, medium up to 0.474, large beyond).
 
+A ResultRecord is one row of results.csv: the tag of a (pair,
+technique) combination followed by the flat VersionScore of one test
+version. write_results_csv and load_results_csv write and read that
+file, and every report is computed from a list of these records.
+
 write_reports writes four CSV reports from a run's records:
 stability.csv, ranks.csv (with the SD of each technique's per-cell
 rank), comparisons.csv (time-aware against the cross-validation
@@ -21,6 +26,7 @@ baseline) and plotdata.csv (per-cell metric means).
 from __future__ import annotations
 
 import bisect
+import csv
 import dataclasses
 import logging
 import math
@@ -29,12 +35,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BalancingError, ConfigError
-from .metrics import ConfusionMatrix, ScoreSet, midranks
+from .errors import BalancingError, ConfigError, DatasetError
+from .metrics import VersionScore, midranks
 from .pairs import ConfigurationKind
 from .treatments import TreatedPair
 
@@ -51,20 +57,91 @@ MAGNITUDE_NAMES = ("negligible", "small", "medium", "large")
 UNBOUNDED = "inf"
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One row of experiment output: a technique scored on one version."""
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
-    technique: str
-    kind: str
-    window_k: int | None
-    split_index: int
-    gap: int
-    test_project: str
-    test_version: str
-    cm: ConfusionMatrix
-    scores: ScoreSet
-    auc_degenerate: bool
+
+def _fmt_window(window_k: int | None) -> str:
+    return UNBOUNDED if window_k is None else str(window_k)
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, quotes doubled, if it holds , " CR or LF.
+
+    csv.writer with a "\\n" line terminator leaves a CR unquoted, and
+    csv.reader then splits the row there.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# one results.csv row, its columns in field order: the tag of a (pair,
+# technique) combination, then the VersionScore of one test version
+ResultRecord = NamedTuple("ResultRecord", [
+    ("technique", str), ("kind", str), ("window_k", int | None),
+    ("split_index", int), ("gap", int), *VersionScore.__annotations__.items()])
+RESULTS_COLUMNS = ResultRecord._fields
+RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
+
+
+def _parse_window(text: str) -> int | None:
+    return None if text == UNBOUNDED else int(text)
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"auc_degenerate is not true or false: {text!r}")
+    return text == "true"
+
+
+# how each results.csv column is read back
+_PARSERS = (str, str, _parse_window, int, int, str, str, int, int, int, int,
+            float, float, float, float, float, float, _parse_bool)
+
+
+def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
+    """Write records as results.csv, one line each, columns in field order.
+
+    Text is quoted when it needs it, ints are written with str and
+    floats with their shortest repr. One f-string per row: a formatter
+    call per cell, or csv.writer, took ~25 % longer.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(RESULTS_HEADER + "\n")
+        for r in records:
+            fh.write(f"{_csv_field(r[0])},{_csv_field(r[1])},"
+                     f"{UNBOUNDED if r[2] is None else r[2]},{r[3]},{r[4]},"
+                     f"{_csv_field(r[5])},{_csv_field(r[6])},"
+                     f"{r[7]},{r[8]},{r[9]},{r[10]},{r[11]!r},{r[12]!r},"
+                     f"{r[13]!r},{r[14]!r},{r[15]!r},{r[16]!r},"
+                     f"{'true' if r[17] else 'false'}\n")
+
+
+def load_results_csv(path: Path) -> list[ResultRecord]:
+    """Records of a results.csv; a malformed row raises DatasetError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(RESULTS_COLUMNS):
+                raise DatasetError(f"{path}: unexpected results header")
+            records = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(_PARSERS):
+                    raise ValueError(f"expected {len(_PARSERS)} fields")
+                records.append(ResultRecord._make(
+                    [parse(v) for parse, v in zip(_PARSERS, row)]))
+        except (ValueError, csv.Error) as exc:
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
 
 
 @dataclass(frozen=True)
@@ -89,20 +166,6 @@ class RankRow:
     rank: int
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _fmt_window(window_k: int | None) -> str:
-    return UNBOUNDED if window_k is None else str(window_k)
-
-
 def _group(records: Sequence[ResultRecord],
            key: Callable[[ResultRecord], tuple]) -> dict[tuple, list[ResultRecord]]:
     """Records grouped by key; groups and their members in record order."""
@@ -115,9 +178,9 @@ def _group(records: Sequence[ResultRecord],
 def _metric_values(records: Sequence[ResultRecord], metric: str) -> tuple[list[float], int]:
     """Values of one metric, AUC filtered of degenerate rows; returns (values, excluded)."""
     if metric == "auc":
-        vals = [r.scores.auc for r in records if not r.auc_degenerate]
+        vals = [r.auc for r in records if not r.auc_degenerate]
         return vals, len(records) - len(vals)
-    return [getattr(r.scores, metric) for r in records], 0
+    return [getattr(r, metric) for r in records], 0
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float, bool]:

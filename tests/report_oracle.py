@@ -39,9 +39,9 @@ def _fmt_window(window_k: int | None) -> str:
 
 def _metric_values(records: Sequence[ResultRecord], metric: str) -> tuple[list[float], int]:
     if metric == "auc":
-        vals = [r.scores.auc for r in records if not r.auc_degenerate]
+        vals = [r.auc for r in records if not r.auc_degenerate]
         return vals, len(records) - len(vals)
-    return [getattr(r.scores, metric) for r in records], 0
+    return [getattr(r, metric) for r in records], 0
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float, bool]:
@@ -169,7 +169,7 @@ def _write_ranks(path: Path, records) -> None:
                 tech_records = [r for r in kind_records if r.technique == tech]
                 per_metric = {}
                 for metric in RANK_METRICS:
-                    vals = [getattr(r.scores, metric) for r in tech_records
+                    vals = [getattr(r, metric) for r in tech_records
                             if not (metric == "auc" and r.auc_degenerate)]
                     if vals:
                         per_metric[metric] = sum(vals) / len(vals)
@@ -218,7 +218,7 @@ def _write_plotdata(path: Path, records) -> None:
         fh.write("technique,kind,window_k,split_index,metric,value\n")
         for (tech, kind, window, split), group in cells.items():
             for metric in RANK_METRICS:
-                vals = [getattr(r.scores, metric) for r in group
+                vals = [getattr(r, metric) for r in group
                         if not (metric == "auc" and r.auc_degenerate)]
                 if not vals:
                     continue

@@ -98,11 +98,8 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
             dumps.append((title, dump_tree(tree)))
         for vs in version_scores:
             records.append(ResultRecord(
-                technique=technique, kind=spec.kind.value,
-                window_k=spec.window_k, split_index=spec.split_index,
-                gap=spec.gap_buckets, test_project=vs.project_id,
-                test_version=vs.version_id, cm=vs.cm, scores=vs.scores,
-                auc_degenerate=vs.auc_degenerate))
+                technique, spec.kind.value, spec.window_k, spec.split_index,
+                spec.gap_buckets, *vs))
     return _TaskOutput(test_versions, records, failures, version_skips, dumps)
 
 

@@ -22,11 +22,12 @@ from synth import oracle_bucket_index, oracle_pairs, pair_as_tuple, \
     random_dataset, toy_three_buckets
 from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.dataset import bucketize
-from timeaware_cpdp.metrics import ConfusionMatrix, auc, scores
+from timeaware_cpdp.metrics import auc, scores
 from timeaware_cpdp.pairs import ConfigurationKind, enumerate_pairs
-from timeaware_cpdp.runner import load_results_csv, run_experiment
-from timeaware_cpdp.stability import (cliffs_delta, magnitude_label,
-                                      rankscores, wilcoxon_rank_sum)
+from timeaware_cpdp.runner import run_experiment
+from timeaware_cpdp.stability import (cliffs_delta, load_results_csv,
+                                      magnitude_label, rankscores,
+                                      wilcoxon_rank_sum)
 from timeaware_cpdp.treatments import camargocruz09, ma12, watanabe08
 from test_treatments import build_pair
 
@@ -93,7 +94,7 @@ def test_criterion_3_metric_and_auc_oracles():
     rng = random.Random(3)
     for _ in range(10000):
         tp, fp, tn, fn = (rng.randint(0, 40) for _ in range(4))
-        s = scores(ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn))
+        s = scores(tp, fp, tn, fn)
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         fscore = (2 * precision * recall / (precision + recall)

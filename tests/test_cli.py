@@ -31,6 +31,15 @@ def test_run_exits_one_on_identity_feature_column(tmp_path, caplog):
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+def test_run_exits_one_on_two_identity_roles_on_one_column(tmp_path, caplog):
+    cfg = write_experiment(tmp_path, **{"dataset.class_col": "project",
+                                        "dataset.feature_cols": "f1"})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert ("line 1: project_col and class_col both name column 'project'"
+            in caplog.text)
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_summary_to_stdout_and_file(tmp_path, capsys):
     cfg = write_experiment(tmp_path)
     assert main(["summary", "--config", str(cfg)]) == 0

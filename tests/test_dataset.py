@@ -93,6 +93,23 @@ def test_parse_rejects_bad_feature_cols(feature_cols, message):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("roles,message", [
+    # with feature_cols, the class id used to be the project id
+    ({"class_col": "project", "feature_cols": ("m1",)},
+     "project_col and class_col both name column 'project'"),
+    # without, the unused class column used to fail as "not a number"
+    ({"class_col": "project"},
+     "project_col and class_col both name column 'project'"),
+    # the version used to fail as "not an ISO date"
+    ({"date_col": "version"},
+     "version_col and date_col both name column 'version'")])
+def test_parse_rejects_two_identity_roles_on_one_column(roles, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_dataset(CSV_HEADER + "a,1,2001-01-01,A,0,7,8\n",
+                      DatasetSchema(**roles))
+    assert err.value.line == 1
+
+
 def test_parse_conflicting_release_dates():
     text = CSV_HEADER + (
         "a,1,2001-01-01,A,0,1,1\n"

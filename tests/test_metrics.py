@@ -6,54 +6,45 @@ import random
 import numpy as np
 import pytest
 
-from timeaware_cpdp.metrics import (ConfusionMatrix, auc, confusion,
-                                    evaluate_pair, midranks, scores)
+from timeaware_cpdp.metrics import (_confusion_cells, auc, evaluate_pair,
+                                    midranks, scores)
 from timeaware_cpdp.tree import TreeParams, predict_proba_rows, train_tree
 from timeaware_cpdp.treatments import TreatedPair
 
 
-def test_confusion_counts_each_cell():
-    cm = confusion([True, True, False, False, True],
-                   [True, False, False, True, True])
-    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 1, 1)
-    assert cm.total == 5
-
-
-def test_confusion_validates_inputs():
-    with pytest.raises(ValueError):
-        confusion([True], [True, False])
-    with pytest.raises(ValueError):
-        confusion([], [])
+def test_confusion_cells_count_each_cell_per_group():
+    predicted = np.array([True, True, False, False, True, False])
+    actual = np.array([True, False, False, True, True, True])
+    group = np.array([0, 0, 0, 0, 0, 2])
+    # columns (tn, fn, fp, tp); group 1 has no rows
+    assert _confusion_cells(group, predicted, actual, 3).tolist() == [
+        [1, 1, 1, 2], [0, 0, 0, 0], [0, 1, 0, 0]]
 
 
 def test_scores_fixture_values():
-    s = scores(ConfusionMatrix(tp=3, fp=1, tn=4, fn=2))
-    assert s.precision == pytest.approx(0.75, abs=1e-15)
-    assert s.recall == pytest.approx(0.6, abs=1e-15)
-    assert s.fscore == pytest.approx(2 * 0.75 * 0.6 / 1.35, abs=1e-15)
+    precision, recall, fscore, gmeasure, mcc = scores(tp=3, fp=1, tn=4, fn=2)
+    assert precision == pytest.approx(0.75, abs=1e-15)
+    assert recall == pytest.approx(0.6, abs=1e-15)
+    assert fscore == pytest.approx(2 * 0.75 * 0.6 / 1.35, abs=1e-15)
     # pf = 0.2, so g-measure = 2 * 0.6 * 0.8 / 1.4
-    assert s.gmeasure == pytest.approx(0.96 / 1.4, abs=1e-15)
-    assert s.mcc == pytest.approx(10.0 / math.sqrt(600.0), abs=1e-15)
+    assert gmeasure == pytest.approx(0.96 / 1.4, abs=1e-15)
+    assert mcc == pytest.approx(10.0 / math.sqrt(600.0), abs=1e-15)
 
 
 def test_scores_zero_denominators_return_zero():
     # nothing predicted positive
-    s = scores(ConfusionMatrix(tp=0, fp=0, tn=5, fn=3))
-    assert s.precision == 0.0
-    assert s.fscore == 0.0
-    assert s.mcc == 0.0
+    precision, _, fscore, _, mcc = scores(tp=0, fp=0, tn=5, fn=3)
+    assert (precision, fscore, mcc) == (0.0, 0.0, 0.0)
     # nothing actually positive
-    s = scores(ConfusionMatrix(tp=0, fp=2, tn=5, fn=0))
-    assert s.recall == 0.0
-    assert s.fscore == 0.0
-    assert s.mcc == 0.0
+    _, recall, fscore, _, mcc = scores(tp=0, fp=2, tn=5, fn=0)
+    assert (recall, fscore, mcc) == (0.0, 0.0, 0.0)
     # no clean instances: pf denominator empty
-    s = scores(ConfusionMatrix(tp=4, fp=0, tn=0, fn=1))
-    assert s.gmeasure == pytest.approx(2 * 0.8 * 1.0 / 1.8, abs=1e-15)
-    assert s.mcc == 0.0
+    _, _, _, gmeasure, mcc = scores(tp=4, fp=0, tn=0, fn=1)
+    assert gmeasure == pytest.approx(2 * 0.8 * 1.0 / 1.8, abs=1e-15)
+    assert mcc == 0.0
     # everything correct on a mixed set: mcc is 1
-    s = scores(ConfusionMatrix(tp=4, fp=0, tn=3, fn=0))
-    assert s.mcc == pytest.approx(1.0, abs=1e-15)
+    *_, mcc = scores(tp=4, fp=0, tn=3, fn=0)
+    assert mcc == pytest.approx(1.0, abs=1e-15)
 
 
 def test_midranks_share_tied_positions():
@@ -115,16 +106,20 @@ def test_evaluate_pair_groups_by_version():
         test_version_keys=keys, selected_attributes=(0,))
     tree = train_tree(tp, TreeParams())
     result = evaluate_pair(tree, tp)
-    assert [(v.project_id, v.version_id) for v in result] == [("a", "1"),
-                                                              ("b", "2")]
+    assert [(v.test_project, v.test_version) for v in result] == [
+        ("a", "1"), ("b", "2")]
     first, second = result
     # version a/1: clean instance predicted clean, defective predicted defective
-    assert (first.cm.tp, first.cm.fp, first.cm.tn, first.cm.fn) == (1, 0, 1, 0)
+    assert (first.tp, first.fp, first.tn, first.fn) == (1, 0, 1, 0)
     assert not first.auc_degenerate
-    assert first.scores.auc == pytest.approx(1.0, abs=0)
+    assert first.auc == pytest.approx(1.0, abs=0)
     # version b/2: the defective-looking clean instance at 9.8 is a false hit
-    assert (second.cm.tp, second.cm.fp, second.cm.tn, second.cm.fn) == (1, 1, 1, 0)
+    assert (second.tp, second.fp, second.tn, second.fn) == (1, 1, 1, 0)
     assert not second.auc_degenerate
+    # the writer prints repr(): NumPy scalars would print as np.float64(...)
+    for v in result:
+        assert [type(x) for x in v] == (
+            [str] * 2 + [int] * 4 + [float] * 6 + [bool])
 
 
 def test_evaluate_pair_flags_single_class_versions():
@@ -139,7 +134,7 @@ def test_evaluate_pair_flags_single_class_versions():
     tree = train_tree(tp, TreeParams())
     (only,) = evaluate_pair(tree, tp)
     assert only.auc_degenerate
-    assert only.scores.auc == 0.5
+    assert only.auc == 0.5
 
 
 @pytest.mark.parametrize("clean_weight,defective", [
@@ -162,6 +157,6 @@ def test_evaluate_pair_threshold_is_inclusive(clean_weight, defective):
     assert p == 0.5 if defective else 0.5 - 1e-9 < p < 0.5
     (only,) = evaluate_pair(tree, tp)
     if defective:
-        assert (only.cm.tp, only.cm.fp) == (1, 1)
+        assert (only.tp, only.fp) == (1, 1)
     else:
-        assert (only.cm.tn, only.cm.fn) == (1, 1)
+        assert (only.tn, only.fn) == (1, 1)

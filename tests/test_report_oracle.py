@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import report_oracle as oracle
-from timeaware_cpdp.metrics import ConfusionMatrix, ScoreSet
 from timeaware_cpdp.stability import ResultRecord, write_reports
 
 REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
@@ -34,10 +33,8 @@ def record(technique, kind, window, split, version, values, degenerate):
     return ResultRecord(
         technique=technique, kind=kind, window_k=window, split_index=split,
         gap=1, test_project="p", test_version=str(version),
-        cm=ConfusionMatrix(1, 1, 1, 1),
-        scores=ScoreSet(precision=0.5, recall=0.5, fscore=fscore,
-                        gmeasure=gmeasure, mcc=mcc, auc=auc),
-        auc_degenerate=degenerate)
+        tp=1, fp=1, tn=1, fn=1, precision=0.5, recall=0.5, fscore=fscore,
+        gmeasure=gmeasure, mcc=mcc, auc=auc, auc_degenerate=degenerate)
 
 
 @st.composite

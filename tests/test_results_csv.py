@@ -1,0 +1,90 @@
+"""results.csv and pairs.csv: one column list, a lossless codec, quoted ids."""
+
+import csv
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from e2e import toy_csv, write_experiment
+from timeaware_cpdp.cli import main
+from timeaware_cpdp.metrics import VersionScore
+from timeaware_cpdp.stability import (RESULTS_COLUMNS, RESULTS_HEADER,
+                                      ResultRecord, load_results_csv,
+                                      write_results_csv)
+
+REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
+
+
+def test_one_column_list():
+    assert RESULTS_COLUMNS == ResultRecord._fields
+    assert VersionScore._fields == ResultRecord._fields[5:]
+    assert RESULTS_HEADER == (
+        "technique,kind,window_k,split_index,gap,test_project,test_version,"
+        "tp,fp,tn,fn,precision,recall,fscore,gmeasure,mcc,auc,auc_degenerate")
+
+
+# text that needs quoting: separators, quotes, line breaks of every kind
+TEXT = st.text(st.sampled_from('ab ,";/\n\r \x85é'), max_size=8)
+COUNT = st.integers(0, 10 ** 6)
+SCORE = st.floats(allow_nan=False) | st.sampled_from((-0.0, 5e-324, 1e308))
+
+
+@st.composite
+def result_records(draw):
+    return ResultRecord(
+        draw(TEXT), draw(TEXT), draw(st.none() | st.integers(-5, 10 ** 6)),
+        draw(COUNT), draw(COUNT), draw(TEXT), draw(TEXT),
+        *(draw(COUNT) for _ in range(4)), *(draw(SCORE) for _ in range(6)),
+        draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(result_records(), max_size=12))
+def test_results_csv_round_trip(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("codec") / "results.csv"
+    write_results_csv(path, records)
+    written = path.read_bytes()
+    loaded = load_results_csv(path)
+    assert loaded == records
+    # == does not tell -0.0 from 0.0; the bytes of a second write do
+    write_results_csv(path, loaded)
+    assert path.read_bytes() == written
+
+
+def quoted_ids_experiment(tmp_path):
+    """The e2e corpus with project alpha renamed 'ant,core' and beta's version '1."0'."""
+    rows = list(csv.reader(io.StringIO(toy_csv())))
+    for row in rows[1:]:
+        if row[0] == "alpha":
+            row[0] = "ant,core"
+        elif row[0] == "beta":
+            row[1] = '1."0'
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    (tmp_path / "releases.csv").write_text(text.getvalue(), encoding="utf-8")
+    return write_experiment(tmp_path, **{"run.baseline_crossval": "3"})
+
+
+def test_quoted_ids_survive_run_report_and_pairs(tmp_path):
+    cfg = quoted_ids_experiment(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg)]) == 0
+    records = load_results_csv(out / "results.csv")
+    projects = {r.test_project for r in records}
+    assert {"ant,core", "beta"} <= projects
+    assert {r.test_version for r in records if r.test_project == "beta"} == {
+        '1."0'}
+
+    written = {name: (out / name).read_bytes() for name in REPORTS}
+    for name in REPORTS:
+        (out / name).unlink()
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert {name: (out / name).read_bytes() for name in REPORTS} == written
+
+    assert main(["pairs", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "pairs.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {6}
+    versions = {v for row in rows[1:] for side in row[4:] for v in side.split(";")}
+    assert {"ant,core/1.0", 'beta/1."0'} <= versions

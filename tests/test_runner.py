@@ -17,10 +17,11 @@ from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import DatasetError, DegenerateTreatmentError
-from timeaware_cpdp.runner import (RESULTS_HEADER, build_tasks, load_dataset,
-                                   load_results_csv, plan_run, run_experiment,
-                                   validate, write_pairs_csv,
-                                   write_results_csv, write_summary_csv)
+from timeaware_cpdp.runner import (build_tasks, load_dataset, plan_run,
+                                   run_experiment, validate, write_pairs_csv,
+                                   write_summary_csv)
+from timeaware_cpdp.stability import (RESULTS_HEADER, load_results_csv,
+                                      write_results_csv)
 
 REPORT_FILES = ("results.csv", "stability.csv", "ranks.csv",
                 "comparisons.csv", "plotdata.csv", "manifest.json")

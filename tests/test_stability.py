@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from timeaware_cpdp.errors import BalancingError, ConfigError
-from timeaware_cpdp.metrics import ConfusionMatrix, ScoreSet
 from timeaware_cpdp.stability import (MAGNITUDE_LEVELS, ResultRecord,
                                       aggregate, cliffs_delta,
                                       magnitude_label, rank_stability,
@@ -24,10 +23,8 @@ def make_record(technique, value, kind="CC", window=1, split=1,
     return ResultRecord(
         technique=technique, kind=kind, window_k=window, split_index=split,
         gap=1, test_project=project, test_version=version,
-        cm=ConfusionMatrix(1, 1, 1, 1),
-        scores=ScoreSet(precision=value, recall=value, fscore=value,
-                        gmeasure=value, mcc=value, auc=value),
-        auc_degenerate=degenerate)
+        tp=1, fp=1, tn=1, fn=1, precision=value, recall=value, fscore=value,
+        gmeasure=value, mcc=value, auc=value, auc_degenerate=degenerate)
 
 
 def rows_for(rows, technique, metric):

@@ -17,8 +17,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tree_oracle as oracle
-from timeaware_cpdp.metrics import (auc, confusion, evaluate_pair, midranks,
-                                    scores)
+from timeaware_cpdp.metrics import (_confusion_cells, auc, evaluate_pair,
+                                    midranks, scores)
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, dump_tree,
                                  predict_proba_rows, rethreshold, train_tree,
                                  training_order)
@@ -100,15 +100,12 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     result = evaluate_pair(tree, pair)
-    assert [(v.project_id, v.version_id) for v in result] == list(groups)
+    assert [(v.test_project, v.test_version) for v in result] == list(groups)
     for score, idx in zip(result, groups.values()):
         tp, fp, tn, fn = oracle.confusion(expected[idx] >= 0.5, test_y[idx])
-        assert (score.cm.tp, score.cm.fp, score.cm.tn, score.cm.fn) == (
-            tp, fp, tn, fn)
-        core = scores(score.cm)
-        assert (score.scores.precision, score.scores.recall,
-                score.scores.fscore, score.scores.gmeasure,
-                score.scores.mcc) == tuple(core)
+        assert (score.tp, score.fp, score.tn, score.fn) == (tp, fp, tn, fn)
+        assert (score.precision, score.recall, score.fscore, score.gmeasure,
+                score.mcc) == scores(tp, fp, tn, fn)
         labels = test_y[idx]
         n_pos = int(labels.sum())
         n_neg = len(labels) - n_pos
@@ -117,7 +114,7 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
             ranks = oracle.midranks(expected[idx])
             area = ((float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0)
                     / (n_pos * n_neg))
-            assert score.scores.auc == area == auc(expected[idx], labels)
+            assert score.auc == area == auc(expected[idx], labels)
 
 
 def node_bits(nodes):
@@ -230,10 +227,12 @@ def test_midranks_match_loop_oracle(values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
-                max_size=40))
-def test_confusion_matches_loop_oracle(cells):
-    predicted = [p for p, _ in cells]
-    actual = [a for _, a in cells]
-    cm = confusion(predicted, actual)
-    assert (cm.tp, cm.fp, cm.tn, cm.fn) == oracle.confusion(predicted, actual)
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()),
+                min_size=1, max_size=40))
+def test_confusion_cells_match_loop_oracle(cells):
+    group, predicted, actual = (np.array(column) for column in zip(*cells))
+    counts = _confusion_cells(group, predicted, actual, 4)
+    for g, (tn, fn, fp, tp) in enumerate(counts.tolist()):
+        mine = group == g
+        assert (tp, fp, tn, fn) == oracle.confusion(predicted[mine],
+                                                    actual[mine])
