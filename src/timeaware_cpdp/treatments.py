@@ -148,20 +148,35 @@ def watanabe08(tp: TreatedPair) -> TreatedPair:
     Each test value of attribute i is multiplied by
     mean(train attribute i) / mean(test attribute i). Attributes whose
     test mean is exactly zero keep their values (factor 1). Training
-    features are untouched.
+    features are untouched. Raises ValueError when a mean or a rescaled
+    value overflows float64.
     """
-    return dataclasses.replace(
-        tp,
-        test_features=tp.test_features * watanabe08_factors(tp),
-        train_weights=np.ones(tp.n_train))
+    # an overflowed factor times a zero test value is NaN, not inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        test = _finite("watanabe08", "rescaled test value",
+                       tp.test_features * watanabe08_factors(tp))
+    return dataclasses.replace(tp, test_features=test,
+                               train_weights=np.ones(tp.n_train))
 
 
 def watanabe08_factors(tp: TreatedPair) -> np.ndarray:
     """Per-attribute rescaling factors watanabe08 would apply."""
-    train_mean = tp.train_features.mean(axis=0)
-    test_mean = tp.test_features.mean(axis=0)
+    with np.errstate(over="ignore"):
+        train_mean = _finite("watanabe08", "training mean",
+                             tp.train_features.mean(axis=0))
+        test_mean = _finite("watanabe08", "test mean",
+                            tp.test_features.mean(axis=0))
     return np.where(test_mean == 0.0, 1.0,
                     train_mean / np.where(test_mean == 0.0, 1.0, test_mean))
+
+
+def _finite(name: str, what: str, values: np.ndarray) -> np.ndarray:
+    """values, or a ValueError naming the first attribute that overflowed."""
+    if not np.all(np.isfinite(values)):
+        col = np.nonzero(~np.isfinite(values))[-1][0]
+        raise ValueError(
+            f"{name} cannot use attribute {col}: its {what} overflows float64")
+    return values
 
 
 def _require_nonnegative(name: str, x: np.ndarray, side: str) -> None:
@@ -211,25 +226,22 @@ def ma12(tp: TreatedPair) -> TreatedPair:
     return dataclasses.replace(tp, train_weights=weights)
 
 
-def _nearest_other_distances(values: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Distance from each value to the nearest pool entry that is not itself.
-
-    values must be a subset of pool (one pool entry per value is
-    discounted, so duplicated values have distance 0).
-    """
-    sorted_pool = np.sort(pool)
-    n = len(sorted_pool)
-    left = np.searchsorted(sorted_pool, values, side="left")
-    right = np.searchsorted(sorted_pool, values, side="right")
-    duplicated = (right - left) >= 2
-
-    prev_dist = np.where(left > 0,
-                         values - sorted_pool[np.maximum(left - 1, 0)],
-                         np.inf)
-    next_dist = np.where(right < n,
-                         sorted_pool[np.minimum(right, n - 1)] - values,
-                         np.inf)
-    return np.where(duplicated, 0.0, np.minimum(prev_dist, next_dist))
+def _select_attributes(log_train: np.ndarray, log_test: np.ndarray,
+                       attr_mad_mult: float) -> np.ndarray:
+    """amasaki15's kept columns, from one sort of every attribute's pool."""
+    n, size = len(log_train), len(log_train) + len(log_test)
+    pool = np.concatenate([log_train.T, log_test.T], axis=1)
+    order = pool.argsort(axis=1)
+    ranked = np.take_along_axis(pool, order, axis=1)
+    # np.median's middle of each sorted row, without its partition
+    median = ranked[:, (size - 1) // 2:size // 2 + 1].mean(axis=1, keepdims=True)
+    deviation = np.abs(np.subtract(pool, median, out=pool), out=pool)
+    mad = np.median(deviation, axis=1, overwrite_input=True, keepdims=True)
+    gaps = np.full((len(pool), size + 1), np.inf)
+    np.subtract(ranked[:, 1:], ranked[:, :-1], out=gaps[:, 1:-1])
+    nearest = np.minimum(gaps[:, :-1], gaps[:, 1:], out=ranked)
+    close = (nearest <= attr_mad_mult * mad) | (order >= n)
+    return np.flatnonzero(close.all(axis=1))
 
 
 def _min_test_distances(train: np.ndarray, test: np.ndarray) -> np.ndarray:
@@ -266,27 +278,26 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
     Attribute selection keeps attribute i when every training value has
     some other value of that attribute, in the combined train and test
     data, within attr_mad_mult times the attribute's median absolute
-    deviation. Relevancy filtering then keeps a training instance when
-    its Euclidean nearest neighbor among test instances (over the kept
-    attributes) is within relevancy_mult times the median such
-    nearest-neighbor distance. The distances are exact: sums of squared
-    direct differences, not an expansion through dot products. Requires
-    non-negative features; raises DegenerateTreatmentError when every
-    attribute or every training instance would be dropped.
+    deviation (a NaN limit keeps none). One argsort orders every
+    attribute's train and test values at once; a value's nearest other
+    value is the smaller gap to its two sorted neighbours, inf past
+    either end. Equal values are neighbours, so a value that occurs
+    twice has distance 0 whichever copy sorts first. Relevancy
+    filtering then keeps a training instance when its Euclidean nearest
+    neighbor among test instances (over the kept attributes) is within
+    relevancy_mult times the median such nearest-neighbor distance. The
+    distances are exact: sums of squared direct differences, not an
+    expansion through dot products. Requires non-negative features;
+    raises DegenerateTreatmentError when every attribute or every
+    training instance would be dropped.
     """
     _require_nonnegative("amasaki15", tp.train_features, "train")
     _require_nonnegative("amasaki15", tp.test_features, "test")
     log_train = np.log1p(tp.train_features)
     log_test = np.log1p(tp.test_features)
 
-    kept_cols = []
-    for col in range(log_train.shape[1]):
-        pool = np.concatenate([log_train[:, col], log_test[:, col]])
-        mad = np.median(np.abs(pool - np.median(pool)))
-        nearest = _nearest_other_distances(log_train[:, col], pool)
-        if np.all(nearest <= attr_mad_mult * mad):
-            kept_cols.append(col)
-    if not kept_cols:
+    kept_cols = _select_attributes(log_train, log_test, attr_mad_mult)
+    if kept_cols.size == 0:
         raise DegenerateTreatmentError("amasaki15 dropped every attribute")
 
     sel_train = log_train[:, kept_cols]
@@ -322,7 +333,8 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
 
     When relabeling degenerates (all K equal, or only one generated
     class) the original labels are kept and label_fallback is set. Needs
-    at least two training instances.
+    at least two training instances; raises ValueError when a median
+    overflows float64.
     """
     if tp.n_train < 2:
         raise ValueError("nam15 needs at least 2 training instances")
@@ -330,7 +342,8 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
         raise ValueError("violation_threshold must be within [0, 1]")
 
     x = tp.train_features
-    medians = np.median(x, axis=0)
+    with np.errstate(over="ignore"):
+        medians = _finite("nam15", "training median", np.median(x, axis=0))
     above = x > medians
     k = above.sum(axis=1)
 

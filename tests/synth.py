@@ -33,6 +33,18 @@ def simple_release(project: str, version: str, released: date,
     return make_release(project, version, released, rows)
 
 
+def dataset_csv(records: list[MetricRecord]) -> str:
+    """The records as a dataset CSV in the default schema, in list order."""
+    width = len(records[0].features)
+    lines = ["project,version,release_date,class,defects,"
+             + ",".join(f"f{i + 1}" for i in range(width))]
+    lines += [",".join([rec.project_id, rec.version_id,
+                        rec.release_date.isoformat(), rec.class_id,
+                        str(rec.defect_count), *map(repr, rec.features)])
+              for rec in records]
+    return "\n".join(lines) + "\n"
+
+
 def toy_three_buckets() -> list[Release]:
     """One release per project per year: i-2008, j-2009, k-2010.
 

@@ -1,11 +1,16 @@
 """Command line behavior: subcommands, output routing, exit codes."""
 
+import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from e2e import write_experiment
+import timeaware_cpdp
+from e2e import toy_csv, write_experiment
 from timeaware_cpdp.cli import main
 
 
@@ -38,6 +43,37 @@ def test_run_exits_one_on_two_identity_roles_on_one_column(tmp_path, caplog):
     assert ("line 1: project_col and class_col both name column 'project'"
             in caplog.text)
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_run_skips_overflowing_features_without_numpy_warnings(tmp_path):
+    # f1 of alpha 1.0 and beta 1.0 near the float64 maximum, where the sum
+    # of any two values overflows
+    lines = toy_csv().splitlines()
+    for row in range(1, 25):
+        cells = lines[row].split(",")
+        assert cells[0] in ("alpha", "beta") and cells[1] == "1.0"
+        cells[5] = ("1e308", "1.5e308")[row % 2]
+        lines[row] = ",".join(cells)
+    (tmp_path / "releases.csv").write_text("\n".join(lines) + "\n",
+                                           encoding="utf-8")
+    cfg = write_experiment(tmp_path, **{"run.techniques": "watanabe08,nam15"})
+    # a child process, so stderr shows any warning NumPy prints
+    src = Path(timeaware_cpdp.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from timeaware_cpdp.cli import main; sys.exit(main())",
+         "run", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert ("technique=watanabe08: watanabe08 cannot use attribute 0: "
+            "its training mean overflows float64; skipped" in proc.stderr)
+    assert ("technique=nam15: nam15 cannot use attribute 0: "
+            "its training median overflows float64; skipped" in proc.stderr)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    skips = proc.stderr.count("; skipped")
+    assert manifest["pair_technique_failures"] == skips > 0
 
 
 def test_summary_to_stdout_and_file(tmp_path, capsys):

@@ -1,0 +1,85 @@
+"""Metamorphic relations of a whole run: dataset edits that change no output byte.
+
+A corpus built with synth.py runs through every technique, the four
+time-aware configurations and the cross-validation baseline, with and
+without under-sampling. Two edits of its CSV must leave results.csv,
+the four reports and manifest.json byte-identical:
+
+* interleaving the rows of different releases, each release keeping its
+  own row order, since releases are grouped by (project, version);
+* renaming the class ids, which only identify rows.
+
+The edited CSV is written to the same path as the original, because
+config_sha256 hashes the resolved dataset path.
+"""
+
+import random
+from dataclasses import replace
+from datetime import date
+from itertools import chain, zip_longest
+
+import pytest
+
+from e2e import write_experiment
+from synth import dataset_csv, simple_release
+from timeaware_cpdp.cli import main
+from timeaware_cpdp.treatments import TREATMENT_NAMES
+
+OUTPUTS = ("results.csv", "stability.csv", "ranks.csv", "comparisons.csv",
+           "plotdata.csv", "manifest.json")
+
+
+def corpus():
+    """Releases of six projects over 2.5 years, 8-16 rows of 3 metrics each."""
+    rng = random.Random(11)
+    releases = []
+    for month in range(0, 30, 3):
+        project = f"p{rng.randrange(6)}"
+        released = date(2001 + month // 12, month % 12 + 1, rng.randint(1, 28))
+        releases.append(simple_release(project, f"v{month}", released,
+                                       n_rows=rng.randint(8, 16), d=3, rng=rng))
+    return releases
+
+
+def interleaved(releases):
+    """Round-robin over the releases, each release's rows in their order."""
+    rounds = zip_longest(*(rel.records for rel in releases))
+    return [rec for rec in chain.from_iterable(rounds) if rec is not None]
+
+
+def renamed(releases):
+    """Every class id replaced by a distinct unrelated one."""
+    records = [rec for rel in releases for rec in rel.records]
+    names = [f"renamed.K{i}" for i in random.Random(3).sample(
+        range(len(records)), len(records))]
+    return [replace(rec, class_id=name) for rec, name in zip(records, names)]
+
+
+def run_outputs(tmp_path, csv_text, balance):
+    (tmp_path / "releases.csv").write_text(csv_text, encoding="utf-8")
+    cfg = write_experiment(tmp_path, **{
+        "run.techniques": ",".join(TREATMENT_NAMES),
+        "run.baseline_crossval": "3",
+        "run.balance": balance,
+    })
+    assert main(["run", "--config", str(cfg)]) == 0
+    return {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS}
+
+
+# under-sampling draws training rows by position, so with balancing on a
+# run that reordered a release's rows would change
+@pytest.mark.parametrize("balance", ["false", "true"])
+@pytest.mark.parametrize("edit", [interleaved, renamed])
+def test_dataset_edit_changes_no_output_byte(tmp_path, edit, balance):
+    releases = corpus()
+    records = [rec for rel in releases for rec in rel.records]
+    original = run_outputs(tmp_path, dataset_csv(records), balance)
+    # the run scores every technique, so the relation covers all of them
+    results = original["results.csv"].decode()
+    for technique in TREATMENT_NAMES:
+        assert f"\n{technique}," in results, technique
+    edited_csv = dataset_csv(edit(releases))
+    assert edited_csv != (tmp_path / "releases.csv").read_text(encoding="utf-8")
+    edited = run_outputs(tmp_path, edited_csv, balance)
+    for name in OUTPUTS:
+        assert edited[name] == original[name], name

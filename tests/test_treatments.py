@@ -131,6 +131,34 @@ def test_watanabe08_composition_squares_the_ratio():
     assert again.test_features == pytest.approx(once.test_features, abs=1e-12)
 
 
+# two values near the float64 maximum, whose sum overflows
+HUGE = (1e308, 1.5e308)
+
+
+@pytest.mark.parametrize("train_x, test_x, message", [
+    ([[HUGE[0], 1.0], [HUGE[1], 2.0]], [[1.0, 2.0], [3.0, 1.0]],
+     "attribute 0: its training mean"),
+    ([[1.0, 2.0], [3.0, 1.0]], [[1.0, HUGE[0]], [2.0, HUGE[1]]],
+     "attribute 1: its test mean"),
+    # finite means, but 1e308 scaled by 1.5e308 / 0.5e308 does not fit
+    ([[HUGE[1]]], [[HUGE[0]], [0.0]], "attribute 0: its rescaled test value"),
+])
+def test_watanabe08_overflow_is_a_named_error(train_x, test_x, message):
+    tp = build_pair(train_x, [True] * len(train_x), test_x, [True, False])
+    with pytest.raises(ValueError,
+                       match=f"watanabe08 cannot use {message} overflows float64"):
+        watanabe08(tp)
+
+
+def test_nam15_overflowing_median_is_a_named_error():
+    # the median of two values is their mean, whose sum overflows
+    tp = build_pair([[1.0, HUGE[0]], [2.0, HUGE[1]]], [True, False],
+                    [[1.0, 1.0]], [False])
+    with pytest.raises(ValueError, match="nam15 cannot use attribute 1: "
+                                         "its training median overflows float64"):
+        nam15(tp)
+
+
 def test_camargocruz09_median_shift():
     e = math.e
     train = [[e - 1.0], [e ** 2 - 1.0], [e ** 3 - 1.0]]   # log terms 1, 2, 3

@@ -1,6 +1,6 @@
-"""amasaki15's direct nearest-test distances against the dot-product oracle.
+"""amasaki15's two searches against the reference forms in treatments_oracle.py.
 
-On well-conditioned data (a coarse value grid, whose squares and
+Distances. On well-conditioned data (a coarse value grid, whose squares and
 products are exact in float64) the chunked direct differences must give
 the distances of the |a|² + |b|² - 2a·b form in treatments_oracle.py,
 and amasaki15 must keep the same attributes and training rows with
@@ -12,6 +12,13 @@ rows on and across the two sides, a single test row, and chunks from
 one training row to all of them. On rows far from the origin and close
 together the oracle cancels, and only the direct form matches
 ``math.dist``.
+
+Attribute selection. The one-pass selection (one argsort over every
+attribute) must keep the attributes the per-column loop keeps, so that
+amasaki15 keeps the same attributes, rows and bytes, or raises the same
+error. The draws cover ties within and across the two sides, one-row
+training and test sides, constant columns (MAD 0) and the multipliers
+0, 0.1, 1, 2.5 and NaN, which keeps no attribute.
 """
 
 import math
@@ -70,10 +77,22 @@ def log_grid_features(grid_rows):
     return features
 
 
-def outcome(tp):
+def treated_pair(train, test, rng):
+    """The features as a pair with random training labels."""
+    return TreatedPair(
+        train_features=train,
+        train_labels=np.array([rng.random() < 0.5 for _ in train]),
+        train_weights=np.ones(len(train)),
+        test_features=test,
+        test_labels=np.zeros(len(test), dtype=bool),
+        test_version_keys=(("t", "1"),) * len(test),
+        selected_attributes=tuple(range(train.shape[1])))
+
+
+def outcome(tp, **params):
     """What amasaki15 keeps, or the error it raises."""
     try:
-        out = amasaki15(tp)
+        out = amasaki15(tp, **params)
     except DegenerateTreatmentError as exc:
         return str(exc)
     return (out.selected_attributes, out.train_features.tobytes(),
@@ -84,20 +103,72 @@ def outcome(tp):
 @given(distance_inputs(), st.randoms(use_true_random=False))
 def test_amasaki15_keeps_the_oracle_rows_and_attributes(inputs, rng):
     train, test, cells = inputs
-    tp = TreatedPair(
-        train_features=log_grid_features(train),
-        train_labels=np.array([rng.random() < 0.5 for _ in train]),
-        train_weights=np.ones(len(train)),
-        test_features=log_grid_features(test),
-        test_labels=np.zeros(len(test), dtype=bool),
-        test_version_keys=(("t", "1"),) * len(test),
-        selected_attributes=tuple(range(train.shape[1])))
+    tp = treated_pair(log_grid_features(train), log_grid_features(test), rng)
     with mock.patch.object(treatments, "DISTANCE_CHUNK_CELLS", cells):
         actual = outcome(tp)
     with mock.patch.object(treatments, "_min_test_distances",
                            oracle._min_test_distances):
         expected = outcome(tp)
     event("degenerate" if isinstance(expected, str) else "rows kept")
+    assert actual == expected
+
+
+# a few shared values make ties within a column and across the two sides
+TIE_VALUES = (0.0, 1.0, 3.0, 7.5, 1e-300, 1e6)
+
+
+@st.composite
+def selection_inputs(draw):
+    width = draw(st.integers(1, 6))
+    n_train = draw(st.sampled_from((1, 2, 3, 8, 20)))
+    n_test = draw(st.sampled_from((1, 2, 5, 12)))
+    value = st.one_of(st.sampled_from(TIE_VALUES),
+                      st.floats(0.0, 1e9, allow_nan=False))
+    columns = []
+    for _ in range(width):
+        if draw(st.integers(0, 4)) == 0:
+            columns.append([draw(value)] * (n_train + n_test))
+        else:
+            columns.append(draw(st.lists(value, min_size=n_train + n_test,
+                                         max_size=n_train + n_test)))
+    features = np.array(columns).T
+    train, test = features[:n_train], features[n_train:]
+    # whole rows repeated across the two sides
+    for i in draw(st.lists(st.integers(0, n_train - 1), max_size=2)):
+        test[i % n_test] = train[i]
+    mult = draw(st.sampled_from((0.0, 0.1, 1.0, 2.5, math.nan)))
+    log_train = np.log1p(train)
+    for col, pool in enumerate(np.log1p(features).T):
+        if np.unique(pool).size == 1:
+            event("constant column")
+        elif np.median(np.abs(pool - np.median(pool))) == 0:
+            event("MAD 0, column not constant")
+        if np.unique(log_train[:, col]).size < n_train:
+            event("tie within the training side")
+        if np.intersect1d(log_train[:, col], np.log1p(test[:, col])).size:
+            event("value on both sides")
+    if n_train == 1:
+        event("one training row")
+    if n_test == 1:
+        event("one test row")
+    return train, test, mult
+
+
+@settings(max_examples=400, deadline=None)
+@given(selection_inputs(), st.randoms(use_true_random=False))
+def test_amasaki15_selects_the_attributes_of_the_loop_oracle(inputs, rng):
+    train, test, mult = inputs
+    tp = treated_pair(train, test, rng)
+    actual = outcome(tp, attr_mad_mult=mult)
+    with mock.patch.object(treatments, "_select_attributes",
+                           oracle._select_attributes):
+        expected = outcome(tp, attr_mad_mult=mult)
+    if isinstance(expected, str):
+        event(expected)
+    elif len(expected[0]) < train.shape[1]:
+        event("some attributes dropped")
+    else:
+        event("every attribute kept")
     assert actual == expected
 
 
