@@ -13,7 +13,8 @@ from .dataset import (BucketSummary, DatasetSchema, MetricRecord, Release,
                       TimeBucket, TimeSeriesDataset, bucketize,
                       convert_date_token, dataset_summary, parse_dataset)
 from .errors import (BalancingError, ConfigError, ConflictError, DatasetError,
-                     DegenerateTreatmentError, EmptyDatasetError, ParseError)
+                     DegenerateTreatmentError, EmptyDatasetError, ParseError,
+                     UnusableDataError)
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs, generate_pair, strict_cpdp_filter,
                     window_sizes)

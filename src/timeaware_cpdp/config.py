@@ -201,7 +201,7 @@ class ExperimentConfig:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_mapping(parse_config_text(text), base_dir=path.parent)
 

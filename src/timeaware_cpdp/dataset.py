@@ -45,9 +45,8 @@ class DatasetSchema:
 
 @dataclass(frozen=True)
 class MetricRecord:
-    project_id: str
-    version_id: str
-    release_date: date
+    """One class of a release; the Release holds its project, version and date."""
+
     class_id: str
     features: tuple[float, ...]
     defect_count: int
@@ -275,7 +274,6 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
                 f"{dates[key]} and {released}", line=line_no)
         dates.setdefault(key, released)
         groups.setdefault(key, []).append(MetricRecord(
-            project_id=project, version_id=version, release_date=released,
             class_id=class_id, features=tuple(features),
             defect_count=defect_count))
 

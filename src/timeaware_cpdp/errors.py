@@ -35,5 +35,9 @@ class DegenerateTreatmentError(Exception):
     """A treatment removed everything it was given; the pair is unusable."""
 
 
+class UnusableDataError(ValueError):
+    """Input a treatment or the tree cannot use; skips one (pair, technique)."""
+
+
 class BalancingError(Exception):
     """Under-sampling is impossible, e.g. a single-class training set."""

@@ -19,12 +19,12 @@ flat stability.ResultRecord; write_results_csv, next to that type,
 writes them to results.csv.
 
 A (pair, technique) combination is logged and skipped for a documented
-data condition (DegenerateTreatmentError, BalancingError, or a
-ValueError for input the treatments or the tree reject); any other
-exception fails the run. All output is byte-deterministic for a fixed
-config and seed: rows and warnings come in enumeration order, floats
-use their shortest round-trip representation, and the manifest carries
-no timestamps.
+data condition (DegenerateTreatmentError, BalancingError, or an
+UnusableDataError for input the treatments or the tree reject); any
+other exception, a plain ValueError included, fails the run. All
+output is byte-deterministic for a fixed config and seed: rows and
+warnings come in enumeration order, floats use their shortest
+round-trip representation, and the manifest carries no timestamps.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .config import ExperimentConfig, config_hash
 from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
 from .errors import (BalancingError, ConfigError, DatasetError,
-                     DegenerateTreatmentError)
+                     DegenerateTreatmentError, UnusableDataError)
 from .metrics import VersionScore, evaluate_pair
 from .pairs import PairSpec, TrainTestPair, crossval_pairs, enumerate_pairs
 from .stability import (ResultRecord, _csv_field, _fmt_window, undersample,
@@ -99,7 +99,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[list[Release], TimeSeriesDat
     try:
         with open(config.dataset_path, encoding="utf-8-sig", newline="") as fh:
             releases = parse_dataset(fh, config.schema)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {config.dataset_path}: {exc}") from None
     return releases, bucketize(releases, config.granularity_months)
 
@@ -172,7 +172,7 @@ class _Fit:
 
 # the BalancingError that skipped a distinct (train, test) set, or per
 # technique its fit or the error that skipped it
-_SetResult = BalancingError | list[_Fit | DegenerateTreatmentError | ValueError]
+_SetResult = BalancingError | list[_Fit | DegenerateTreatmentError | UnusableDataError]
 
 
 def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
@@ -193,7 +193,7 @@ def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
             except BalancingError as exc:
                 results.append(exc.with_traceback(None))
                 continue
-        fits: list[_Fit | DegenerateTreatmentError | ValueError] = []
+        fits: list[_Fit | DegenerateTreatmentError | UnusableDataError] = []
         for technique in config.techniques:
             try:
                 treated = apply_treatment(technique, base, config)
@@ -205,7 +205,7 @@ def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
                 else:
                     tree = rethreshold(tree, treated)
                 version_scores = evaluate_pair(tree, treated)
-            except (DegenerateTreatmentError, ValueError) as exc:
+            except (DegenerateTreatmentError, UnusableDataError) as exc:
                 fits.append(exc.with_traceback(None))
                 continue
             fits.append(_Fit(version_scores,

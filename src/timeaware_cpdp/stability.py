@@ -155,7 +155,6 @@ class StabilityRow:
     mean: float | None
     sd: float | None
     stable: bool | None
-    single: bool
 
 
 @dataclass(frozen=True)
@@ -183,13 +182,13 @@ def _metric_values(records: Sequence[ResultRecord], metric: str) -> tuple[list[f
     return [getattr(r, metric) for r in records], 0
 
 
-def _mean_sd(values: Sequence[float]) -> tuple[float, float, bool]:
+def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = sum(values) / n
     if n == 1:
-        return mean, 0.0, True
+        return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var), False
+    return mean, math.sqrt(var)
 
 
 def aggregate(records: Sequence[ResultRecord],
@@ -197,9 +196,9 @@ def aggregate(records: Sequence[ResultRecord],
               threshold: float = STABILITY_THRESHOLD) -> list[StabilityRow]:
     """Mean/SD stability rows grouped by (technique, kind[, window]).
 
-    Groups follow first appearance order in the input. Single-value
-    groups report SD 0 and are flagged. Groups whose AUC values were all
-    degenerate report no AUC mean at all.
+    Groups follow first appearance order in the input. A single-value
+    group reports SD 0 (so it counts as stable) and n 1. Groups whose
+    AUC values were all degenerate report no AUC mean at all.
     """
     width = 3 if by_window else 2
     groups = _group(records, lambda r: (r.technique, r.kind, r.window_k)[:width])
@@ -213,13 +212,13 @@ def aggregate(records: Sequence[ResultRecord],
                 rows.append(StabilityRow(
                     technique=key[0], kind=key[1], window_k=window,
                     metric=metric, n=0, excluded=excluded,
-                    mean=None, sd=None, stable=None, single=False))
+                    mean=None, sd=None, stable=None))
                 continue
-            mean, sd, single = _mean_sd(values)
+            mean, sd = _mean_sd(values)
             rows.append(StabilityRow(
                 technique=key[0], kind=key[1], window_k=window,
                 metric=metric, n=len(values), excluded=excluded,
-                mean=mean, sd=sd, stable=sd < threshold, single=single))
+                mean=mean, sd=sd, stable=sd < threshold))
     return rows
 
 

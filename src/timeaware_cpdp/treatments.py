@@ -32,7 +32,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DegenerateTreatmentError
+from .errors import DegenerateTreatmentError, UnusableDataError
 from .pairs import TrainTestPair
 
 # weights are floored here so that instance weights stay strictly positive
@@ -98,7 +98,7 @@ class TreatedPair:
         if len(self.test_version_keys) != len(self.test_features):
             raise ValueError("test version keys do not match test rows")
         if not np.all(np.isfinite(self.train_weights) & (self.train_weights > 0)):
-            raise ValueError("train weights must be finite and positive")
+            raise UnusableDataError("train weights must be finite and positive")
 
     @property
     def n_train(self) -> int:
@@ -148,8 +148,8 @@ def watanabe08(tp: TreatedPair) -> TreatedPair:
     Each test value of attribute i is multiplied by
     mean(train attribute i) / mean(test attribute i). Attributes whose
     test mean is exactly zero keep their values (factor 1). Training
-    features are untouched. Raises ValueError when a mean or a rescaled
-    value overflows float64.
+    features are untouched. Raises UnusableDataError when a mean or a
+    rescaled value overflows float64.
     """
     # an overflowed factor times a zero test value is NaN, not inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,10 +171,10 @@ def watanabe08_factors(tp: TreatedPair) -> np.ndarray:
 
 
 def _finite(name: str, what: str, values: np.ndarray) -> np.ndarray:
-    """values, or a ValueError naming the first attribute that overflowed."""
+    """values, or an UnusableDataError naming the first overflowed attribute."""
     if not np.all(np.isfinite(values)):
         col = np.nonzero(~np.isfinite(values))[-1][0]
-        raise ValueError(
+        raise UnusableDataError(
             f"{name} cannot use attribute {col}: its {what} overflows float64")
     return values
 
@@ -182,7 +182,7 @@ def _finite(name: str, what: str, values: np.ndarray) -> np.ndarray:
 def _require_nonnegative(name: str, x: np.ndarray, side: str) -> None:
     if np.any(x < 0):
         row, col = np.argwhere(x < 0)[0]
-        raise ValueError(
+        raise UnusableDataError(
             f"{name} needs non-negative features; "
             f"{side} row {row}, attribute {col} is {x[row, col]}")
 
@@ -333,11 +333,11 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
 
     When relabeling degenerates (all K equal, or only one generated
     class) the original labels are kept and label_fallback is set. Needs
-    at least two training instances; raises ValueError when a median
-    overflows float64.
+    at least two training instances; raises UnusableDataError when a
+    median overflows float64.
     """
     if tp.n_train < 2:
-        raise ValueError("nam15 needs at least 2 training instances")
+        raise UnusableDataError("nam15 needs at least 2 training instances")
     if violation_threshold is not None and not 0 <= violation_threshold <= 1:
         raise ValueError("violation_threshold must be within [0, 1]")
 

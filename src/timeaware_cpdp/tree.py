@@ -1,10 +1,10 @@
 """C4.5-style binary decision tree over numeric attributes.
 
-A tree is a set of flat node arrays in pre-order, in the layout of
-scikit-learn's ``sklearn.tree._tree.Tree``: node 0 is the root and the
-left child of a split directly follows it. ``dump_tree`` prints the
-nodes in that order, so its text (the ``--dump-trees`` format) reads
-the arrays top to bottom.
+A tree is a set of flat node arrays in pre-order: node 0 is the root
+and a split's left child is the node right after it, so unlike
+scikit-learn's ``Tree`` the arrays hold no ``children_left``.
+``dump_tree`` prints the nodes in that order, so its text (the
+``--dump-trees`` format) reads the arrays top to bottom.
 
 Training is fully deterministic: candidate thresholds are the midpoints
 between adjacent distinct sorted values of an attribute, splits are
@@ -39,6 +39,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .errors import UnusableDataError
 from .treatments import TreatedPair
 
 _GAIN_EPS = 1e-12
@@ -74,7 +75,8 @@ class DecisionTree:
 
     feature is the attribute a split tests, -1 at a leaf. A row goes to
     the left child when its value is <= threshold (NaN at a leaf), else
-    to the right one; left and right are node indices, -1 at a leaf.
+    to the right one. Split i's left child is node i + 1, and its left
+    subtree spans nodes i + 1 .. right[i] - 1; right is -1 at a leaf.
     w_defective and w_clean are the training weights reaching the node.
     lo and hi are the training rows either side of a split's cut, -1 at
     a leaf.
@@ -82,14 +84,12 @@ class DecisionTree:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     w_defective: np.ndarray
     w_clean: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     n_attributes: int
-    params: TreeParams
 
 
 def _threshold(below: float, above: float) -> float:
@@ -193,8 +193,8 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
 
 def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
           order: np.ndarray | None = None) -> tuple[list, ...]:
-    """Node lists in pre-order: feature, threshold, left, right, w_def,
-    w_clean, and lo and hi, the rows either side of a split's cut.
+    """Node lists in pre-order: feature, threshold, right, w_def, w_clean,
+    and lo and hi, the rows either side of a split's cut.
 
     The rows are sorted by every attribute once, unless order (from
     training_order) already holds that sort. A node holds its rows
@@ -214,7 +214,6 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
     goes_left = np.empty(n, dtype=bool)
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
     right: list[int] = []
     w_def: list[float] = []
     w_cln: list[float] = []
@@ -242,7 +241,6 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
         if found is None:
             feature.append(-1)
             threshold.append(math.nan)
-            left.append(-1)
             right.append(-1)
             lo.append(-1)
             hi.append(-1)
@@ -250,7 +248,6 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
         attr, lo_row, hi_row, thr = found
         feature.append(attr)
         threshold.append(thr)
-        left.append(node + 1)
         right.append(-1)
         lo.append(lo_row)
         hi.append(hi_row)
@@ -263,7 +260,7 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
         to_right = flat.take((~mask).nonzero()[0]).reshape(d + 1, -1)
         stack.append((to_right, node))
         stack.append((to_left, -1))
-    return feature, threshold, left, right, w_def, w_cln, lo, hi
+    return feature, threshold, right, w_def, w_cln, lo, hi
 
 
 def _added_errors(n: float, e: float, z: float, cf: float) -> float:
@@ -296,7 +293,7 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
     are decided before it. A subtree's error is the sum of its two
     children's, each a leaf's own estimate or its subtree's sum.
     """
-    feature, threshold, left, right, w_def, w_cln, lo, hi = nodes
+    feature, threshold, right, w_def, w_cln, lo, hi = nodes
     z = NormalDist().inv_cdf(1.0 - cf)
     n = len(feature)
     errors = [0.0] * n
@@ -309,18 +306,17 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
             errors[i] = as_leaf
             continue
         last[i] = last[right[i]]
-        as_subtree = errors[left[i]] + errors[right[i]]
+        as_subtree = errors[i + 1] + errors[right[i]]
         if as_leaf <= as_subtree:
             errors[i] = as_leaf
             keep[i + 1:last[i] + 1] = [False] * (last[i] - i)
-            feature[i], threshold[i], left[i], right[i] = -1, math.nan, -1, -1
+            feature[i], threshold[i], right[i] = -1, math.nan, -1
             lo[i] = hi[i] = -1
         else:
             errors[i] = as_subtree
     new_index = np.cumsum(keep) - 1
     kept = [i for i in range(n) if keep[i]]
     return ([feature[i] for i in kept], [threshold[i] for i in kept],
-            [int(new_index[left[i]]) if left[i] >= 0 else -1 for i in kept],
             [int(new_index[right[i]]) if right[i] >= 0 else -1 for i in kept],
             [w_def[i] for i in kept], [w_cln[i] for i in kept],
             [lo[i] for i in kept], [hi[i] for i in kept])
@@ -332,11 +328,11 @@ def _training_arrays(treated: TreatedPair) -> tuple[np.ndarray, ...]:
     y = np.asarray(treated.train_labels, dtype=bool)
     w = np.asarray(treated.train_weights, dtype=np.float64)
     if len(x) < 2:
-        raise ValueError("training needs at least 2 instances")
+        raise UnusableDataError("training needs at least 2 instances")
     if not np.all(np.isfinite(x)):
-        raise ValueError("training features must be finite")
+        raise UnusableDataError("training features must be finite")
     if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("training weights must be finite and positive")
+        raise UnusableDataError("training weights must be finite and positive")
     return x, y, w
 
 
@@ -346,7 +342,7 @@ def training_order(treated: TreatedPair) -> tuple[np.ndarray, bytes]:
     The key hashes the shape, each attribute's sort and tie mask (sorted
     neighbours equal), the labels and the weights: two inputs with the
     same key grow trees that differ at most in their thresholds. Raises
-    the ValueError train_tree raises for input it cannot train on.
+    the UnusableDataError train_tree raises for input it cannot train on.
     """
     x, y, w = _training_arrays(treated)
     xt = np.ascontiguousarray(x.T)
@@ -381,17 +377,16 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None,
     """
     params = params or TreeParams()
     x, y, w = _training_arrays(treated)
-    feature, threshold, left, right, w_def, w_cln, lo, hi = _prune(
+    feature, threshold, right, w_def, w_cln, lo, hi = _prune(
         _grow(x, y, w, params.min_leaf_weight, order), params.pruning_confidence)
     return DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.intp),
         right=np.array(right, dtype=np.intp),
         w_defective=np.array(w_def, dtype=np.float64),
         w_clean=np.array(w_cln, dtype=np.float64),
         lo=np.array(lo, dtype=np.intp), hi=np.array(hi, dtype=np.intp),
-        n_attributes=x.shape[1], params=params)
+        n_attributes=x.shape[1])
 
 
 def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
@@ -405,7 +400,7 @@ def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
         raise ValueError(
             f"expected rows of {tree.n_attributes} attribute values, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("cannot predict from non-finite feature values")
+        raise UnusableDataError("cannot predict from non-finite feature values")
     node = np.zeros(len(x), dtype=np.intp)
     live = np.arange(len(x))
     while live.size:
@@ -414,7 +409,7 @@ def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
         inner = attr >= 0
         live, at, attr = live[inner], at[inner], attr[inner]
         goes_left = x[live, attr] <= tree.threshold[at]
-        node[live] = np.where(goes_left, tree.left[at], tree.right[at])
+        node[live] = np.where(goes_left, at + 1, tree.right[at])
     w_def = tree.w_defective[node]
     return (w_def + 1.0) / (w_def + tree.w_clean[node] + 2.0)
 
@@ -427,7 +422,7 @@ def _depths(tree: DecisionTree) -> list[int]:
     """Depth of every node; a parent precedes its children in pre-order."""
     depth = [0] * len(tree.feature)
     for i in np.flatnonzero(tree.feature >= 0).tolist():
-        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+        depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
     return depth
 
 

@@ -70,13 +70,13 @@ def aggregate(records: Sequence[ResultRecord],
                 rows.append(StabilityRow(
                     technique=key[0], kind=key[1], window_k=window,
                     metric=metric, n=0, excluded=excluded,
-                    mean=None, sd=None, stable=None, single=False))
+                    mean=None, sd=None, stable=None))
                 continue
-            mean, sd, single = _mean_sd(values)
+            mean, sd, _ = _mean_sd(values)
             rows.append(StabilityRow(
                 technique=key[0], kind=key[1], window_k=window,
                 metric=metric, n=len(values), excluded=excluded,
-                mean=mean, sd=sd, stable=sd < threshold, single=single))
+                mean=mean, sd=sd, stable=sd < threshold))
     return rows
 
 

@@ -13,9 +13,8 @@ from timeaware_cpdp.pairs import ConfigurationKind, TrainTestPair
 def make_release(project: str, version: str, released: date,
                  rows: list[tuple[tuple[float, ...], bool]]) -> Release:
     records = tuple(
-        MetricRecord(project_id=project, version_id=version,
-                     release_date=released, class_id=f"C{i}",
-                     features=feats, defect_count=1 if defective else 0)
+        MetricRecord(class_id=f"C{i}", features=feats,
+                     defect_count=1 if defective else 0)
         for i, (feats, defective) in enumerate(rows))
     return Release(project_id=project, version_id=version,
                    release_date=released, records=records)
@@ -33,15 +32,15 @@ def simple_release(project: str, version: str, released: date,
     return make_release(project, version, released, rows)
 
 
-def dataset_csv(records: list[MetricRecord]) -> str:
-    """The records as a dataset CSV in the default schema, in list order."""
-    width = len(records[0].features)
+def dataset_csv(rows: list[tuple[Release, MetricRecord]]) -> str:
+    """(release, record) rows as a dataset CSV in the default schema, in list order."""
+    width = len(rows[0][1].features)
     lines = ["project,version,release_date,class,defects,"
              + ",".join(f"f{i + 1}" for i in range(width))]
-    lines += [",".join([rec.project_id, rec.version_id,
-                        rec.release_date.isoformat(), rec.class_id,
+    lines += [",".join([rel.project_id, rel.version_id,
+                        rel.release_date.isoformat(), rec.class_id,
                         str(rec.defect_count), *map(repr, rec.features)])
-              for rec in records]
+              for rel, rec in rows]
     return "\n".join(lines) + "\n"
 
 

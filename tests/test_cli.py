@@ -170,6 +170,29 @@ def test_missing_dataset_exits_one(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_dataset_exits_one(tmp_path, caplog, capsys, command):
+    cfg = write_experiment(tmp_path)
+    data = tmp_path / "releases.csv"
+    data.write_bytes(toy_csv().replace(",alpha.C0,", ",Clé0,").encode("latin-1"))
+    assert main([command, "--config", str(cfg)]) == 1
+    # validate prints its diagnostics, run logs the error
+    text = caplog.text + capsys.readouterr().out
+    assert f"cannot read dataset {data}" in text
+    assert "can't decode byte" in text
+    assert "internal error" not in text
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_config_exits_one(tmp_path, caplog, command):
+    cfg = write_experiment(tmp_path)
+    with open(cfg, "ab") as fh:
+        fh.write("# Clé\n".encode("latin-1"))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"cannot read config {cfg}" in caplog.text
+    assert "internal error" not in caplog.text
+
+
 def test_invalid_threads_exits_one(tmp_path):
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg), "--threads", "0"]) == 1

@@ -41,18 +41,25 @@ def corpus():
     return releases
 
 
+def rows(releases):
+    """(release, record) rows, release by release."""
+    return [(rel, rec) for rel in releases for rec in rel.records]
+
+
 def interleaved(releases):
     """Round-robin over the releases, each release's rows in their order."""
-    rounds = zip_longest(*(rel.records for rel in releases))
-    return [rec for rec in chain.from_iterable(rounds) if rec is not None]
+    rounds = zip_longest(*([(rel, rec) for rec in rel.records]
+                           for rel in releases))
+    return [row for row in chain.from_iterable(rounds) if row is not None]
 
 
 def renamed(releases):
     """Every class id replaced by a distinct unrelated one."""
-    records = [rec for rel in releases for rec in rel.records]
+    original = rows(releases)
     names = [f"renamed.K{i}" for i in random.Random(3).sample(
-        range(len(records)), len(records))]
-    return [replace(rec, class_id=name) for rec, name in zip(records, names)]
+        range(len(original)), len(original))]
+    return [(rel, replace(rec, class_id=name))
+            for (rel, rec), name in zip(original, names)]
 
 
 def run_outputs(tmp_path, csv_text, balance):
@@ -72,8 +79,7 @@ def run_outputs(tmp_path, csv_text, balance):
 @pytest.mark.parametrize("edit", [interleaved, renamed])
 def test_dataset_edit_changes_no_output_byte(tmp_path, edit, balance):
     releases = corpus()
-    records = [rec for rel in releases for rec in rel.records]
-    original = run_outputs(tmp_path, dataset_csv(records), balance)
+    original = run_outputs(tmp_path, dataset_csv(rows(releases)), balance)
     # the run scores every technique, so the relation covers all of them
     results = original["results.csv"].decode()
     for technique in TREATMENT_NAMES:

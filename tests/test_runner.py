@@ -255,19 +255,24 @@ def test_skip_warnings_come_per_tag_in_enumeration_order(
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+# only documented data conditions skip a combination; a plain ValueError,
+# such as NumPy's broadcasting error, is a programming error too
+@pytest.mark.parametrize("error", [TypeError, ValueError])
 def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
-                                                        threads):
+                                                        caplog, error, threads):
     import timeaware_cpdp.runner as runner_mod
 
     def buggy(tp):
-        raise TypeError("forced bug")
+        raise error("forced bug")
 
     monkeypatch.setattr(runner_mod, "ma12", buggy)
-    with pytest.raises(TypeError, match="forced bug"):
+    with pytest.raises(error, match="forced bug"):
         run(tmp_path, threads=threads)
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "cli"),
                  "--threads", str(threads)]) == 2
+    assert "internal error" in caplog.text
+    assert "skipped" not in caplog.text
 
 
 def test_demo_stability_report_has_no_duplicate_lines(tmp_path):

@@ -40,16 +40,14 @@ def test_aggregate_mean_sd_and_stability():
     assert fa.mean == pytest.approx(0.4, abs=1e-15)
     assert fa.sd == pytest.approx(math.sqrt(0.02), abs=1e-15)
     assert not fa.stable          # 0.1414 exceeds the 0.05 cutoff
-    assert not fa.single
     (fb,) = rows_for(rows, "b", "fscore")
     assert fb.sd == 0.0
     assert fb.stable
 
 
-def test_aggregate_single_value_groups_are_flagged():
+def test_aggregate_single_value_groups_report_sd_zero():
     rows = aggregate([make_record("a", 0.7)])
     (fa,) = rows_for(rows, "a", "fscore")
-    assert fa.single
     assert fa.n == 1
     assert fa.sd == 0.0
     assert fa.stable

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timeaware_cpdp.errors import DegenerateTreatmentError
+from timeaware_cpdp.errors import (DegenerateTreatmentError,
+                                  UnusableDataError)
 from timeaware_cpdp.treatments import (TreatedPair, amasaki15, assemble_pair,
                                        camargocruz09, identity_treatment,
                                        ma12, nam15, watanabe08,
@@ -79,7 +80,7 @@ def test_assemble_pair_rejects_inconsistent_attribute_counts(test_rows):
 def test_treated_pair_rejects_non_finite_or_non_positive_weights(bad):
     tp = build_pair([[1.0], [2.0], [3.0], [4.0]], [True, True, False, False],
                     [[1.5]], [True])
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(UnusableDataError, match="finite and positive"):
         dataclasses.replace(tp, train_weights=np.array([1.0, 1.0, bad, 1.0]))
 
 
@@ -145,7 +146,7 @@ HUGE = (1e308, 1.5e308)
 ])
 def test_watanabe08_overflow_is_a_named_error(train_x, test_x, message):
     tp = build_pair(train_x, [True] * len(train_x), test_x, [True, False])
-    with pytest.raises(ValueError,
+    with pytest.raises(UnusableDataError,
                        match=f"watanabe08 cannot use {message} overflows float64"):
         watanabe08(tp)
 
@@ -154,7 +155,7 @@ def test_nam15_overflowing_median_is_a_named_error():
     # the median of two values is their mean, whose sum overflows
     tp = build_pair([[1.0, HUGE[0]], [2.0, HUGE[1]]], [True, False],
                     [[1.0, 1.0]], [False])
-    with pytest.raises(ValueError, match="nam15 cannot use attribute 1: "
+    with pytest.raises(UnusableDataError, match="nam15 cannot use attribute 1: "
                                          "its training median overflows float64"):
         nam15(tp)
 
@@ -185,10 +186,10 @@ def test_camargocruz09_identical_sides_reduce_to_log():
 def test_camargocruz09_rejects_negative_values():
     tp = build_pair([[1.0, 2.0], [3.0, -0.5]], [True, False],
                     [[1.0, 1.0]], [True])
-    with pytest.raises(ValueError, match=r"row 1, attribute 1"):
+    with pytest.raises(UnusableDataError, match=r"row 1, attribute 1"):
         camargocruz09(tp)
     tp = build_pair([[1.0]], [True], [[-2.0]], [True])
-    with pytest.raises(ValueError, match=r"test row 0, attribute 0"):
+    with pytest.raises(UnusableDataError, match=r"test row 0, attribute 0"):
         camargocruz09(tp)
 
 
@@ -264,7 +265,7 @@ def test_amasaki15_degenerate_relevancy_filter():
 
 def test_amasaki15_rejects_negative_values():
     tp = build_pair([[-1.0]], [True], [[1.0]], [True])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnusableDataError):
         amasaki15(tp)
 
 
@@ -367,7 +368,7 @@ def test_nam15_zero_threshold_drops_every_attribute():
 
 def test_nam15_needs_two_instances():
     tp = build_pair([[1.0]], [True], [[1.0]], [True])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnusableDataError):
         nam15(tp)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from timeaware_cpdp import tree as tree_module
+from timeaware_cpdp.errors import UnusableDataError
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _threshold,
                                  dump_tree, leaf_count, predict_proba_rows,
                                  train_tree)
@@ -53,7 +54,6 @@ def test_separable_data_yields_midpoint_threshold():
                [False, False, False, True, True, True])
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(6.5, abs=0)
-    assert list(tree.left) == [1, -1, -1]
     assert list(tree.right) == [2, -1, -1]
     assert depth(tree) == 1
     assert leaf_count(tree) == 2
@@ -73,7 +73,7 @@ def test_threshold_falls_back_to_the_lower_value(low, high):
     # checked first: a split whose threshold sent every row left grew
     # the same node again without end
     assert _threshold(low, high) == low
-    _, threshold, _, _, w_def, _, lo, hi = grow(
+    _, threshold, _, w_def, _, lo, hi = grow(
         [[low], [low], [high], [high]], [False, False, True, True])
     assert threshold[0] == low
     assert w_def == [2.0, 0.0, 2.0]
@@ -231,18 +231,19 @@ def test_each_fit_sorts_its_rows_once(monkeypatch):
 
 
 def test_train_tree_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnusableDataError):
         fit([[1.0]], [True])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnusableDataError):
         fit([[1.0], [np.nan]], [True, False])
     tree = fit([[1.0], [2.0]], [True, False])
-    with pytest.raises(ValueError):
-        predict_proba_rows(tree, [[1.0, 2.0]])
-    with pytest.raises(ValueError):
+    # a matrix of the wrong shape is a programming error, not a data condition
+    for rows in ([[1.0, 2.0]], [1.0]):
+        with pytest.raises(ValueError, match="attribute values") as info:
+            predict_proba_rows(tree, rows)
+        assert not isinstance(info.value, UnusableDataError)
+    with pytest.raises(UnusableDataError):
         predict_proba_rows(tree, [[np.inf]])
-    with pytest.raises(ValueError):
-        predict_proba_rows(tree, [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnusableDataError):
         predict_proba_rows(tree, [[1.0], [np.nan]])
 
 
@@ -253,7 +254,7 @@ def test_train_tree_rejects_non_finite_or_non_positive_weights(bad):
         train_features=np.array([[1.0], [2.0], [3.0], [4.0]]),
         train_labels=np.array([True, True, False, False]),
         train_weights=np.array([1.0, 1.0, bad, 1.0]))
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(UnusableDataError, match="finite and positive"):
         train_tree(treated)
 
 
@@ -262,14 +263,14 @@ def test_nodes_are_stored_in_dump_order():
     tree = fit(x, y)
     lines = dump_tree(tree).splitlines()
     assert len(lines) == len(tree.feature)
-    for line, attr, left, right in zip(lines, tree.feature, tree.left,
-                                       tree.right):
+    for i, (line, attr, right) in enumerate(zip(lines, tree.feature,
+                                                tree.right)):
         if attr < 0:
             assert line.lstrip().startswith("leaf")
-            assert left == right == -1
+            assert right == -1
         else:
             assert line.lstrip().startswith(f"attr {attr} <=")
-            assert 0 < left < right
+            assert i + 1 < right
 
 
 def test_batch_prediction_matches_single_rows():

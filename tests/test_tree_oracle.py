@@ -9,7 +9,9 @@ presorted grower must also give the per-node array grower's unpruned
 node lists bit for bit, on data large enough that the sorted row lists
 are partitioned many levels deep. A tree re-thresholded onto an input
 with the same training order key must be the tree a fresh fit on that
-input gives, bit for bit.
+input gives, bit for bit. Every grown, pruned and re-thresholded tree
+must keep the pre-order layout: split i's left subtree is nodes
+i + 1 .. right[i] - 1, and a walk from the root reaches each node once.
 """
 
 import numpy as np
@@ -61,16 +63,46 @@ def treated(x, y, w, test_x, test_y, keys):
 
 def unpruned_tree(x, y, w, params):
     """The tree train_tree grows on x, y, w, before it is pruned."""
-    feature, threshold, left, right, w_def, w_cln, lo, hi = _grow(
+    feature, threshold, right, w_def, w_cln, lo, hi = _grow(
         x, y, w, params.min_leaf_weight)
     return DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
         w_defective=np.array(w_def, dtype=np.float64),
         w_clean=np.array(w_cln, dtype=np.float64),
         lo=np.array(lo, dtype=np.intp), hi=np.array(hi, dtype=np.intp),
-        n_attributes=x.shape[1], params=params)
+        n_attributes=x.shape[1])
+
+
+def check_layout(tree):
+    """The tree's arrays hold one pre-order tree with implicit left children.
+
+    Split i's left child is node i + 1 and its left subtree spans
+    i + 1 .. right[i] - 1; a leaf has right, lo and hi -1 and a NaN
+    threshold; a walk from the root reaches every node exactly once.
+    """
+    n = len(tree.feature)
+    for array in (tree.threshold, tree.right, tree.w_defective,
+                  tree.w_clean, tree.lo, tree.hi):
+        assert len(array) == n
+    leaf = tree.feature < 0
+    assert np.all(tree.right[leaf] == -1)
+    assert np.all(tree.lo[leaf] == -1) and np.all(tree.hi[leaf] == -1)
+    assert np.all(np.isnan(tree.threshold[leaf]))
+    assert not np.any(np.isnan(tree.threshold[~leaf]))
+    reached = [0] * n
+
+    def last(i):
+        """The last node of the subtree rooted at i."""
+        reached[i] += 1
+        if tree.feature[i] < 0:
+            return i
+        assert last(i + 1) == tree.right[i] - 1
+        return last(int(tree.right[i]))
+
+    assert last(0) == n - 1
+    assert reached == [1] * n
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,6 +119,7 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
     pair = treated(x, y, w, test_x, test_y, keys)
 
     tree = train_tree(pair, params) if prune else unpruned_tree(x, y, w, params)
+    check_layout(tree)
     root = oracle.train(x, y, w, params.pruning_confidence,
                         params.min_leaf_weight, prune)
     assert dump_tree(tree) == oracle.dump(root)
@@ -119,10 +152,9 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
 
 def node_bits(nodes):
     """Unpruned node lists with every float as its exact bits."""
-    feature, threshold, left, right, w_def, w_cln = nodes
-    return (list(feature), [float(t).hex() for t in threshold], list(left),
-            list(right), [float(v).hex() for v in w_def],
-            [float(v).hex() for v in w_cln])
+    feature, threshold, right, w_def, w_cln = nodes
+    return (list(feature), [float(t).hex() for t in threshold], list(right),
+            [float(v).hex() for v in w_def], [float(v).hex() for v in w_cln])
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,7 +163,10 @@ def test_presorted_growth_matches_per_node_oracle(data):
     x, y, w, params = data
     grown = _grow(x, y, w, params.min_leaf_weight)
     expected = oracle.grow_nodes(x, y, w, params.min_leaf_weight)
-    assert node_bits(grown[:6]) == node_bits(expected)
+    # the oracle stores each split's left child: the node right after it
+    assert expected[2] == [i + 1 if attr >= 0 else -1
+                           for i, attr in enumerate(expected[0])]
+    assert node_bits(grown[:5]) == node_bits(expected[:2] + expected[3:])
     # each split records the rows either side of its cut
     feature, threshold, *_, lo, hi = grown
     for attr, thr, lo_row, hi_row in zip(feature, threshold, lo, hi):
@@ -199,6 +234,8 @@ def test_rethresholded_tree_matches_fresh_fit(data, draws):
         event("order keys differ")
         return
     shared = rethreshold(tree, new_input)
+    for t in (tree, fresh, shared):
+        check_layout(t)
     assert tree_bits(shared) == tree_bits(fresh)
     split = shared.feature >= 0
     below = mapped[shared.lo[split], shared.feature[split]]
@@ -214,8 +251,8 @@ def test_rethresholded_tree_matches_fresh_fit(data, draws):
 def tree_bits(tree):
     """Every array of a tree, floats as their exact bits."""
     return (node_bits((tree.feature.tolist(), tree.threshold.tolist(),
-                       tree.left.tolist(), tree.right.tolist(),
-                       tree.w_defective.tolist(), tree.w_clean.tolist())),
+                       tree.right.tolist(), tree.w_defective.tolist(),
+                       tree.w_clean.tolist())),
             tree.lo.tolist(), tree.hi.tolist())
 
 
