@@ -142,10 +142,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError) as exc:
-        logger.error("%s", exc)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, DatasetError, OSError) as exc:
         logger.error("%s", exc)
         return 1
     except Exception:

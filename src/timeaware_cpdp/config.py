@@ -208,12 +208,13 @@ class ExperimentConfig:
     def canonical_items(self) -> list[tuple[str, str]]:
         """Stable key/value form of everything that defines the experiment.
 
-        The output directory is deliberately left out: writing the same
-        experiment somewhere else must not change its hash.
+        The dataset and output paths are deliberately left out: the same
+        experiment on the same data in another directory must not change
+        its hash.
         """
         return [(key, _canonical(getattr(getattr(self, part) if part else self, name)))
                 for key, (part, name, _) in CONFIG_KEYS.items()
-                if key != "run.output_dir"]
+                if key not in ("dataset.path", "run.output_dir")]
 
 
 def config_hash(config: ExperimentConfig) -> str:

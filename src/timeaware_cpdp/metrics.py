@@ -6,15 +6,15 @@ root is 0. AUC is the rank-based Mann-Whitney statistic with midranks
 for tied scores; when the actual labels contain only one class it is
 undefined and reported as 0.5 together with a degenerate flag.
 
-evaluate_pair gives one flat VersionScore per test version: the id,
-confusion counts, scores and flag, in the column order of results.csv.
-Its values are plain Python ints, floats and bools.
+evaluate_pair gives one flat VersionScore per test release, that is per
+entry of the pair's test_versions: the id, confusion counts, scores and
+flag, in the column order of results.csv. Its values are plain Python
+ints, floats and bools.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -122,25 +122,20 @@ def auc(score_values: Sequence[float], actual: Sequence[bool]) -> float:
 def evaluate_pair(tree: DecisionTree, treated: TreatedPair) -> list[VersionScore]:
     """Score the model separately on every test project version.
 
-    Rows are grouped by their (project, version) tag, in order of first
-    appearance; each group yields one VersionScore. All rows are
-    predicted in one pass and all confusion matrices counted at once.
+    Each entry of test_versions yields one VersionScore, in order, from
+    its run of rows. All rows are predicted in one pass and all
+    confusion matrices counted at once.
     """
-    # the rows of a version are usually contiguous: number runs, not rows
-    index: dict[tuple[str, str], int] = {}
-    run_version, run_length = [], []
-    for key, run in groupby(treated.test_version_keys):
-        run_version.append(index.setdefault(key, len(index)))
-        run_length.append(len(list(run)))
-    version = np.repeat(np.array(run_version, dtype=np.intp), run_length)
+    counts = [count for _, count in treated.test_versions]
+    version = np.repeat(np.arange(len(counts)), counts)
     probas = predict_proba_rows(tree, treated.test_features)
     actual = np.asarray(treated.test_labels, dtype=bool)
     cells = _confusion_cells(version, probas >= PREDICTION_THRESHOLD, actual,
-                             len(index))
-    areas = _auc_by_group(probas, actual, version, len(index))
+                             len(counts))
+    areas = _auc_by_group(probas, actual, version, len(counts))
 
     return [VersionScore(project, version_id, tp, fp, tn, fn,
                          *scores(tp, fp, tn, fn), area,
                          tp + fn == 0 or tn + fp == 0)
-            for (project, version_id), (tn, fn, fp, tp), area
-            in zip(index, cells.tolist(), areas.tolist())]
+            for ((project, version_id), _), (tn, fn, fp, tp), area
+            in zip(treated.test_versions, cells.tolist(), areas.tolist())]

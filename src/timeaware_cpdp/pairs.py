@@ -197,8 +197,6 @@ def crossval_pairs(releases: list[Release], folds: int,
     out = []
     for i, test in enumerate(chunks):
         train = [r for j, c in enumerate(chunks) if j != i for r in c]
-        if not train or not test:
-            continue
         spec = PairSpec(kind=ConfigurationKind.CROSSVAL, window_k=None,
                         split_index=i, gap_buckets=0)
         pair = strict_cpdp_filter(TrainTestPair(

@@ -4,7 +4,9 @@ Every treatment consumes an assembled train/test pair and returns a new
 one, which may share arrays with its input; neither is ever written, and
 assemble_pair makes its arrays read-only. Treatments may rescale
 features, weight or drop training instances, drop attributes, or replace
-the training labels, but they never look at test labels. When a
+the training labels, but they never look at test labels. A treatment
+states only what it changes: every one but ma12 keeps its input's
+instance weights, indexed by the training rows it keeps. When a
 treatment leaves nothing to train on it raises DegenerateTreatmentError
 and the caller skips the pair.
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -68,9 +69,11 @@ class TreatedPair:
 
     Feature matrices hold only the selected attributes;
     selected_attributes maps their columns back to 0-based positions in
-    the original attribute list. test_version_keys tags every test row
-    with its (project, version). label_fallback records that nam15 kept
-    the original labels because relabeling degenerated.
+    the original attribute list. test_versions holds one ((project,
+    version), row count) per test release, in row order: the test rows
+    are the releases' rows one release after another. label_fallback
+    records that nam15 kept the original labels because relabeling
+    degenerated.
     """
 
     train_features: np.ndarray
@@ -78,7 +81,7 @@ class TreatedPair:
     train_weights: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
-    test_version_keys: tuple[tuple[str, str], ...]
+    test_versions: tuple[tuple[tuple[str, str], int], ...]
     selected_attributes: tuple[int, ...]
     label_fallback: bool = False
 
@@ -95,8 +98,10 @@ class TreatedPair:
             raise ValueError("train weights do not match train rows")
         if len(self.test_labels) != len(self.test_features):
             raise ValueError("test labels do not match test rows")
-        if len(self.test_version_keys) != len(self.test_features):
-            raise ValueError("test version keys do not match test rows")
+        counts = [count for _, count in self.test_versions]
+        if min(counts, default=1) < 1 or sum(counts) != len(self.test_features):
+            raise ValueError("test version counts must be positive and sum "
+                             "to the test rows")
         if not np.all(np.isfinite(self.train_weights) & (self.train_weights > 0)):
             raise UnusableDataError("train weights must be finite and positive")
 
@@ -128,18 +133,16 @@ def assemble_pair(pair: TrainTestPair) -> TreatedPair:
     weights = np.ones(len(train_x))
     for array in (train_x, train_y, weights, test_x, test_y):
         array.flags.writeable = False
-    keys = tuple(chain.from_iterable(repeat(rel.key, len(rel))
-                                     for rel in pair.test))
     return TreatedPair(
         train_features=train_x, train_labels=train_y,
         train_weights=weights, test_features=test_x, test_labels=test_y,
-        test_version_keys=keys,
+        test_versions=tuple((rel.key, len(rel)) for rel in pair.test),
         selected_attributes=tuple(range(widths.pop())))
 
 
 def identity_treatment(tp: TreatedPair) -> TreatedPair:
-    """Pass-through treatment: unit weights, all attributes."""
-    return dataclasses.replace(tp, train_weights=np.ones(tp.n_train))
+    """Pass-through treatment: its input, unchanged."""
+    return tp
 
 
 def watanabe08(tp: TreatedPair) -> TreatedPair:
@@ -153,21 +156,15 @@ def watanabe08(tp: TreatedPair) -> TreatedPair:
     """
     # an overflowed factor times a zero test value is NaN, not inf
     with np.errstate(over="ignore", invalid="ignore"):
-        test = _finite("watanabe08", "rescaled test value",
-                       tp.test_features * watanabe08_factors(tp))
-    return dataclasses.replace(tp, test_features=test,
-                               train_weights=np.ones(tp.n_train))
-
-
-def watanabe08_factors(tp: TreatedPair) -> np.ndarray:
-    """Per-attribute rescaling factors watanabe08 would apply."""
-    with np.errstate(over="ignore"):
         train_mean = _finite("watanabe08", "training mean",
                              tp.train_features.mean(axis=0))
         test_mean = _finite("watanabe08", "test mean",
                             tp.test_features.mean(axis=0))
-    return np.where(test_mean == 0.0, 1.0,
-                    train_mean / np.where(test_mean == 0.0, 1.0, test_mean))
+        factors = np.where(test_mean == 0.0, 1.0,
+                           train_mean / np.where(test_mean == 0.0, 1.0, test_mean))
+        test = _finite("watanabe08", "rescaled test value",
+                       tp.test_features * factors)
+    return dataclasses.replace(tp, test_features=test)
 
 
 def _finite(name: str, what: str, values: np.ndarray) -> np.ndarray:
@@ -179,12 +176,15 @@ def _finite(name: str, what: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _require_nonnegative(name: str, x: np.ndarray, side: str) -> None:
-    if np.any(x < 0):
-        row, col = np.argwhere(x < 0)[0]
-        raise UnusableDataError(
-            f"{name} needs non-negative features; "
-            f"{side} row {row}, attribute {col} is {x[row, col]}")
+def _log1p(name: str, tp: TreatedPair) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + x) of the train and test features; name needs them non-negative."""
+    for side, x in (("train", tp.train_features), ("test", tp.test_features)):
+        if np.any(x < 0):
+            row, col = np.argwhere(x < 0)[0]
+            raise UnusableDataError(
+                f"{name} needs non-negative features; "
+                f"{side} row {row}, attribute {col} is {x[row, col]}")
+    return np.log1p(tp.train_features), np.log1p(tp.test_features)
 
 
 def camargocruz09(tp: TreatedPair) -> TreatedPair:
@@ -195,16 +195,10 @@ def camargocruz09(tp: TreatedPair) -> TreatedPair:
     per attribute; test values become plain log(1 + x). Requires
     non-negative features on both sides.
     """
-    _require_nonnegative("camargocruz09", tp.train_features, "train")
-    _require_nonnegative("camargocruz09", tp.test_features, "test")
-    log_train = np.log1p(tp.train_features)
-    log_test = np.log1p(tp.test_features)
+    log_train, log_test = _log1p("camargocruz09", tp)
     shift = np.median(log_train, axis=0) - np.median(log_test, axis=0)
-    return dataclasses.replace(
-        tp,
-        train_features=log_train + shift,
-        test_features=log_test,
-        train_weights=np.ones(tp.n_train))
+    return dataclasses.replace(tp, train_features=log_train + shift,
+                               test_features=log_test)
 
 
 def ma12(tp: TreatedPair) -> TreatedPair:
@@ -291,11 +285,7 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
     raises DegenerateTreatmentError when every attribute or every
     training instance would be dropped.
     """
-    _require_nonnegative("amasaki15", tp.train_features, "train")
-    _require_nonnegative("amasaki15", tp.test_features, "test")
-    log_train = np.log1p(tp.train_features)
-    log_test = np.log1p(tp.test_features)
-
+    log_train, log_test = _log1p("amasaki15", tp)
     kept_cols = _select_attributes(log_train, log_test, attr_mad_mult)
     if kept_cols.size == 0:
         raise DegenerateTreatmentError("amasaki15 dropped every attribute")
@@ -312,7 +302,7 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
         tp,
         train_features=sel_train[keep_rows],
         train_labels=tp.train_labels[keep_rows],
-        train_weights=np.ones(int(keep_rows.sum())),
+        train_weights=tp.train_weights[keep_rows],
         test_features=sel_test,
         selected_attributes=selected)
 
@@ -331,8 +321,8 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     is taken as a fraction of the possible violations. The generated
     labels replace the training labels.
 
-    When relabeling degenerates (all K equal, or only one generated
-    class) the original labels are kept and label_fallback is set. Needs
+    When relabeling gives one class (as when every K is equal) the
+    original labels are kept and label_fallback is set. Needs
     at least two training instances; raises UnusableDataError when a
     median overflows float64.
     """
@@ -347,11 +337,10 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     above = x > medians
     k = above.sum(axis=1)
 
-    if np.all(k == k[0]):
-        return _nam15_fallback(tp)
+    # the smallest K is never above the median, so one class means none is
     generated = k > np.median(k)
-    if np.all(generated) or not np.any(generated):
-        return _nam15_fallback(tp)
+    if not np.any(generated):
+        return dataclasses.replace(tp, label_fallback=True)
 
     violations = np.where(generated[:, None], ~above, above)
 
@@ -378,11 +367,6 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
         tp,
         train_features=x[np.ix_(keep_rows, kept_cols)],
         train_labels=generated[keep_rows],
-        train_weights=np.ones(int(keep_rows.sum())),
+        train_weights=tp.train_weights[keep_rows],
         test_features=tp.test_features[:, kept_cols],
         selected_attributes=selected)
-
-
-def _nam15_fallback(tp: TreatedPair) -> TreatedPair:
-    return dataclasses.replace(tp, train_weights=np.ones(tp.n_train),
-                               label_fallback=True)

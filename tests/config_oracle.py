@@ -169,12 +169,12 @@ def from_mapping(mapping: Mapping[str, str],
 def canonical_items(self: ExperimentConfig) -> list[tuple[str, str]]:
     """Stable key/value form of everything that defines the experiment.
 
-    The output directory is deliberately left out: writing the same
-    experiment somewhere else must not change its hash.
+    The dataset and output paths are deliberately left out: the same
+    experiment on the same data in another directory must not change
+    its hash.
     """
     schema = self.schema
     items = [
-        ("dataset.path", str(self.dataset_path)),
         ("dataset.project_col", schema.project_col),
         ("dataset.version_col", schema.version_col),
         ("dataset.date_col", schema.date_col),

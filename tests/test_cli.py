@@ -160,6 +160,22 @@ def test_malformed_results_row_exits_one(tmp_path, caplog):
     assert "internal error" not in caplog.text
 
 
+def test_results_csv_that_is_a_directory_exits_one(tmp_path, caplog):
+    cfg = write_experiment(tmp_path)
+    out_dir = tmp_path / "results"
+    (out_dir / "results.csv").mkdir(parents=True)
+    assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert "internal error" not in caplog.text
+
+
+def test_out_naming_a_regular_file_exits_one(tmp_path, caplog):
+    cfg = write_experiment(tmp_path)
+    out_file = tmp_path / "results"
+    out_file.write_text("", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(out_file)]) == 1
+    assert "internal error" not in caplog.text
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -9,8 +9,8 @@ the four reports and manifest.json byte-identical:
   own row order, since releases are grouped by (project, version);
 * renaming the class ids, which only identify rows.
 
-The edited CSV is written to the same path as the original, because
-config_sha256 hashes the resolved dataset path.
+The same config and CSV copied into another directory must give the
+same bytes too: config_sha256 leaves out the dataset and output paths.
 """
 
 import random
@@ -71,6 +71,16 @@ def run_outputs(tmp_path, csv_text, balance):
     })
     assert main(["run", "--config", str(cfg)]) == 0
     return {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS}
+
+
+def test_another_directory_changes_no_output_byte(tmp_path):
+    csv_text = dataset_csv(rows(corpus()))
+    outputs = []
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        outputs.append(run_outputs(tmp_path / name, csv_text, "false"))
+    for name in OUTPUTS:
+        assert outputs[0][name] == outputs[1][name], name
 
 
 # under-sampling draws training rows by position, so with balancing on a

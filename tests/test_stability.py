@@ -289,7 +289,7 @@ def balanced_pair(n_pos, n_neg):
     return TreatedPair(
         train_features=features, train_labels=labels, train_weights=weights,
         test_features=np.array([[0.5]]), test_labels=np.array([True]),
-        test_version_keys=(("t", "1"),), selected_attributes=(0,))
+        test_versions=((("t", "1"), 1),), selected_attributes=(0,))
 
 
 def test_undersample_equalizes_classes():

@@ -12,8 +12,7 @@ from timeaware_cpdp.errors import (DegenerateTreatmentError,
                                   UnusableDataError)
 from timeaware_cpdp.treatments import (TreatedPair, amasaki15, assemble_pair,
                                        camargocruz09, identity_treatment,
-                                       ma12, nam15, watanabe08,
-                                       watanabe08_factors)
+                                       ma12, nam15, watanabe08)
 
 
 def build_pair(train_x, train_y, test_x, test_y) -> TreatedPair:
@@ -25,7 +24,7 @@ def build_pair(train_x, train_y, test_x, test_y) -> TreatedPair:
         train_weights=np.ones(len(train_x)),
         test_features=test_x,
         test_labels=np.asarray(test_y, dtype=bool),
-        test_version_keys=tuple(("t", "1") for _ in range(len(test_x))),
+        test_versions=((("t", "1"), len(test_x)),),
         selected_attributes=tuple(range(train_x.shape[1])))
 
 
@@ -49,7 +48,7 @@ def assembled_pair() -> TreatedPair:
 def test_assemble_pair_flattens_releases():
     tp = assembled_pair()
     assert tp.train_features.shape == (2, 2)
-    assert tp.test_version_keys == (("b", "1"), ("c", "1"))
+    assert tp.test_versions == ((("b", "1"), 1), (("c", "1"), 1))
     assert list(tp.train_labels) == [True, False]
     assert list(tp.train_weights) == [1.0, 1.0]
     assert tp.selected_attributes == (0, 1)
@@ -82,6 +81,19 @@ def test_treated_pair_rejects_non_finite_or_non_positive_weights(bad):
                     [[1.5]], [True])
     with pytest.raises(UnusableDataError, match="finite and positive"):
         dataclasses.replace(tp, train_weights=np.array([1.0, 1.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("versions", [
+    ((("t", "1"), 1),),                    # a row short
+    ((("t", "1"), 3),),                    # a row over
+    ((("t", "1"), 2), (("t", "2"), 0)),    # an empty version
+    ((("t", "1"), 3), (("t", "2"), -1)),   # the right sum, a negative count
+])
+def test_treated_pair_rejects_test_versions_that_miss_the_test_rows(versions):
+    tp = build_pair([[1.0], [2.0]], [True, False], [[1.5], [2.5]],
+                    [True, False])
+    with pytest.raises(ValueError, match="test version counts"):
+        dataclasses.replace(tp, test_versions=versions)
 
 
 def test_identity_changes_nothing():
@@ -121,12 +133,15 @@ def test_watanabe08_zero_test_mean_keeps_values():
 
 
 def test_watanabe08_composition_squares_the_ratio():
+    # train mean 4 over test mean 2: every test value is doubled
     tp = build_pair([[3.0], [5.0]], [True, False], [[1.0], [3.0]], [True, False])
-    factors = watanabe08_factors(tp)
     once = watanabe08(tp)
-    twice_same_reference = once.test_features * factors
-    assert twice_same_reference == pytest.approx(
-        tp.test_features * factors ** 2, abs=1e-12)
+    assert once.test_features == pytest.approx(np.array([[2.0], [6.0]]),
+                                               abs=1e-12)
+    # the same factor again, against the original statistics, squares it
+    factors = once.test_features / tp.test_features
+    assert once.test_features * factors == pytest.approx(
+        tp.test_features * 2.0 ** 2, abs=1e-12)
     # recomputing the statistics after one application is a fixed point
     again = watanabe08(once)
     assert again.test_features == pytest.approx(once.test_features, abs=1e-12)
@@ -236,10 +251,14 @@ def test_amasaki15_identical_sides_keep_everything():
     assert list(out.train_labels) == [True, False, True]
 
 
+# log-space features: the last two training rows are far from the test rows
+FAR_LOG_TRAIN = np.array([[0.0, 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3],
+                          [10.0, 10.0], [10.05, 10.05]])
+FAR_LOG_TEST = np.array([[0.05, 0.05], [0.15, 0.15], [0.25, 0.25]])
+
+
 def test_amasaki15_drops_far_training_instances():
-    t_train = np.array([[0.0, 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3],
-                        [10.0, 10.0], [10.05, 10.05]])
-    t_test = np.array([[0.05, 0.05], [0.15, 0.15], [0.25, 0.25]])
+    t_train, t_test = FAR_LOG_TRAIN, FAR_LOG_TEST
     tp = build_pair(np.expm1(t_train), [True, False, True, False, True, True],
                     np.expm1(t_test), [True, False, True])
     out = amasaki15(tp)
@@ -281,15 +300,18 @@ def test_nam15_two_instance_extremes():
     assert out.selected_attributes == (0, 1, 2)
 
 
+NAM15_SIX_BY_FOUR = [
+    [1.0, 10.0, 9.0, 100.0],
+    [2.0, 20.0, 8.0, 200.0],
+    [6.5, 30.0, 7.0, 300.0],
+    [4.0, 40.0, 1.0, 400.0],
+    [5.0, 50.0, 2.0, 500.0],
+    [6.0, 60.0, 3.0, 600.0],
+]
+
+
 def test_nam15_hand_traced_six_by_four():
-    x = [
-        [1.0, 10.0, 9.0, 100.0],
-        [2.0, 20.0, 8.0, 200.0],
-        [6.5, 30.0, 7.0, 300.0],
-        [4.0, 40.0, 1.0, 400.0],
-        [5.0, 50.0, 2.0, 500.0],
-        [6.0, 60.0, 3.0, 600.0],
-    ]
+    x = NAM15_SIX_BY_FOUR
     # medians per attribute: 4.5, 35, 5, 350
     # above-median counts K: [1, 1, 2, 2, 3, 3], median K = 2
     # generated labels: rows 4 and 5 defective, rest clean
@@ -372,6 +394,23 @@ def test_nam15_needs_two_instances():
         nam15(tp)
 
 
+@pytest.mark.parametrize("treat, train_x, test_x, kept", [
+    (identity_treatment, FAR_LOG_TRAIN, FAR_LOG_TEST, range(6)),
+    (watanabe08, FAR_LOG_TRAIN, FAR_LOG_TEST, range(6)),
+    (camargocruz09, FAR_LOG_TRAIN, FAR_LOG_TEST, range(6)),
+    (amasaki15, np.expm1(FAR_LOG_TRAIN), np.expm1(FAR_LOG_TEST), [0, 1, 2, 3]),
+    (nam15, NAM15_SIX_BY_FOUR, [[1.0, 1.0, 1.0, 1.0]], [0, 1, 4, 5]),
+    (nam15, [[2.0], [2.0], [2.0]], [[1.0]], range(3)),  # the label fallback
+])
+def test_treatments_but_ma12_keep_their_input_weights(treat, train_x, test_x,
+                                                      kept):
+    tp = build_pair(train_x, [i % 2 == 0 for i in range(len(train_x))],
+                    test_x, [True] * len(test_x))
+    weights = np.linspace(0.5, 3.0, tp.n_train)
+    out = treat(dataclasses.replace(tp, train_weights=weights))
+    assert np.array_equal(out.train_weights, weights[list(kept)])
+
+
 def test_treatments_do_not_mutate_inputs():
     rng = np.random.default_rng(5)
     train = np.abs(rng.normal(2.0, 1.0, size=(12, 4)))
@@ -420,7 +459,7 @@ def test_treatments_carry_test_rows_through_unchanged():
         out = treat(tp)
         assert out.n_test == 7
         assert np.array_equal(out.test_labels, tp.test_labels)
-        assert out.test_version_keys == tp.test_version_keys
+        assert out.test_versions == tp.test_versions
 
 
 # few values, so ties, equal medians and zero test means occur

@@ -85,7 +85,7 @@ def treated_pair(train, test, rng):
         train_weights=np.ones(len(train)),
         test_features=test,
         test_labels=np.zeros(len(test), dtype=bool),
-        test_version_keys=(("t", "1"),) * len(test),
+        test_versions=((("t", "1"), len(test)),),
         selected_attributes=tuple(range(train.shape[1])))
 
 

@@ -54,10 +54,10 @@ def weighted_data(draw):
     return x, y, w, TreeParams(pruning_confidence=cf, min_leaf_weight=min_leaf)
 
 
-def treated(x, y, w, test_x, test_y, keys):
+def treated(x, y, w, test_x, test_y, versions):
     return TreatedPair(
         train_features=x, train_labels=y, train_weights=w,
-        test_features=test_x, test_labels=test_y, test_version_keys=keys,
+        test_features=test_x, test_labels=test_y, test_versions=versions,
         selected_attributes=tuple(range(x.shape[1])))
 
 
@@ -115,8 +115,13 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
     on_cut = np.array(MIDPOINTS)[rng.integers(0, len(MIDPOINTS), size=(n, m))]
     test_x = np.vstack([x, on_cut])
     test_y = np.concatenate([y, y[::-1]])
-    keys = tuple(("p", str(v)) for v in rng.integers(0, 3, size=2 * n))
-    pair = treated(x, y, w, test_x, test_y, keys)
+    # the test rows fall into consecutive versions of random length
+    counts, left = [], 2 * n
+    while left:
+        counts.append(int(rng.integers(1, left + 1)))
+        left -= counts[-1]
+    versions = tuple((("p", str(i)), count) for i, count in enumerate(counts))
+    pair = treated(x, y, w, test_x, test_y, versions)
 
     tree = train_tree(pair, params) if prune else unpruned_tree(x, y, w, params)
     check_layout(tree)
@@ -129,12 +134,12 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
     assert probas.tobytes() == expected.tobytes()
 
     # per-version scores of the loop pipeline the fast path replaces
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    bounds = np.cumsum([0] + counts)
     result = evaluate_pair(tree, pair)
-    assert [(v.test_project, v.test_version) for v in result] == list(groups)
-    for score, idx in zip(result, groups.values()):
+    assert [(v.test_project, v.test_version) for v in result] == [
+        key for key, _ in versions]
+    for score, start, stop in zip(result, bounds[:-1], bounds[1:]):
+        idx = slice(start, stop)
         tp, fp, tn, fn = oracle.confusion(expected[idx] >= 0.5, test_y[idx])
         assert (score.tp, score.fp, score.tn, score.fn) == (tp, fp, tn, fn)
         assert (score.precision, score.recall, score.fscore, score.gmeasure,
@@ -224,9 +229,9 @@ def test_rethresholded_tree_matches_fresh_fit(data, draws):
     # either side may be the input whose tree is shared
     if draws.draw(st.booleans()):
         x, mapped = mapped, x
-    keys = (("p", "1"),)
-    grown_on = treated(x, y, w, x[:1], y[:1], keys)
-    new_input = treated(mapped, y, w, mapped[:1], y[:1], keys)
+    versions = ((("p", "1"), 1),)
+    grown_on = treated(x, y, w, x[:1], y[:1], versions)
+    new_input = treated(mapped, y, w, mapped[:1], y[:1], versions)
     order, key = training_order(grown_on)
     tree = train_tree(grown_on, params, order=order)
     fresh = train_tree(new_input, params)
