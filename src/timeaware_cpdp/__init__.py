@@ -25,8 +25,7 @@ from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count,
 from .metrics import VersionScore, auc, evaluate_pair, midranks, scores
 from .stability import (RESULTS_HEADER, RankRow, ResultRecord, StabilityRow,
                         aggregate, cliffs_delta, load_results_csv,
-                        magnitude_label, rank_stability, rank_techniques,
-                        rankscores, undersample, wilcoxon_rank_sum,
-                        write_reports)
+                        magnitude_label, rank_techniques, rankscores,
+                        undersample, wilcoxon_rank_sum, write_reports)
 from .config import ExperimentConfig, config_hash, parse_config_text
 from .runner import Diagnostic, RunSummary, run_experiment, validate

@@ -120,8 +120,7 @@ def cmd_run(args) -> int:
                              dump_trees=args.dump_trees)
     print(f"wrote {summary.rows_written} result rows from "
           f"{summary.pairs_total} pairs to {summary.out_dir} "
-          f"({summary.pair_technique_failures} combination failures, "
-          f"{summary.version_skips} version skips)")
+          f"({summary.pair_technique_failures} combination failures)")
     return 0
 
 

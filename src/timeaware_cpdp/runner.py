@@ -21,10 +21,11 @@ writes them to results.csv.
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or an
 UnusableDataError for input the treatments or the tree reject); any
-other exception, a plain ValueError included, fails the run. All
-output is byte-deterministic for a fixed config and seed: rows and
-warnings come in enumeration order, floats use their shortest
-round-trip representation, and the manifest carries no timestamps.
+other exception, a plain ValueError included, fails the run. Rows
+expected (test versions times techniques) less skipped rows are the
+rows written. All output is byte-deterministic for a fixed config and
+seed: rows and warnings come in enumeration order, floats use their
+shortest round-trip representation, and the manifest has no timestamps.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class RunSummary:
     rows_written: int
     pairs_total: int
     pair_technique_failures: int
-    version_skips: int
 
 
 def apply_treatment(name: str, tp: TreatedPair,
@@ -221,7 +221,6 @@ class _Tally:
     records: list[ResultRecord] = field(default_factory=list)
     dumps: list[tuple[str, str]] = field(default_factory=list)
     failures: int = 0
-    version_skips: int = 0
     expected_rows: int = 0
     failure_rows: int = 0
 
@@ -264,7 +263,6 @@ def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
                 tally.failures += 1
                 tally.failure_rows += test_versions
                 continue
-            tally.version_skips += test_versions - len(fit.version_scores)
             if dump_trees:
                 tally.dumps.append((
                     f"technique={technique} kind={spec.kind.value} "
@@ -317,13 +315,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
         "row_accounting": {
             "expected_rows": tally.expected_rows,
             "rows_from_failed_combinations": tally.failure_rows,
-            "version_skips": tally.version_skips,
             "written_rows": len(records),
         },
         "pair_technique_failures": tally.failures,
     }
-    if (tally.expected_rows - tally.failure_rows - tally.version_skips
-            != len(records)):
+    if tally.expected_rows - tally.failure_rows != len(records):
         raise RuntimeError("row accounting does not balance")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -332,8 +328,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     write_reports(records, out, config.stability_threshold)
     return RunSummary(out_dir=out, rows_written=len(records),
                       pairs_total=len(tasks),
-                      pair_technique_failures=tally.failures,
-                      version_skips=tally.version_skips)
+                      pair_technique_failures=tally.failures)
 
 
 def _pair_counts(tasks: Sequence[TrainTestPair]) -> dict[str, int]:

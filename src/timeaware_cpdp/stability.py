@@ -362,7 +362,11 @@ def _cell_means(records: Sequence[ResultRecord]) -> dict[tuple, dict[str, float]
 
 def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]],
               kind: str) -> dict[str, float]:
-    """SD of each technique's per-cell rank within one configuration."""
+    """SD of each technique's per-cell rank within one configuration.
+
+    A cell is one (window, split). Cells that miss a technique or share
+    no metric are skipped; with fewer than two usable cells the SD is 0.
+    """
     cells: dict[tuple, dict[str, Mapping[str, float]]] = {}
     ranks: dict[str, list[int]] = {}
     for (tech, cell_kind, window, split), means in cell_means.items():
@@ -382,21 +386,6 @@ def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]],
     return {tech: _mean_sd([float(r) for r in tech_ranks])[1]
             if len(tech_ranks) > 1 else 0.0
             for tech, tech_ranks in ranks.items()}
-
-
-def rank_stability(records: Sequence[ResultRecord], kind: str) -> dict[str, float]:
-    """SD of each technique's per-cell rank within one configuration.
-
-    A cell is one (window, split) combination. Within each cell the
-    techniques are ranked on their mean metric values (degenerate AUC
-    rows excluded; the AUC metric is dropped for a cell where nothing
-    remains). Cells that do not cover every technique are skipped. With
-    fewer than two usable cells the SD is 0.
-    """
-    kind_records = [r for r in records if r.kind == kind]
-    if len({r.technique for r in kind_records}) < 2:
-        raise ConfigError("rank stability needs at least 2 techniques")
-    return _rank_sds(_cell_means(kind_records), kind)
 
 
 def undersample(tp: TreatedPair, seed: int) -> TreatedPair:

@@ -67,13 +67,10 @@ TREATMENT_NAMES = (
 class TreatedPair:
     """Matrix form of a train/test pair, after zero or more treatments.
 
-    Feature matrices hold only the selected attributes;
-    selected_attributes maps their columns back to 0-based positions in
-    the original attribute list. test_versions holds one ((project,
-    version), row count) per test release, in row order: the test rows
-    are the releases' rows one release after another. label_fallback
-    records that nam15 kept the original labels because relabeling
-    degenerated.
+    Both feature matrices hold the same attributes, the ones the
+    treatments kept. test_versions holds one ((project, version), row
+    count) per test release, in row order: the test rows are the
+    releases' rows one release after another.
     """
 
     train_features: np.ndarray
@@ -82,16 +79,12 @@ class TreatedPair:
     test_features: np.ndarray
     test_labels: np.ndarray
     test_versions: tuple[tuple[tuple[str, str], int], ...]
-    selected_attributes: tuple[int, ...]
-    label_fallback: bool = False
 
     def __post_init__(self) -> None:
         if self.train_features.ndim != 2 or self.test_features.ndim != 2:
             raise ValueError("feature matrices must be 2-dimensional")
         if self.train_features.shape[1] != self.test_features.shape[1]:
             raise ValueError("train and test attribute counts differ")
-        if self.train_features.shape[1] != len(self.selected_attributes):
-            raise ValueError("selected_attributes does not match matrix width")
         if len(self.train_labels) != len(self.train_features):
             raise ValueError("train labels do not match train rows")
         if len(self.train_weights) != len(self.train_features):
@@ -136,8 +129,7 @@ def assemble_pair(pair: TrainTestPair) -> TreatedPair:
     return TreatedPair(
         train_features=train_x, train_labels=train_y,
         train_weights=weights, test_features=test_x, test_labels=test_y,
-        test_versions=tuple((rel.key, len(rel)) for rel in pair.test),
-        selected_attributes=tuple(range(widths.pop())))
+        test_versions=tuple((rel.key, len(rel)) for rel in pair.test))
 
 
 def identity_treatment(tp: TreatedPair) -> TreatedPair:
@@ -297,14 +289,12 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
     if not np.any(keep_rows):
         raise DegenerateTreatmentError("amasaki15 dropped every training instance")
 
-    selected = tuple(tp.selected_attributes[c] for c in kept_cols)
     return dataclasses.replace(
         tp,
         train_features=sel_train[keep_rows],
         train_labels=tp.train_labels[keep_rows],
         train_weights=tp.train_weights[keep_rows],
-        test_features=sel_test,
-        selected_attributes=selected)
+        test_features=sel_test)
 
 
 def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedPair:
@@ -322,9 +312,9 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     labels replace the training labels.
 
     When relabeling gives one class (as when every K is equal) the
-    original labels are kept and label_fallback is set. Needs
-    at least two training instances; raises UnusableDataError when a
-    median overflows float64.
+    input comes back unchanged, original labels and all. Needs at least
+    two training instances; raises UnusableDataError when a median
+    overflows float64.
     """
     if tp.n_train < 2:
         raise UnusableDataError("nam15 needs at least 2 training instances")
@@ -340,7 +330,7 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     # the smallest K is never above the median, so one class means none is
     generated = k > np.median(k)
     if not np.any(generated):
-        return dataclasses.replace(tp, label_fallback=True)
+        return tp
 
     violations = np.where(generated[:, None], ~above, above)
 
@@ -362,11 +352,9 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     if not np.any(keep_rows):
         raise DegenerateTreatmentError("nam15 dropped every training instance")
 
-    selected = tuple(tp.selected_attributes[c] for c in kept_cols)
     return dataclasses.replace(
         tp,
         train_features=x[np.ix_(keep_rows, kept_cols)],
         train_labels=generated[keep_rows],
         train_weights=tp.train_weights[keep_rows],
-        test_features=tp.test_features[:, kept_cols],
-        selected_attributes=selected)
+        test_features=tp.test_features[:, kept_cols])

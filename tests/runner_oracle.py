@@ -55,7 +55,6 @@ class _TaskOutput:
     test_versions: int  # distinct (project, version) test releases of the pair
     records: list[ResultRecord]
     failures: int
-    version_skips: int
     tree_dumps: list[tuple[str, str]]
 
 
@@ -65,7 +64,6 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
     records: list[ResultRecord] = []
     dumps: list[tuple[str, str]] = []
     failures = 0
-    version_skips = 0
 
     assembled = assemble_pair(pair)
     test_versions = len({(r.project_id, r.version_id) for r in pair.test})
@@ -77,7 +75,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
             logger.warning("pair %s K=%s split=%s: balancing failed (%s); skipped",
                            spec.kind.value, _fmt_window(spec.window_k),
                            spec.split_index, exc)
-            return _TaskOutput(test_versions, [], len(config.techniques), 0, [])
+            return _TaskOutput(test_versions, [], len(config.techniques), [])
 
     for technique in config.techniques:
         try:
@@ -90,7 +88,6 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
                            spec.split_index, technique, exc)
             failures += 1
             continue
-        version_skips += test_versions - len(version_scores)
         if dump_trees:
             title = (f"technique={technique} kind={spec.kind.value} "
                      f"window={_fmt_window(spec.window_k)} "
@@ -100,7 +97,7 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
             records.append(ResultRecord(
                 technique, spec.kind.value, spec.window_k, spec.split_index,
                 spec.gap_buckets, *vs))
-    return _TaskOutput(test_versions, records, failures, version_skips, dumps)
+    return _TaskOutput(test_versions, records, failures, dumps)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
@@ -121,12 +118,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
 
     records: list[ResultRecord] = []
     failures = 0
-    version_skips = 0
     dumps: list[tuple[str, str]] = []
     for output in outputs:
         records.extend(output.records)
         failures += output.failures
-        version_skips += output.version_skips
         dumps.extend(output.tree_dumps)
 
     write_results_csv(out / "results.csv", records)
@@ -148,12 +143,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
         "row_accounting": {
             "expected_rows": expected_rows,
             "rows_from_failed_combinations": failure_rows,
-            "version_skips": version_skips,
             "written_rows": len(records),
         },
         "pair_technique_failures": failures,
     }
-    if expected_rows - failure_rows - version_skips != len(records):
+    if expected_rows - failure_rows != len(records):
         raise RuntimeError("row accounting does not balance")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -162,5 +156,4 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     write_reports(records, out, config.stability_threshold)
     return RunSummary(out_dir=out, rows_written=len(records),
                       pairs_total=len(tasks),
-                      pair_technique_failures=failures,
-                      version_skips=version_skips)
+                      pair_technique_failures=failures)

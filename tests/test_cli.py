@@ -118,6 +118,31 @@ def test_run_and_report_cycle(tmp_path, capsys):
     assert {name: (out_dir / name).read_bytes() for name in reports} == before
 
 
+
+def test_run_stdout_ends_with_the_combination_failures(tmp_path, capsys,
+                                                       monkeypatch):
+    from timeaware_cpdp import runner
+    from timeaware_cpdp.errors import DegenerateTreatmentError
+
+    real = runner.apply_treatment
+
+    def flaky(name, tp, config):
+        if name == "ma12":
+            raise DegenerateTreatmentError("forced failure")
+        return real(name, tp, config)
+
+    monkeypatch.setattr(runner, "apply_treatment", flaky)
+    cfg = write_experiment(tmp_path)
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    failures = manifest["pair_technique_failures"]
+    assert failures == sum(manifest["pair_counts"].values()) > 0
+    assert capsys.readouterr().out == (
+        f"wrote {manifest['row_accounting']['written_rows']} result rows "
+        f"from {failures} pairs to {out_dir} "
+        f"({failures} combination failures)\n")
+
 def test_run_uses_config_output_dir_by_default(tmp_path):
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0

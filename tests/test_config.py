@@ -208,6 +208,19 @@ def test_from_file_resolves_relative_paths(tmp_path):
         ExperimentConfig.from_file(tmp_path / "missing.cfg")
 
 
+
+def test_from_file_accepts_a_byte_order_mark(tmp_path):
+    """A BOM is accepted in a config, as it is in a dataset."""
+    text = "dataset.path = data/releases.csv\nrun.seed = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    cfg = ExperimentConfig.from_file(marked)
+    assert cfg == ExperimentConfig.from_file(plain)
+    assert cfg.seed == 3
+    assert config_hash(cfg) == config_hash(ExperimentConfig.from_file(plain))
+
 def test_hash_ignores_output_dir_but_not_seed():
     a = ExperimentConfig.from_mapping(MINIMAL, base_dir=Path("/tmp"))
     b = ExperimentConfig.from_mapping(

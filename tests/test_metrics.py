@@ -102,8 +102,7 @@ def test_evaluate_pair_groups_by_version():
     tp = TreatedPair(
         train_features=train_x, train_labels=train_y,
         train_weights=np.ones(4), test_features=test_x, test_labels=test_y,
-        test_versions=((("a", "1"), 2), (("b", "2"), 3)),
-        selected_attributes=(0,))
+        test_versions=((("a", "1"), 2), (("b", "2"), 3)))
     tree = train_tree(tp, TreeParams())
     result = evaluate_pair(tree, tp)
     assert [(v.test_project, v.test_version) for v in result] == [
@@ -130,7 +129,7 @@ def test_evaluate_pair_flags_single_class_versions():
     tp = TreatedPair(
         train_features=train_x, train_labels=train_y,
         train_weights=np.ones(4), test_features=test_x, test_labels=test_y,
-        test_versions=((("c", "3"), 2),), selected_attributes=(0,))
+        test_versions=((("c", "3"), 2),))
     tree = train_tree(tp, TreeParams())
     (only,) = evaluate_pair(tree, tp)
     assert only.auc_degenerate
@@ -151,7 +150,7 @@ def test_evaluate_pair_threshold_is_inclusive(clean_weight, defective):
         train_weights=np.array([1.0, clean_weight, 1.0, clean_weight]),
         test_features=np.array([[1.0], [1.0]]),
         test_labels=np.array([True, False]),
-        test_versions=((("d", "4"), 2),), selected_attributes=(0,))
+        test_versions=((("d", "4"), 2),))
     tree = train_tree(tp, TreeParams())
     (p,) = predict_proba_rows(tree, [[1.0]])
     assert p == 0.5 if defective else 0.5 - 1e-9 < p < 0.5

@@ -66,12 +66,26 @@ def test_run_writes_all_outputs_and_consistent_manifest(tmp_path):
     assert manifest["bucket_count"] == 4
     acct = manifest["row_accounting"]
     assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
-            - acct["version_skips"] == acct["written_rows"])
+            == acct["written_rows"])
     assert acct["written_rows"] == summary.rows_written
     assert manifest["pair_counts"] == {"CC": 12, "IC": 9, "CI": 9, "II": 3,
                                        "crossval": 3}
     assert sum(manifest["pair_counts"].values()) == summary.pairs_total
 
+
+
+@pytest.mark.parametrize("balance", ["false", "true"])
+def test_row_accounting_holds_the_three_counts_that_balance(tmp_path, balance):
+    cfg, out, summary = run(tmp_path, **{"run.balance": balance})
+    releases, ts = load_dataset(cfg)
+    test_versions = sum(len(pair.test)
+                        for pair in build_tasks(cfg, ts, releases))
+    acct = json.loads((out / "manifest.json").read_text())["row_accounting"]
+    assert sorted(acct) == ["expected_rows", "rows_from_failed_combinations",
+                            "written_rows"]
+    assert acct["expected_rows"] == test_versions * len(cfg.techniques)
+    assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
+            == acct["written_rows"] == summary.rows_written)
 
 def test_results_byte_identical_across_reruns(tmp_path):
     _, out_a, _ = run(tmp_path, out_name="a", **{"run.baseline_crossval": "3"})
@@ -122,7 +136,7 @@ def test_balancing_keeps_accounting_balanced(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     acct = manifest["row_accounting"]
     assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
-            - acct["version_skips"] == acct["written_rows"])
+            == acct["written_rows"])
     assert summary.rows_written > 0
 
 
@@ -146,7 +160,7 @@ def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):
     acct = manifest["row_accounting"]
     assert acct["rows_from_failed_combinations"] > 0
     assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
-            - acct["version_skips"] == acct["written_rows"])
+            == acct["written_rows"])
 
 
 class CountingNumpy:

@@ -9,8 +9,8 @@ import pytest
 
 from timeaware_cpdp.errors import BalancingError, ConfigError
 from timeaware_cpdp.stability import (MAGNITUDE_LEVELS, ResultRecord,
-                                      aggregate, cliffs_delta,
-                                      magnitude_label, rank_stability,
+                                      _cell_means, _rank_sds, aggregate,
+                                      cliffs_delta, magnitude_label,
                                       rank_techniques, rankscores,
                                       undersample, wilcoxon_rank_sum)
 from timeaware_cpdp.treatments import TreatedPair
@@ -239,6 +239,11 @@ def test_rank_techniques_rejects_missing_metric():
                         metrics=("fscore",))
 
 
+def rank_stability(records, kind):
+    """The rank SDs ranks.csv reports for one configuration."""
+    return _rank_sds(_cell_means(records), kind)
+
+
 def test_rank_stability_alternating_winners():
     records = []
     for window, split, better in ((1, 1, "a"), (1, 2, "b"),
@@ -277,7 +282,8 @@ def test_rank_stability_ignores_other_kinds():
     records = [make_record("a", 0.9), make_record("b", 0.1),
                make_record("a", 0.1, kind="IC"), make_record("b", 0.9, kind="IC")]
     assert rank_stability(records, "CC") == {"a": 0.0, "b": 0.0}
-    with pytest.raises(ConfigError):
+    # one technique cannot be ranked
+    with pytest.raises(ConfigError, match="at least 2 techniques"):
         rank_stability([make_record("a", 0.9)], "CC")
 
 
@@ -289,7 +295,7 @@ def balanced_pair(n_pos, n_neg):
     return TreatedPair(
         train_features=features, train_labels=labels, train_weights=weights,
         test_features=np.array([[0.5]]), test_labels=np.array([True]),
-        test_versions=((("t", "1"), 1),), selected_attributes=(0,))
+        test_versions=((("t", "1"), 1),))
 
 
 def test_undersample_equalizes_classes():

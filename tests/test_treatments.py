@@ -24,8 +24,7 @@ def build_pair(train_x, train_y, test_x, test_y) -> TreatedPair:
         train_weights=np.ones(len(train_x)),
         test_features=test_x,
         test_labels=np.asarray(test_y, dtype=bool),
-        test_versions=((("t", "1"), len(test_x)),),
-        selected_attributes=tuple(range(train_x.shape[1])))
+        test_versions=((("t", "1"), len(test_x)),))
 
 
 def assembled_pair() -> TreatedPair:
@@ -51,7 +50,8 @@ def test_assemble_pair_flattens_releases():
     assert tp.test_versions == ((("b", "1"), 1), (("c", "1"), 1))
     assert list(tp.train_labels) == [True, False]
     assert list(tp.train_weights) == [1.0, 1.0]
-    assert tp.selected_attributes == (0, 1)
+    assert tp.train_features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert tp.test_features.tolist() == [[5.0, 6.0], [7.0, 8.0]]
 
 
 @pytest.mark.parametrize("test_rows", [
@@ -102,7 +102,7 @@ def test_identity_changes_nothing():
     assert np.array_equal(out.train_features, tp.train_features)
     assert np.array_equal(out.test_features, tp.test_features)
     assert np.array_equal(out.train_weights, [1.0, 1.0])
-    assert out.selected_attributes == (0, 1)
+    assert out is tp
 
 
 def test_watanabe08_rescales_test_by_mean_ratio():
@@ -245,7 +245,6 @@ def test_amasaki15_identical_sides_keep_everything():
     x = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
     tp = build_pair(x, [True, False, True], x, [False, True, False])
     out = amasaki15(tp)
-    assert out.selected_attributes == (0, 1)
     assert out.train_features.shape == (3, 2)
     assert out.test_features == pytest.approx(np.log1p(np.asarray(x)))
     assert list(out.train_labels) == [True, False, True]
@@ -264,9 +263,9 @@ def test_amasaki15_drops_far_training_instances():
     out = amasaki15(tp)
     # attribute values are mutually close, so both attributes survive, but
     # the two instances near (10, 10) are far from every test instance
-    assert out.selected_attributes == (0, 1)
     assert out.train_features.shape == (4, 2)
     assert out.train_features == pytest.approx(t_train[:4], abs=1e-9)
+    assert out.test_features == pytest.approx(t_test, abs=1e-9)
     assert list(out.train_labels) == [True, False, True, False]
 
 
@@ -294,10 +293,10 @@ def test_nam15_two_instance_extremes():
     tp = build_pair([[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]], [True, False],
                     [[1.0, 1.0, 1.0]], [True])
     out = nam15(tp)
-    assert not out.label_fallback
+    assert out is not tp
     assert list(out.train_labels) == [False, True]
-    assert out.train_features.shape == (2, 3)
-    assert out.selected_attributes == (0, 1, 2)
+    assert np.array_equal(out.train_features, tp.train_features)
+    assert np.array_equal(out.test_features, tp.test_features)
 
 
 NAM15_SIX_BY_FOUR = [
@@ -319,24 +318,22 @@ def test_nam15_hand_traced_six_by_four():
     # so attribute 2 is dropped (median attribute score 1);
     # instance violation scores over kept attributes [0, 0, 1, 2, 0, 0]
     # with median 0 drop rows 2 and 3
-    tp = build_pair(x, [False] * 6, [[1.0, 1.0, 1.0, 1.0]], [True])
+    tp = build_pair(x, [False] * 6, [[1.0, 2.0, 3.0, 4.0]], [True])
     out = nam15(tp)
-    assert not out.label_fallback
-    assert out.selected_attributes == (0, 1, 3)
+    assert out is not tp
     expected_rows = np.asarray(x, dtype=float)[[0, 1, 4, 5]][:, [0, 1, 3]]
     assert np.array_equal(out.train_features, expected_rows)
     assert list(out.train_labels) == [False, False, True, True]
     assert np.array_equal(out.train_weights, np.ones(4))
-    assert out.test_features.shape == (1, 3)
+    assert out.test_features.tolist() == [[1.0, 2.0, 4.0]]
 
 
 def test_nam15_constant_matrix_falls_back():
     tp = build_pair([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]],
                     [True, False, True], [[1.0, 1.0]], [True])
     out = nam15(tp)
-    assert out.label_fallback
+    assert out is tp
     assert list(out.train_labels) == [True, False, True]
-    assert out.selected_attributes == (0, 1)
     assert out.train_features.shape == (3, 2)
 
 
@@ -350,7 +347,7 @@ def test_nam15_single_generated_class_falls_back():
     ]
     tp = build_pair(x, [True, False, False, True], [[1.0, 1.0, 1.0]], [True])
     out = nam15(tp)
-    assert out.label_fallback
+    assert out is tp
     assert list(out.train_labels) == [True, False, False, True]
 
 
@@ -368,9 +365,9 @@ def test_nam15_explicit_threshold_relaxes_instance_filter():
     # instance cut 0.4 * 3 = 1.2 drops only row 3 (score 2), keeping row 2
     # that the median rule would remove
     out = nam15(tp, violation_threshold=0.4)
-    assert out.selected_attributes == (0, 1, 3)
     assert list(out.train_labels) == [False, False, False, True, True]
-    assert out.train_features.shape == (5, 3)
+    expected_rows = np.asarray(x, dtype=float)[[0, 1, 2, 4, 5]][:, [0, 1, 3]]
+    assert np.array_equal(out.train_features, expected_rows)
 
 
 def test_nam15_zero_threshold_drops_every_attribute():
@@ -474,7 +471,7 @@ def training_side(treat, tp):
         return type(exc), str(exc)
     return (out.train_features.shape, out.train_features.tobytes(),
             out.train_labels.tobytes(), out.train_weights.tobytes(),
-            out.selected_attributes)
+            out.test_features.shape, out.test_features.tobytes())
 
 
 @settings(max_examples=200, deadline=None)

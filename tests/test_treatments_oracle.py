@@ -85,8 +85,7 @@ def treated_pair(train, test, rng):
         train_weights=np.ones(len(train)),
         test_features=test,
         test_labels=np.zeros(len(test), dtype=bool),
-        test_versions=((("t", "1"), len(test)),),
-        selected_attributes=tuple(range(train.shape[1])))
+        test_versions=((("t", "1"), len(test)),))
 
 
 def outcome(tp, **params):
@@ -95,7 +94,7 @@ def outcome(tp, **params):
         out = amasaki15(tp, **params)
     except DegenerateTreatmentError as exc:
         return str(exc)
-    return (out.selected_attributes, out.train_features.tobytes(),
+    return (out.test_features.shape, out.train_features.tobytes(),
             out.train_labels.tobytes(), out.test_features.tobytes())
 
 

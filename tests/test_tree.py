@@ -25,8 +25,7 @@ def fit(train_x, train_y, weights=None, **param_kwargs) -> DecisionTree:
         train_weights=np.asarray(weights, dtype=float),
         test_features=train_x[:1],
         test_labels=train_y[:1],
-        test_versions=((("t", "1"), 1),),
-        selected_attributes=tuple(range(train_x.shape[1])))
+        test_versions=((("t", "1"), 1),))
     return train_tree(tp, TreeParams(**param_kwargs))
 
 

@@ -57,8 +57,7 @@ def weighted_data(draw):
 def treated(x, y, w, test_x, test_y, versions):
     return TreatedPair(
         train_features=x, train_labels=y, train_weights=w,
-        test_features=test_x, test_labels=test_y, test_versions=versions,
-        selected_attributes=tuple(range(x.shape[1])))
+        test_features=test_x, test_labels=test_y, test_versions=versions)
 
 
 def unpruned_tree(x, y, w, params):
