@@ -16,8 +16,7 @@ from .errors import (BalancingError, ConfigError, ConflictError, DatasetError,
                      DegenerateTreatmentError, EmptyDatasetError, ParseError,
                      UnusableDataError)
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
-                    enumerate_pairs, generate_pair, strict_cpdp_filter,
-                    window_sizes)
+                    enumerate_pairs)
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -19,7 +20,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ConflictError, EmptyDatasetError, ParseError
+from .errors import ConflictError, DatasetError, EmptyDatasetError, ParseError
+
+# ASCII digits only: date.fromisoformat alone takes more forms on 3.11+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 _MONTH_NAMES = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
@@ -108,9 +112,6 @@ class TimeSeriesDataset:
     def bucket_count(self) -> int:
         return len(self.buckets)
 
-    def all_releases(self) -> list[Release]:
-        return [r for b in self.buckets for r in b.releases]
-
     def bucket_index(self, when: date) -> int:
         """Bucket index containing the given date; raises if outside grid."""
         first = self.buckets[0].start
@@ -147,7 +148,7 @@ def convert_date_token(token: str) -> str:
     """Normalize a '1999-Nov-08' style date token to ISO 'YYYY-MM-DD'.
 
     ISO input passes through unchanged. Used by the dataset conversion
-    script, not by the parser; the parser accepts ISO 8601 only.
+    script, not by the parser; the parser accepts YYYY-MM-DD only.
     """
     parts = token.strip().split("-")
     if len(parts) != 3:
@@ -239,6 +240,8 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
         if not project or not version:
             raise ParseError("empty project or version identifier", line=line_no)
         try:
+            if not _ISO_DATE.fullmatch(raw_date):
+                raise ValueError(raw_date)
             released = date.fromisoformat(raw_date)
         except ValueError:
             raise ParseError(
@@ -309,6 +312,11 @@ def bucketize(releases: Iterable[Release],
     anchor = month_start(releases[0].release_date)
     last = releases[-1].release_date
     count = _month_index(last, anchor) // granularity_months + 1
+    end_year = anchor.year + (anchor.month - 1 + count * granularity_months) // 12
+    if end_year > date.max.year:
+        raise DatasetError(
+            f"{granularity_months}-month buckets up to the last release date "
+            f"{last} end after {date.max}")
 
     grouped: list[list[Release]] = [[] for _ in range(count)]
     for rel in releases:

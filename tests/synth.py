@@ -92,7 +92,7 @@ def oracle_pairs(ts: TimeSeriesDataset, kind: ConfigurationKind,
     Returns (window, split, train keys, test keys) tuples in the same
     order the implementation promises: ascending window, then split.
     """
-    releases = ts.all_releases()
+    releases = [r for b in ts.buckets for r in b.releases]
     index_of = {r.key: oracle_bucket_index(ts, r) for r in releases}
     count = ts.bucket_count
 

@@ -201,6 +201,31 @@ def test_out_naming_a_regular_file_exits_one(tmp_path, caplog):
     assert "internal error" not in caplog.text
 
 
+DECEMBER_9999 = ("project,version,release_date,class,defects,f1\n"
+                 "a,1,9999-12-30,A,1,1.0\n"
+                 "b,1,9999-12-31,B,0,2.0\n")
+
+
+@pytest.mark.parametrize("granularity,dataset,last", [
+    ("100000", None, "2002-09-30"),
+    ("99999999999999999999", None, "2002-09-30"),
+    ("6", DECEMBER_9999, "9999-12-31")],
+    ids=["wide-buckets", "huge-buckets", "december-9999"])
+def test_bucket_grid_past_year_9999_exits_one(tmp_path, capsys, caplog,
+                                              granularity, dataset, last):
+    if dataset is not None:
+        (tmp_path / "releases.csv").write_text(dataset, encoding="utf-8")
+    cfg = write_experiment(tmp_path,
+                           **{"buckets.granularity_months": granularity})
+    message = (f"{granularity}-month buckets up to the last release date "
+               f"{last} end after 9999-12-31")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert f"ERROR: {message}" in capsys.readouterr().out
+    for command in ("summary", "pairs", "run"):
+        assert main([command, "--config", str(cfg)]) == 1
+    assert caplog.text.count(message) == 3
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

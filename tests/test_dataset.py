@@ -70,6 +70,14 @@ def test_parse_errors_carry_line_numbers():
         parse_dataset("project,version\n")
 
 
+# both parse with date.fromisoformat on Python 3.11 but not on 3.10
+@pytest.mark.parametrize("raw", ["20020715", "2003-W02-1"])
+def test_parse_accepts_only_yyyy_mm_dd(raw):
+    with pytest.raises(ParseError, match="not an ISO date") as err:
+        parse_dataset(CSV_HEADER + f"a,1,{raw},A,0,7,8\n")
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("header,column", [
     # the second wmc used to shadow the first: features (2.0, 2.0)
     ("project,version,release_date,class,defects,wmc,wmc", "wmc"),
@@ -181,7 +189,7 @@ def test_bucketize_roundtrip_multiset():
     for _ in range(20):
         releases, granularity = random_dataset(rng)
         ts = bucketize(releases, granularity)
-        regathered = sorted(ts.all_releases(),
+        regathered = sorted((r for b in ts.buckets for r in b.releases),
                             key=lambda r: (r.release_date, r.project_id,
                                            r.version_id))
         assert [r.key for r in regathered] == \

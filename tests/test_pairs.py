@@ -5,12 +5,10 @@ from datetime import date
 
 import pytest
 
-from timeaware_cpdp.dataset import bucketize
+from timeaware_cpdp.dataset import add_months, bucketize
 from timeaware_cpdp.errors import ConfigError
-from timeaware_cpdp.pairs import (ConfigurationKind, PairSpec, TrainTestPair,
-                                  crossval_pairs, enumerate_pairs,
-                                  generate_pair, strict_cpdp_filter,
-                                  window_sizes)
+from timeaware_cpdp.pairs import (ConfigurationKind, crossval_pairs,
+                                  enumerate_pairs)
 
 from synth import (make_release, oracle_bucket_index, oracle_pairs,
                    pair_as_tuple, random_dataset, simple_release,
@@ -88,63 +86,57 @@ def test_toy_gap1_pushes_test_window_out(toy_ts):
     ]
 
 
-def test_window_sizes_per_kind():
-    assert window_sizes(CC, 19) == list(range(1, 20))
-    assert window_sizes(IC, 19) == list(range(1, 19))
-    assert window_sizes(CI, 19) == list(range(1, 19))
-    assert window_sizes(II, 19) == [None]
+def test_windows_per_kind():
+    # one release per bucket, each from its own project: with gap 0 every
+    # (window, split) keeps both sides, so every window is emitted
+    releases = [simple_release(f"p{i}", "1", add_months(date(2001, 1, 1), 6 * i))
+                for i in range(19)]
+    ts = bucketize(releases, 6)
+    assert ts.bucket_count == 19
+    expected = {CC: list(range(1, 20)), IC: list(range(1, 19)),
+                CI: list(range(1, 19)), II: [None]}
+    for kind, windows in expected.items():
+        got = [(p.spec.window_k, p.spec.split_index)
+               for p in enumerate_pairs(ts, kind, gap_buckets=0)]
+        assert got == [(k, split) for k in windows for split in range(1, 19)]
     with pytest.raises(ConfigError):
-        window_sizes(ConfigurationKind.CROSSVAL, 19)
-
-
-def test_pair_spec_validation():
-    with pytest.raises(ValueError):
-        PairSpec(kind=II, window_k=3, split_index=1)
-    with pytest.raises(ValueError):
-        PairSpec(kind=CC, window_k=None, split_index=1)
-    with pytest.raises(ValueError):
-        PairSpec(kind=CC, window_k=0, split_index=1)
-    with pytest.raises(ValueError):
-        PairSpec(kind=CC, window_k=1, split_index=0)
-    with pytest.raises(ValueError):
-        PairSpec(kind=CC, window_k=1, split_index=1, gap_buckets=-1)
-
-
-def test_generate_pair_rejects_out_of_range_split(toy_ts):
-    with pytest.raises(ValueError):
-        generate_pair(toy_ts, PairSpec(kind=CC, window_k=1, split_index=3,
-                                       gap_buckets=0))
+        enumerate_pairs(ts, ConfigurationKind.CROSSVAL)
     with pytest.raises(ConfigError):
-        generate_pair(toy_ts, PairSpec(kind=ConfigurationKind.CROSSVAL,
-                                       window_k=None, split_index=1))
+        enumerate_pairs(ts, CC, gap_buckets=-1)
 
 
-def test_generate_pair_empty_side_returns_none():
+def test_enumerate_drops_pairs_with_an_empty_side():
     releases = [
         simple_release("a", "1", date(2001, 1, 5)),
         simple_release("b", "1", date(2002, 1, 5)),
     ]
     ts = bucketize(releases, 6)  # releases in buckets 0 and 2, bucket 1 empty
-    # split at 1 with gap 1: test starts in empty bucket 1+1=2 -> has b
-    pair = generate_pair(ts, PairSpec(kind=II, window_k=None, split_index=1,
-                                      gap_buckets=1))
-    assert [r.key for r in pair.test] == [("b", "1")]
-    # split at 2: train has bucket 0 and empty bucket 1; test bucket 3 missing
-    assert generate_pair(ts, PairSpec(kind=II, window_k=None, split_index=2,
-                                      gap_buckets=1)) is None
+    a, b = ("a", "1"), ("b", "1")
+    # II, gap 1: split 1 tests bucket 2 (b); split 2 would test bucket 3,
+    # past the timeline
+    assert keys(enumerate_pairs(ts, II, gap_buckets=1)) == [
+        (None, 1, [a], [b])]
+    # CC window 1: split 1 tests empty bucket 1, split 2 trains on it
+    assert keys(enumerate_pairs(ts, CC, gap_buckets=0)) == [
+        (2, 1, [a], [b]),
+        (2, 2, [a], [b]),
+        (3, 1, [a], [b]),
+        (3, 2, [a], [b]),
+    ]
 
 
-def test_strict_filter_removes_shared_projects():
-    train = (simple_release("a", "1", date(2001, 1, 1)),)
-    test = (simple_release("a", "2", date(2002, 1, 1)),
-            simple_release("b", "1", date(2002, 2, 1)))
-    spec = PairSpec(kind=II, window_k=None, split_index=1, gap_buckets=0)
-    pair = strict_cpdp_filter(TrainTestPair(spec=spec, train=train, test=test))
-    assert [r.key for r in pair.test] == [("b", "1")]
-    # everything shared -> pair dropped
-    gone = strict_cpdp_filter(TrainTestPair(spec=spec, train=train,
-                                            test=(test[0],)))
-    assert gone is None
+def test_enumerate_removes_test_releases_of_training_projects():
+    releases = [
+        simple_release("a", "1", date(2001, 1, 1)),
+        simple_release("a", "2", date(2002, 1, 1)),
+        simple_release("b", "1", date(2002, 2, 1)),
+        simple_release("a", "3", date(2003, 1, 1)),
+    ]
+    ts = bucketize(releases, 12)  # buckets: a1 | a2 b1 | a3
+    # split 1 keeps b1 of its test side; split 2 tests only a3, whose
+    # project trains, so the pair is dropped
+    assert keys(enumerate_pairs(ts, II, gap_buckets=0)) == [
+        (None, 1, [("a", "1")], [("b", "1")])]
 
 
 def test_enumeration_is_input_order_independent():
@@ -188,55 +180,45 @@ def test_emission_order_ascending_window_then_split():
         assert order == sorted(order)
 
 
+def by_split(pairs):
+    """Kept pairs grouped by split, each list in ascending window order."""
+    grouped = {}
+    for pair in pairs:
+        grouped.setdefault(pair.spec.split_index, []).append(pair)
+    return grouped
+
+
 def test_cc_train_windows_nest():
     rng = random.Random(29)
     for _ in range(20):
         releases, granularity = random_dataset(rng)
         ts = bucketize(releases, granularity)
-        for split in range(1, ts.bucket_count):
-            previous = None
-            for k in range(1, ts.bucket_count + 1):
-                pair = generate_pair(ts, PairSpec(kind=CC, window_k=k,
-                                                  split_index=split,
-                                                  gap_buckets=0))
-                train = set() if pair is None else {r.key for r in pair.train}
-                if previous is not None:
-                    assert previous <= train
-                previous = train
+        for kept in by_split(enumerate_pairs(ts, CC, gap_buckets=0)).values():
+            trains = [{r.key for r in p.train} for p in kept]
+            assert all(a <= b for a, b in zip(trains, trains[1:]))
 
 
 def test_ic_test_windows_nest():
     rng = random.Random(31)
     releases, granularity = random_dataset(rng)
     ts = bucketize(releases, granularity)
-    for split in range(1, ts.bucket_count):
-        previous = None
-        for k in range(1, ts.bucket_count):
-            pair = generate_pair(ts, PairSpec(kind=IC, window_k=k,
-                                              split_index=split,
-                                              gap_buckets=0))
-            test = set() if pair is None else {r.key for r in pair.test}
-            if previous is not None:
-                assert previous <= test
-            previous = test
+    for kept in by_split(enumerate_pairs(ts, IC, gap_buckets=0)).values():
+        tests = [{r.key for r in p.test} for p in kept]
+        assert all(a <= b for a, b in zip(tests, tests[1:]))
 
 
 def test_ii_equals_ic_with_maximal_window():
+    # IC's largest window, bucket_count - 1, reaches the timeline's end
+    # from every split, as II's test side does
     rng = random.Random(37)
     for _ in range(20):
         releases, granularity = random_dataset(rng)
         ts = bucketize(releases, granularity)
-        for split in range(1, ts.bucket_count):
-            ii = generate_pair(ts, PairSpec(kind=II, window_k=None,
-                                            split_index=split, gap_buckets=1))
-            ic = generate_pair(ts, PairSpec(kind=IC,
-                                            window_k=ts.bucket_count,
-                                            split_index=split, gap_buckets=1))
-            if ii is None:
-                assert ic is None
-            else:
-                assert [r.key for r in ii.train] == [r.key for r in ic.train]
-                assert [r.key for r in ii.test] == [r.key for r in ic.test]
+        ii = enumerate_pairs(ts, II, gap_buckets=1)
+        ic = [p for p in enumerate_pairs(ts, IC, gap_buckets=1)
+              if p.spec.window_k == ts.bucket_count - 1]
+        assert [(p.spec.split_index, p.train, p.test) for p in ii] == \
+               [(p.spec.split_index, p.train, p.test) for p in ic]
 
 
 def test_exhaustive_single_release_combinations_count_time_travel():
