@@ -113,8 +113,6 @@ def cmd_pairs(args) -> int:
 
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     summary = run_experiment(config, out_dir=_out_dir(args, config),
                              threads=args.threads,
                              dump_trees=args.dump_trees)

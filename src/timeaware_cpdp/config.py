@@ -101,7 +101,6 @@ CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "tree.min_leaf_weight": ("tree_params", "min_leaf_weight", float),
     "treatments.amasaki15.attr_mad_mult": (None, "amasaki_attr_mad_mult", float),
     "treatments.amasaki15.relevancy_mult": (None, "amasaki_relevancy_mult", float),
-    "treatments.nam15.violation_threshold": (None, "nam_violation_threshold", float),
     "report.stability_threshold": (None, "stability_threshold", float),
 }
 
@@ -129,7 +128,6 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
     amasaki_attr_mad_mult: float = 1.0
     amasaki_relevancy_mult: float = 2.0
-    nam_violation_threshold: float | None = None
     stability_threshold: float = STABILITY_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -159,10 +157,6 @@ class ExperimentConfig:
                 ("report.stability_threshold", self.stability_threshold)):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-        threshold = self.nam_violation_threshold
-        if threshold is not None and not 0 <= threshold <= 1:
-            raise ConfigError(
-                "treatments.nam15.violation_threshold must lie in [0, 1]")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str],

@@ -105,20 +105,6 @@ def _auc_by_group(values: np.ndarray, labels: np.ndarray, group: np.ndarray,
     return area
 
 
-def auc(score_values: Sequence[float], actual: Sequence[bool]) -> float:
-    """Probability a defective instance outranks a clean one; ties count half.
-
-    Single-class inputs make the statistic undefined; the sentinel 0.5
-    is returned and the caller records the degenerate flag.
-    """
-    labels = np.asarray(actual, dtype=bool)
-    if len(score_values) != len(labels):
-        raise ValueError("scores and labels differ in length")
-    group = np.zeros(len(labels), dtype=np.intp)
-    return float(_auc_by_group(np.asarray(score_values, dtype=np.float64),
-                               labels, group, 1)[0])
-
-
 def evaluate_pair(tree: DecisionTree, treated: TreatedPair) -> list[VersionScore]:
     """Score the model separately on every test project version.
 

@@ -120,7 +120,7 @@ def crossval_pairs(releases: list[Release], folds: int,
         raise ConfigError("cross-validation needs at least 2 folds")
     if folds > len(releases):
         raise ConfigError(
-            f"{folds} folds but only {len(releases)} releases")
+            f"fold count {folds} exceeds the {len(releases)} releases")
 
     ordered = sorted(releases,
                      key=lambda r: (r.release_date, r.project_id, r.version_id))

@@ -45,7 +45,8 @@ from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
 from .errors import (BalancingError, ConfigError, DatasetError,
                      DegenerateTreatmentError, UnusableDataError)
 from .metrics import VersionScore, evaluate_pair
-from .pairs import PairSpec, TrainTestPair, crossval_pairs, enumerate_pairs
+from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
+                    enumerate_pairs)
 from .stability import (ResultRecord, _csv_field, _fmt_window, undersample,
                         write_reports, write_results_csv)
 from .tree import (DecisionTree, dump_tree, rethreshold, train_tree,
@@ -84,7 +85,7 @@ def apply_treatment(name: str, tp: TreatedPair,
         return amasaki15(tp, attr_mad_mult=config.amasaki_attr_mad_mult,
                          relevancy_mult=config.amasaki_relevancy_mult)
     if name == "nam15":
-        return nam15(tp, violation_threshold=config.nam_violation_threshold)
+        return nam15(tp)
     raise ConfigError(f"unknown technique: {name}")
 
 
@@ -170,18 +171,20 @@ class _Fit:
     tree_dump: str | None  # only with --dump-trees
 
 
-# the BalancingError that skipped a distinct (train, test) set, or per
-# technique its fit or the error that skipped it
-_SetResult = BalancingError | list[_Fit | DegenerateTreatmentError | UnusableDataError]
+# per technique, its fit or the error that skipped it
+_SetResult = list[_Fit | BalancingError | DegenerateTreatmentError
+                  | UnusableDataError]
 
 
 def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
                dump_trees: bool) -> list[_SetResult]:
     """Results of each distinct (train, test) set of one training side.
 
-    Trees are kept by training order key (TreeParams is the same for the
-    whole run) and dropped when the group ends. Errors are kept without
-    their tracebacks, which would hold the frames' arrays until fan-out.
+    A set that cannot be balanced gives its BalancingError to every
+    technique. Trees are kept by training order key (TreeParams is the
+    same for the whole run) and dropped when the group ends. Errors are
+    kept without their tracebacks, which would hold the frames' arrays
+    until fan-out.
     """
     trees: dict[bytes, DecisionTree] = {}
     results: list[_SetResult] = []
@@ -191,9 +194,9 @@ def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
             try:
                 base = undersample(base, pair_seed(config.seed, pair.spec))
             except BalancingError as exc:
-                results.append(exc.with_traceback(None))
+                results.append([exc.with_traceback(None)] * len(config.techniques))
                 continue
-        fits: list[_Fit | DegenerateTreatmentError | UnusableDataError] = []
+        fits: _SetResult = []
         for technique in config.techniques:
             try:
                 treated = apply_treatment(technique, base, config)
@@ -238,7 +241,6 @@ def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
     tally = _Tally()
     results: list[list[_SetResult | None]] = []
     last_use = {slot: i for i, slot in enumerate(plan.slots)}
-    n_techniques = len(config.techniques)
     for i, (pair, (group, position)) in enumerate(zip(tasks, plan.slots)):
         if group == len(results):  # groups are numbered by first use
             results.append(next(computed))
@@ -247,14 +249,7 @@ def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
             results[group][position] = None
         spec = pair.spec
         test_versions = len(pair.test)
-        tally.expected_rows += test_versions * n_techniques
-        if isinstance(result, BalancingError):
-            logger.warning("pair %s K=%s split=%s: balancing failed (%s); skipped",
-                           spec.kind.value, _fmt_window(spec.window_k),
-                           spec.split_index, result)
-            tally.failures += n_techniques
-            tally.failure_rows += test_versions * n_techniques
-            continue
+        tally.expected_rows += test_versions * len(config.techniques)
         for technique, fit in zip(config.techniques, result):
             if not isinstance(fit, _Fit):
                 logger.warning("pair %s K=%s split=%s technique=%s: %s; skipped",
@@ -279,6 +274,8 @@ def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
                    threads: int = 1, dump_trees: bool = False) -> RunSummary:
     """Run the full experiment and write results, manifest, and reports."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir) if out_dir is not None else config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -382,29 +379,24 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic(
             "warning", f"only {ts.bucket_count} buckets with gap "
                        f"{config.gap_buckets}: no room for any time-aware pair"))
-    # the pairs of build_tasks, each configuration enumerated once
-    tasks: list[TrainTestPair] = []
+    try:
+        tasks = build_tasks(config, ts, releases)
+    except ConfigError as exc:
+        diags.append(Diagnostic("error", str(exc)))
+        return diags
+    counts = _pair_counts(tasks)
     for kind in config.configurations:
-        pairs = enumerate_pairs(ts, kind, config.gap_buckets)
-        tasks.extend(pairs)
-        if not pairs:
+        if kind.value not in counts:
             diags.append(Diagnostic(
                 "warning", f"no feasible pairs for configuration {kind.value}"))
         else:
-            diags.append(Diagnostic("info", f"{kind.value}: {len(pairs)} pairs"))
-    if config.baseline_crossval is not None:
-        if config.baseline_crossval > len(releases):
             diags.append(Diagnostic(
-                "error", f"baseline_crossval={config.baseline_crossval} "
-                         f"exceeds the {len(releases)} releases"))
-        else:
-            pairs = crossval_pairs(releases, config.baseline_crossval,
-                                   config.seed)
-            tasks.extend(pairs)
-            diags.append(Diagnostic("info", f"crossval: {len(pairs)} pairs"))
-    if all(d.severity != "error" for d in diags):
-        plan = plan_run(tasks, config)
-        diags.append(Diagnostic(
-            "info", f"plan: {len(tasks)} pairs, {plan.distinct_pairs} distinct "
-                    f"(train, test) sets, {len(plan.groups)} training sides"))
+                "info", f"{kind.value}: {counts[kind.value]} pairs"))
+    if config.baseline_crossval is not None:
+        crossval = counts.get(ConfigurationKind.CROSSVAL.value, 0)
+        diags.append(Diagnostic("info", f"crossval: {crossval} pairs"))
+    plan = plan_run(tasks, config)
+    diags.append(Diagnostic(
+        "info", f"plan: {len(tasks)} pairs, {plan.distinct_pairs} distinct "
+                f"(train, test) sets, {len(plan.groups)} training sides"))
     return diags

@@ -10,6 +10,13 @@ instance weights, indexed by the training rows it keeps. When a
 treatment leaves nothing to train on it raises DegenerateTreatmentError
 and the caller skips the pair.
 
+A treatment sees the pair's whole test side: every test release of the
+pair, pooled into one matrix. The test statistics that watanabe08,
+camargocruz09, ma12 and amasaki15 read (means, medians, ranges and
+nearest-test distances) therefore span all of them, and a release's
+scores can change with the pair's other test releases. identity and
+nam15 read no test values.
+
 The five named treatments follow the published descriptions of the
 respective defect prediction approaches:
 
@@ -23,7 +30,7 @@ respective defect prediction approaches:
                   values and training instances far from the test data,
   nam15           relabel the training data unsupervised from
                   above-median attribute counts, then drop attributes
-                  and instances with many metric violations.
+                  and instances with above-median violation counts.
 """
 
 from __future__ import annotations
@@ -297,7 +304,7 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
         test_features=sel_test)
 
 
-def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedPair:
+def nam15(tp: TreatedPair) -> TreatedPair:
     """Relabel the training data unsupervised, then prune violations.
 
     A training instance's K counts its attributes whose value is
@@ -306,10 +313,8 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     violation is an attribute value contradicting that label (defective
     with value at or below the median, clean with value above it).
     Attributes and then instances whose violation score exceeds the
-    stage's threshold are removed; by default the threshold is the
-    median violation score of the stage, otherwise violation_threshold
-    is taken as a fraction of the possible violations. The generated
-    labels replace the training labels.
+    stage's median violation score are removed, so at least one of each
+    stays. The generated labels replace the training labels.
 
     When relabeling gives one class (as when every K is equal) the
     input comes back unchanged, original labels and all. Needs at least
@@ -318,8 +323,6 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
     """
     if tp.n_train < 2:
         raise UnusableDataError("nam15 needs at least 2 training instances")
-    if violation_threshold is not None and not 0 <= violation_threshold <= 1:
-        raise ValueError("violation_threshold must be within [0, 1]")
 
     x = tp.train_features
     with np.errstate(over="ignore"):
@@ -333,24 +336,11 @@ def nam15(tp: TreatedPair, violation_threshold: float | None = None) -> TreatedP
         return tp
 
     violations = np.where(generated[:, None], ~above, above)
-
-    attr_scores = violations.sum(axis=0).astype(float)
-    if violation_threshold is None:
-        attr_cut = np.median(attr_scores)
-    else:
-        attr_cut = violation_threshold * len(x)
-    kept_cols = np.flatnonzero(attr_scores <= attr_cut)
-    if kept_cols.size == 0:
-        raise DegenerateTreatmentError("nam15 dropped every attribute")
-
-    inst_scores = violations[:, kept_cols].sum(axis=1).astype(float)
-    if violation_threshold is None:
-        inst_cut = np.median(inst_scores)
-    else:
-        inst_cut = violation_threshold * kept_cols.size
-    keep_rows = inst_scores <= inst_cut
-    if not np.any(keep_rows):
-        raise DegenerateTreatmentError("nam15 dropped every training instance")
+    # the smallest score is never above the median: neither cut empties
+    attr_scores = violations.sum(axis=0)
+    kept_cols = np.flatnonzero(attr_scores <= np.median(attr_scores))
+    inst_scores = violations[:, kept_cols].sum(axis=1)
+    keep_rows = inst_scores <= np.median(inst_scores)
 
     return dataclasses.replace(
         tp,

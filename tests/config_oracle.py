@@ -43,7 +43,6 @@ _KNOWN_KEYS = {
     "tree.min_leaf_weight",
     "treatments.amasaki15.attr_mad_mult",
     "treatments.amasaki15.relevancy_mult",
-    "treatments.nam15.violation_threshold",
     "report.stability_threshold",
 }
 
@@ -134,12 +133,6 @@ def from_mapping(mapping: Mapping[str, str],
         raise ConfigError(str(exc)) from None
 
     baseline_raw = get("run.baseline_crossval")
-    nam_raw = get("treatments.nam15.violation_threshold")
-    nam_threshold = _to_float("treatments.nam15.violation_threshold", nam_raw) \
-        if nam_raw is not None else None
-    if nam_threshold is not None and not 0 <= nam_threshold <= 1:
-        raise ConfigError(
-            "treatments.nam15.violation_threshold must lie in [0, 1]")
 
     return cls(
         dataset_path=(base / get("dataset.path")).resolve(),
@@ -161,7 +154,6 @@ def from_mapping(mapping: Mapping[str, str],
         amasaki_relevancy_mult=_to_float(
             "treatments.amasaki15.relevancy_mult",
             get("treatments.amasaki15.relevancy_mult", "2.0")),
-        nam_violation_threshold=nam_threshold,
         stability_threshold=_to_float(
             "report.stability_threshold", get("report.stability_threshold", "0.05")))
 
@@ -195,9 +187,6 @@ def canonical_items(self: ExperimentConfig) -> list[tuple[str, str]]:
         ("tree.min_leaf_weight", repr(self.tree_params.min_leaf_weight)),
         ("treatments.amasaki15.attr_mad_mult", repr(self.amasaki_attr_mad_mult)),
         ("treatments.amasaki15.relevancy_mult", repr(self.amasaki_relevancy_mult)),
-        ("treatments.nam15.violation_threshold",
-         "" if self.nam_violation_threshold is None
-         else repr(self.nam_violation_threshold)),
         ("report.stability_threshold", repr(self.stability_threshold)),
     ]
     return items

@@ -72,9 +72,10 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
         try:
             base = undersample(assembled, pair_seed(config.seed, spec))
         except BalancingError as exc:
-            logger.warning("pair %s K=%s split=%s: balancing failed (%s); skipped",
-                           spec.kind.value, _fmt_window(spec.window_k),
-                           spec.split_index, exc)
+            for technique in config.techniques:
+                logger.warning("pair %s K=%s split=%s technique=%s: %s; skipped",
+                               spec.kind.value, _fmt_window(spec.window_k),
+                               spec.split_index, technique, exc)
             return _TaskOutput(test_versions, [], len(config.techniques), [])
 
     for technique in config.techniques:

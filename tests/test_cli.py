@@ -22,6 +22,14 @@ def test_validate_prints_diagnostics(tmp_path, capsys):
     assert "INFO: CC: 12 pairs" in out
 
 
+def test_validate_exit_one_on_more_folds_than_releases(tmp_path, capsys):
+    cfg = write_experiment(tmp_path, **{"run.baseline_crossval": "9"})
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("ERROR:")] == [
+        "ERROR: fold count 9 exceeds the 8 releases"]
+
+
 def test_validate_exit_one_on_dataset_error(tmp_path, capsys):
     cfg = write_experiment(tmp_path, **{"dataset.feature_cols": "f1,ghost"})
     assert main(["validate", "--config", str(cfg)]) == 1
@@ -259,9 +267,10 @@ def test_non_utf8_config_exits_one(tmp_path, caplog, command):
     assert "internal error" not in caplog.text
 
 
-def test_invalid_threads_exits_one(tmp_path):
+def test_invalid_threads_exits_one(tmp_path, caplog):
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg), "--threads", "0"]) == 1
+    assert "threads must be >= 1, got 0" in caplog.text
 
 
 def test_internal_error_exits_two(tmp_path, monkeypatch):

@@ -49,8 +49,6 @@ VALUES = {
                                            ("-1", "nan", "inf", "x")),
     "treatments.amasaki15.relevancy_mult": (("2.0", "0.5", "0", "3"),
                                             ("-1", "nan", "-inf", "x")),
-    "treatments.nam15.violation_threshold": (("0.5", "0", "1", "0.25"),
-                                             ("1.5", "-0.1", "nan", "x")),
     "report.stability_threshold": (("0.05", "0", "0.1", "1"),
                                    ("-0.01", "nan", "inf", "low")),
 }

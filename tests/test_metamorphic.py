@@ -11,6 +11,10 @@ the four reports and manifest.json byte-identical:
 
 The same config and CSV copied into another directory must give the
 same bytes too: config_sha256 leaves out the dataset and output paths.
+
+A treatment sees its pair's whole test side. identity and nam15 read no
+test values, so dropping a pair's later test releases must leave the
+earliest release's scores unchanged under both.
 """
 
 import random
@@ -23,7 +27,12 @@ import pytest
 from e2e import write_experiment
 from synth import dataset_csv, simple_release
 from timeaware_cpdp.cli import main
-from timeaware_cpdp.treatments import TREATMENT_NAMES
+from timeaware_cpdp.dataset import bucketize
+from timeaware_cpdp.metrics import evaluate_pair
+from timeaware_cpdp.pairs import ConfigurationKind, TrainTestPair, enumerate_pairs
+from timeaware_cpdp.tree import TreeParams, train_tree
+from timeaware_cpdp.treatments import (TREATMENT_NAMES, assemble_pair,
+                                       identity_treatment, nam15, watanabe08)
 
 OUTPUTS = ("results.csv", "stability.csv", "ranks.csv", "comparisons.csv",
            "plotdata.csv", "manifest.json")
@@ -99,3 +108,27 @@ def test_dataset_edit_changes_no_output_byte(tmp_path, edit, balance):
     edited = run_outputs(tmp_path, edited_csv, balance)
     for name in OUTPUTS:
         assert edited[name] == original[name], name
+
+
+def earliest_scores(pair, treat):
+    """The VersionScore of the pair's earliest test release under treat."""
+    treated = treat(assemble_pair(pair))
+    return evaluate_pair(train_tree(treated, TreeParams()), treated)[0]
+
+
+def test_later_test_releases_leave_identity_and_nam15_rows_unchanged():
+    ts = bucketize(corpus(), 6)
+    pairs = [pair for kind in ("CC", "IC", "CI", "II")
+             for pair in enumerate_pairs(ts, ConfigurationKind(kind), 0)
+             if len(pair.test) > 1]
+    assert len(pairs) >= 10
+    pooled_changes = 0
+    for pair in pairs:
+        alone = TrainTestPair(pair.spec, pair.train, pair.test[:1])
+        for treat in (identity_treatment, nam15):
+            assert earliest_scores(alone, treat) == earliest_scores(pair, treat)
+        # watanabe08 rescales by the pooled test means, so the relation
+        # can tell a treatment that reads the later releases
+        pooled_changes += (earliest_scores(alone, watanabe08)
+                           != earliest_scores(pair, watanabe08))
+    assert pooled_changes > 0

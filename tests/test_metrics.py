@@ -6,10 +6,18 @@ import random
 import numpy as np
 import pytest
 
-from timeaware_cpdp.metrics import (_confusion_cells, auc, evaluate_pair,
-                                    midranks, scores)
+from timeaware_cpdp.metrics import (_auc_by_group, _confusion_cells,
+                                    evaluate_pair, midranks, scores)
 from timeaware_cpdp.tree import TreeParams, predict_proba_rows, train_tree
 from timeaware_cpdp.treatments import TreatedPair
+
+
+def auc(values, labels):
+    """AUC of values against labels: _auc_by_group on a single group."""
+    labels = np.asarray(labels, dtype=bool)
+    group = np.zeros(len(labels), dtype=np.intp)
+    return float(_auc_by_group(np.asarray(values, dtype=np.float64), labels,
+                               group, 1)[0])
 
 
 def test_confusion_cells_count_each_cell_per_group():

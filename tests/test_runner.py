@@ -10,18 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from e2e import write_experiment
+from e2e import toy_csv, write_experiment
 from timeaware_cpdp import __version__
 from timeaware_cpdp import runner as runner_module
 from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
-from timeaware_cpdp.errors import DatasetError, DegenerateTreatmentError
+from timeaware_cpdp.errors import (ConfigError, DatasetError,
+                                   DegenerateTreatmentError)
 from timeaware_cpdp.runner import (build_tasks, load_dataset, plan_run,
                                    run_experiment, validate, write_pairs_csv,
                                    write_summary_csv)
-from timeaware_cpdp.stability import (RESULTS_HEADER, load_results_csv,
-                                      write_results_csv)
+from timeaware_cpdp.stability import (RESULTS_HEADER, _fmt_window,
+                                      load_results_csv, write_results_csv)
 
 REPORT_FILES = ("results.csv", "stability.csv", "ranks.csv",
                 "comparisons.csv", "plotdata.csv", "manifest.json")
@@ -123,6 +124,14 @@ def test_thread_count_does_not_change_output(tmp_path):
     assert read_all(out_a) == read_all(out_b)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_is_a_config_error(tmp_path, threads):
+    cfg = ExperimentConfig.from_file(write_experiment(tmp_path))
+    with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+        run_experiment(cfg, out_dir=tmp_path / "out", threads=threads)
+    assert not (tmp_path / "out").exists()
+
+
 def test_dump_trees_writes_titled_dumps(tmp_path):
     _, out, _ = run(tmp_path, dump_trees=True)
     text = (out / "trees.txt").read_text(encoding="utf-8")
@@ -138,6 +147,38 @@ def test_balancing_keeps_accounting_balanced(tmp_path):
     assert (acct["expected_rows"] - acct["rows_from_failed_combinations"]
             == acct["written_rows"])
     assert summary.rows_written > 0
+
+
+def test_unbalanceable_set_skips_each_technique_in_enumeration_order(
+        tmp_path, caplog):
+    # bucket 0 (alpha 1.0 and beta 1.0) has no defective class, so every
+    # pair at split 1 trains on one class and cannot be balanced
+    lines = toy_csv().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[1] == "1.0" and fields[0] in ("alpha", "beta"):
+            fields[4] = "0"
+            lines[i] = ",".join(fields)
+    (tmp_path / "releases.csv").write_text("\n".join(lines) + "\n",
+                                           encoding="utf-8")
+    techniques = ("identity", "ma12")
+    with caplog.at_level(logging.WARNING):
+        cfg, out, summary = run(tmp_path, **{
+            "run.balance": "true", "run.techniques": ",".join(techniques)})
+    releases, ts = load_dataset(cfg)
+    unbalanceable = [pair for pair in build_tasks(cfg, ts, releases)
+                     if pair.spec.split_index == 1]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"pair {pair.spec.kind.value} K={_fmt_window(pair.spec.window_k)} "
+        f"split=1 technique={technique}: single-class training set cannot "
+        "be balanced; skipped"
+        for pair in unbalanceable for technique in techniques]
+    # the counts of one skip per (pair, technique) combination
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert summary.pair_technique_failures == 22 == 2 * len(unbalanceable)
+    assert manifest["row_accounting"] == {
+        "expected_rows": 188, "rows_from_failed_combinations": 94,
+        "written_rows": 94}
 
 
 def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):

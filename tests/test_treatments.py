@@ -351,40 +351,6 @@ def test_nam15_single_generated_class_falls_back():
     assert list(out.train_labels) == [True, False, False, True]
 
 
-def test_nam15_explicit_threshold_relaxes_instance_filter():
-    x = [
-        [1.0, 10.0, 9.0, 100.0],
-        [2.0, 20.0, 8.0, 200.0],
-        [6.5, 30.0, 7.0, 300.0],
-        [4.0, 40.0, 1.0, 400.0],
-        [5.0, 50.0, 2.0, 500.0],
-        [6.0, 60.0, 3.0, 600.0],
-    ]
-    tp = build_pair(x, [False] * 6, [[1.0] * 4], [True])
-    # attribute cut 0.4 * 6 = 2.4 drops only attribute 2 (score 5);
-    # instance cut 0.4 * 3 = 1.2 drops only row 3 (score 2), keeping row 2
-    # that the median rule would remove
-    out = nam15(tp, violation_threshold=0.4)
-    assert list(out.train_labels) == [False, False, False, True, True]
-    expected_rows = np.asarray(x, dtype=float)[[0, 1, 2, 4, 5]][:, [0, 1, 3]]
-    assert np.array_equal(out.train_features, expected_rows)
-
-
-def test_nam15_zero_threshold_drops_every_attribute():
-    x = [
-        [1.0, 10.0, 9.0, 100.0],
-        [2.0, 20.0, 8.0, 200.0],
-        [6.5, 30.0, 7.0, 300.0],
-        [4.0, 40.0, 1.0, 400.0],
-        [5.0, 50.0, 2.0, 500.0],
-        [6.0, 60.0, 3.0, 600.0],
-    ]
-    tp = build_pair(x, [False] * 6, [[1.0] * 4], [True])
-    # every attribute carries at least one violation here
-    with pytest.raises(DegenerateTreatmentError):
-        nam15(tp, violation_threshold=0.0)
-
-
 def test_nam15_needs_two_instances():
     tp = build_pair([[1.0]], [True], [[1.0]], [True])
     with pytest.raises(UnusableDataError):

@@ -19,12 +19,21 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tree_oracle as oracle
-from timeaware_cpdp.metrics import (_confusion_cells, auc, evaluate_pair,
-                                    midranks, scores)
+from timeaware_cpdp.metrics import (_auc_by_group, _confusion_cells,
+                                    evaluate_pair, midranks, scores)
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, dump_tree,
                                  predict_proba_rows, rethreshold, train_tree,
                                  training_order)
 from timeaware_cpdp.treatments import TreatedPair
+
+
+def auc(values, labels):
+    """AUC of values against labels: _auc_by_group on a single group."""
+    labels = np.asarray(labels, dtype=bool)
+    group = np.zeros(len(labels), dtype=np.intp)
+    return float(_auc_by_group(np.asarray(values, dtype=np.float64), labels,
+                               group, 1)[0])
+
 
 # few distinct values per column, so most columns have ties; a column of
 # level 0 only is constant
