@@ -9,7 +9,7 @@ Subcommands:
     report     rebuild the report CSVs from an existing results.csv
 
 Exit codes: 0 success, 1 configuration or dataset error, 2 internal
-error.
+error or (from argparse) a usage error.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the experiment")
     add_common(p_run)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads (output order is unaffected)")
     p_run.add_argument("--dump-trees", action="store_true",
                        help="also write every trained tree to trees.txt")
     p_run.set_defaults(func=cmd_run)
@@ -114,7 +112,6 @@ def cmd_pairs(args) -> int:
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     summary = run_experiment(config, out_dir=_out_dir(args, config),
-                             threads=args.threads,
                              dump_trees=args.dump_trees)
     print(f"wrote {summary.rows_written} result rows from "
           f"{summary.pairs_total} pairs to {summary.out_dir} "

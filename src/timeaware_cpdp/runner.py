@@ -3,7 +3,7 @@
 A run first plans its work (``plan_run``): the pairs are grouped by
 training side, and each group keeps every distinct test side once, since
 window truncation gives several (window, split) tags the same releases.
-Each group is then one unit of work, for one thread of the pool: per
+Each group is then one unit of work, run in the calling thread: per
 distinct (train, test) set, assembly -> optional under-sampling ->
 treatment -> tree training -> per-version scoring, with a tree grown
 once per distinct training order of the group: an input whose
@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -273,7 +272,12 @@ def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
 
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
                    threads: int = 1, dump_trees: bool = False) -> RunSummary:
-    """Run the full experiment and write results, manifest, and reports."""
+    """Run the full experiment and write results, manifest, and reports.
+
+    Every group runs in the calling thread. threads is checked (it must
+    be >= 1) but not used; the keyword goes once the benchmark stops
+    passing it (ROADMAP item 1).
+    """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir) if out_dir is not None else config.output_dir
@@ -282,17 +286,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
     plan = plan_run(tasks, config)
-
-    def run_group(group: list[TrainTestPair]) -> list[_SetResult]:
-        return _run_group(group, config, dump_trees)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tally = _fan_out(tasks, plan, pool.map(run_group, plan.groups),
-                             config, dump_trees)
-    else:
-        tally = _fan_out(tasks, plan, map(run_group, plan.groups), config,
-                         dump_trees)
+    computed = (_run_group(group, config, dump_trees) for group in plan.groups)
+    tally = _fan_out(tasks, plan, computed, config, dump_trees)
     records = tally.records
 
     write_results_csv(out / "results.csv", records)

@@ -175,6 +175,32 @@ def _finite(name: str, what: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _median(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """np.median(values, axis), bit for bit, without importing numpy.ma.
+
+    As np.median does, it partitions at the middle and at the end, where
+    any NaN goes, and a NaN gives NaN. values must not be empty along axis.
+    """
+    if axis is None:
+        values, axis = values.reshape(-1), 0
+    size = values.shape[axis]
+    part = np.partition(values, [(size - 1) // 2, size // 2, -1], axis=axis)
+    last = part.take(-1, axis=axis)
+    # [()] makes the 0-d result of 1-D values a scalar, as np.median's is
+    return np.where(np.isnan(last), last, _middle(part, axis))[()]
+
+
+def _middle(ordered: np.ndarray, axis: int) -> np.ndarray:
+    """np.median's middle of values sorted or partitioned along axis.
+
+    The middle value, or (a + b) / 2 of the middle two, summed from 0.0 as
+    np.mean sums: integers become float64, and -0.0 becomes 0.0.
+    """
+    size = ordered.shape[axis]
+    low = ordered.take((size - 1) // 2, axis=axis) + 0.0
+    return low if size % 2 else (low + ordered.take(size // 2, axis=axis)) / 2
+
+
 def _log1p(name: str, tp: TreatedPair) -> tuple[np.ndarray, np.ndarray]:
     """log(1 + x) of the train and test features; name needs them non-negative."""
     for side, x in (("train", tp.train_features), ("test", tp.test_features)):
@@ -195,7 +221,7 @@ def camargocruz09(tp: TreatedPair) -> TreatedPair:
     non-negative features on both sides.
     """
     log_train, log_test = _log1p("camargocruz09", tp)
-    shift = np.median(log_train, axis=0) - np.median(log_test, axis=0)
+    shift = _median(log_train, axis=0) - _median(log_test, axis=0)
     return dataclasses.replace(tp, train_features=log_train + shift,
                                test_features=log_test)
 
@@ -226,10 +252,9 @@ def _select_attributes(log_train: np.ndarray, log_test: np.ndarray,
     pool = np.concatenate([log_train.T, log_test.T], axis=1)
     order = pool.argsort(axis=1)
     ranked = np.take_along_axis(pool, order, axis=1)
-    # np.median's middle of each sorted row, without its partition
-    median = ranked[:, (size - 1) // 2:size // 2 + 1].mean(axis=1, keepdims=True)
+    median = _middle(ranked, axis=1)[:, None]
     deviation = np.abs(np.subtract(pool, median, out=pool), out=pool)
-    mad = np.median(deviation, axis=1, overwrite_input=True, keepdims=True)
+    mad = _median(deviation, axis=1)[:, None]
     gaps = np.full((len(pool), size + 1), np.inf)
     np.subtract(ranked[:, 1:], ranked[:, :-1], out=gaps[:, 1:-1])
     nearest = np.minimum(gaps[:, :-1], gaps[:, 1:], out=ranked)
@@ -292,7 +317,7 @@ def amasaki15(tp: TreatedPair, attr_mad_mult: float = 1.0,
     sel_train = log_train[:, kept_cols]
     sel_test = log_test[:, kept_cols]
     nn = _min_test_distances(sel_train, sel_test)
-    keep_rows = nn <= relevancy_mult * np.median(nn)
+    keep_rows = nn <= relevancy_mult * _median(nn)
     if not np.any(keep_rows):
         raise DegenerateTreatmentError("amasaki15 dropped every training instance")
 
@@ -326,21 +351,21 @@ def nam15(tp: TreatedPair) -> TreatedPair:
 
     x = tp.train_features
     with np.errstate(over="ignore"):
-        medians = _finite("nam15", "training median", np.median(x, axis=0))
+        medians = _finite("nam15", "training median", _median(x, axis=0))
     above = x > medians
     k = above.sum(axis=1)
 
     # the smallest K is never above the median, so one class means none is
-    generated = k > np.median(k)
+    generated = k > _median(k)
     if not np.any(generated):
         return tp
 
     violations = np.where(generated[:, None], ~above, above)
     # the smallest score is never above the median: neither cut empties
     attr_scores = violations.sum(axis=0)
-    kept_cols = np.flatnonzero(attr_scores <= np.median(attr_scores))
+    kept_cols = np.flatnonzero(attr_scores <= _median(attr_scores))
     inst_scores = violations[:, kept_cols].sum(axis=1)
-    keep_rows = inst_scores <= np.median(inst_scores)
+    keep_rows = inst_scores <= _median(inst_scores)
 
     return dataclasses.replace(
         tp,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,20 +101,14 @@ def _run_task(pair: TrainTestPair, config: ExperimentConfig,
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
-                   threads: int = 1, dump_trees: bool = False) -> RunSummary:
+                   dump_trees: bool = False) -> RunSummary:
     """Run the full experiment and write results, manifest, and reports."""
     out = Path(out_dir) if out_dir is not None else config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(
-                lambda pair: _run_task(pair, config, dump_trees), tasks))
-    else:
-        outputs = [_run_task(pair, config, dump_trees) for pair in tasks]
+    outputs = [_run_task(pair, config, dump_trees) for pair in tasks]
 
     records: list[ResultRecord] = []
     failures = 0

@@ -267,10 +267,13 @@ def test_non_utf8_config_exits_one(tmp_path, caplog, command):
     assert "internal error" not in caplog.text
 
 
-def test_invalid_threads_exits_one(tmp_path, caplog):
+def test_removed_threads_flag_is_a_usage_error(tmp_path, capsys):
     cfg = write_experiment(tmp_path)
-    assert main(["run", "--config", str(cfg), "--threads", "0"]) == 1
-    assert "threads must be >= 1, got 0" in caplog.text
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_internal_error_exits_two(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import logging
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,11 @@ REPORT_FILES = ("results.csv", "stability.csv", "ranks.csv",
                 "comparisons.csv", "plotdata.csv", "manifest.json")
 
 
-def run(tmp_path, out_name="out", seed=17, threads=1, dump_trees=False,
-        **overrides):
+def run(tmp_path, out_name="out", seed=17, dump_trees=False, **overrides):
     cfg = ExperimentConfig.from_file(
         write_experiment(tmp_path, seed=seed, **overrides))
     out = tmp_path / out_name
-    summary = run_experiment(cfg, out_dir=out, threads=threads,
-                             dump_trees=dump_trees)
+    summary = run_experiment(cfg, out_dir=out, dump_trees=dump_trees)
     return cfg, out, summary
 
 
@@ -116,12 +115,20 @@ def test_crossval_depends_on_seed(tmp_path):
         (out_b / "results.csv").read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path):
-    _, out_a, _ = run(tmp_path, out_name="a", threads=1,
-                      **{"run.baseline_crossval": "3"})
-    _, out_b, _ = run(tmp_path, out_name="b", threads=3,
-                      **{"run.baseline_crossval": "3"})
-    assert read_all(out_a) == read_all(out_b)
+def test_threads_keyword_runs_serially_with_the_same_bytes(tmp_path,
+                                                          monkeypatch):
+    """threads=2 starts no thread and writes the threads=1 bytes."""
+    cfg = ExperimentConfig.from_file(
+        write_experiment(tmp_path, **{"run.baseline_crossval": "3"}))
+    run_experiment(cfg, out_dir=tmp_path / "a", threads=1, dump_trees=True)
+
+    def start(self):
+        raise AssertionError(f"run_experiment started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    run_experiment(cfg, out_dir=tmp_path / "b", threads=2, dump_trees=True)
+    names = REPORT_FILES + ("trees.txt",)
+    assert read_all(tmp_path / "a", names) == read_all(tmp_path / "b", names)
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -275,9 +282,8 @@ def test_camargocruz09_shares_the_watanabe08_tree(tmp_path, monkeypatch):
                 if not line.startswith("camargocruz09,")])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 def test_skip_warnings_come_per_tag_in_enumeration_order(
-        tmp_path, monkeypatch, caplog, threads):
+        tmp_path, monkeypatch, caplog):
     import runner_oracle
     import timeaware_cpdp.runner as runner_mod
     real = runner_mod.apply_treatment
@@ -296,8 +302,7 @@ def test_skip_warnings_come_per_tag_in_enumeration_order(
     expected = [r.getMessage() for r in caplog.records]
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        summary = run_experiment(cfg, out_dir=tmp_path / "planned",
-                                 threads=threads)
+        summary = run_experiment(cfg, out_dir=tmp_path / "planned")
     assert [r.getMessage() for r in caplog.records] == expected
     assert len(expected) == summary.pair_technique_failures
     # some tags, not all, are skipped, and tags share (train, test) sets
@@ -309,12 +314,11 @@ def test_skip_warnings_come_per_tag_in_enumeration_order(
                            "forced failure; skipped")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 # only documented data conditions skip a combination; a plain ValueError,
 # such as NumPy's broadcasting error, is a programming error too
 @pytest.mark.parametrize("error", [TypeError, ValueError])
 def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
-                                                        caplog, error, threads):
+                                                        caplog, error):
     import timeaware_cpdp.runner as runner_mod
 
     def buggy(tp):
@@ -322,10 +326,10 @@ def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
 
     monkeypatch.setattr(runner_mod, "ma12", buggy)
     with pytest.raises(error, match="forced bug"):
-        run(tmp_path, threads=threads)
+        run(tmp_path)
     cfg = write_experiment(tmp_path)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "cli"),
-                 "--threads", str(threads)]) == 2
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "cli")]) == 2
     assert "internal error" in caplog.text
     assert "skipped" not in caplog.text
 

@@ -3,11 +3,10 @@
 Random small datasets, whose truncated windows give several (window,
 split) tags the same train and test releases, must give byte-identical
 results.csv, manifest.json, trees.txt and reports, and the same skip
-warnings in the same order, from ``runner.run_experiment`` at one or two
-threads and from ``runner_oracle.run_experiment`` at one thread. The
-draws cover under-sampling and cross-validation on and off, treatments
-that reject negative features, and a treatment forced to fail on some
-training sides.
+warnings in the same order, from ``runner.run_experiment`` and from
+``runner_oracle.run_experiment``. The draws cover under-sampling and
+cross-validation on and off, treatments that reject negative features,
+and a treatment forced to fail on some training sides.
 """
 
 import logging
@@ -80,8 +79,7 @@ def experiments(draw):
     # of `modulus` rows, so some training sides skip it on every tag
     forced = draw(st.none() | st.tuples(st.sampled_from(techniques),
                                         st.integers(2, 3)))
-    return (csv_text, overrides, forced, draw(st.integers(1, 2)),
-            draw(st.integers(0, 99)))
+    return csv_text, overrides, forced, draw(st.integers(0, 99))
 
 
 def forcing(forced, real):
@@ -118,30 +116,28 @@ def captured_warnings(name):
         logger.removeHandler(handler)
 
 
-def run(module, cfg, out, threads, forced, fits):
+def run(module, cfg, out, forced, fits):
     with mock.patch.object(module, "apply_treatment",
                            forcing(forced, runner.apply_treatment)), \
             mock.patch.object(module, "train_tree",
                               counting(fits, runner.train_tree)), \
             captured_warnings(module.logger.name) as warnings:
-        module.run_experiment(cfg, out_dir=out, threads=threads,
-                              dump_trees=True)
+        module.run_experiment(cfg, out_dir=out, dump_trees=True)
     return {name: (out / name).read_bytes() for name in OUTPUTS}, warnings
 
 
 @settings(max_examples=100, deadline=None)
 @given(experiments())
 def test_planned_run_matches_per_pair_oracle(experiment):
-    csv_text, overrides, forced, threads, seed = experiment
+    csv_text, overrides, forced, seed = experiment
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "releases.csv").write_text(csv_text, encoding="utf-8")
         cfg = ExperimentConfig.from_file(
             write_experiment(tmp, seed=seed, **overrides))
         oracle_fits, planned_fits = [], []
-        expected = run(oracle, cfg, tmp / "oracle", 1, forced, oracle_fits)
-        actual = run(runner, cfg, tmp / "planned", threads, forced,
-                     planned_fits)
+        expected = run(oracle, cfg, tmp / "oracle", forced, oracle_fits)
+        actual = run(runner, cfg, tmp / "planned", forced, planned_fits)
         releases, ts = runner.load_dataset(cfg)
         tasks = runner.build_tasks(cfg, ts, releases)
     release_sets = {(tuple(r.key for r in pair.train),

@@ -2,15 +2,23 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import timeaware_cpdp
+from e2e import write_experiment
 from timeaware_cpdp.errors import (DegenerateTreatmentError,
                                   UnusableDataError)
-from timeaware_cpdp.treatments import (TreatedPair, amasaki15, assemble_pair,
+from timeaware_cpdp.treatments import (TreatedPair, _median, _middle,
+                                       amasaki15, assemble_pair,
                                        camargocruz09, identity_treatment,
                                        ma12, nam15, watanabe08)
 
@@ -459,3 +467,59 @@ def test_treatments_never_read_test_labels(data):
     for treat in (identity_treatment, watanabe08, camargocruz09, ma12,
                   amasaki15, nam15):
         assert training_side(treat, permuted) == training_side(treat, tp)
+
+
+# few distinct values, so ties (and -0.0 against 0.0) are common
+MEDIAN_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, 1e308, -1e308,
+                                 math.inf, -math.inf, math.nan, 5e-324])
+MEDIAN_INTS = st.sampled_from([0, 1, -7, 3, 2**62 + 1, 2**62 + 3, -2**63])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_median_matches_numpy_bit_for_bit(data):
+    dtype, elements = data.draw(st.sampled_from(
+        ((np.float64, MEDIAN_FLOATS | st.floats(-10, 10)),
+         (np.int64, MEDIAN_INTS | st.integers(-10, 10)))))
+    # odd and even lengths along both axes
+    shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    values = data.draw(hnp.arrays(dtype, shape, elements=elements))
+    axis = data.draw(st.sampled_from((0, 1, None)))
+    with np.errstate(all="ignore"):  # the sum of two huge middles overflows
+        expected = np.median(values, axis=axis)
+        actual = _median(values, axis=axis)
+    assert type(actual) is type(expected)
+    assert actual.dtype == expected.dtype
+    assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  elements=MEDIAN_FLOATS.filter(lambda v: not math.isnan(v))
+                  | st.floats(-10, 10)),
+       st.sampled_from((0, 1)))
+def test_middle_of_sorted_rows_is_the_median(values, axis):
+    """amasaki15 takes its pool medians from rows it has sorted anyway.
+
+    Whichever of -0.0 and 0.0 sorts first, the middle is np.median's.
+    """
+    with np.errstate(all="ignore"):
+        expected = np.median(values, axis=axis)
+        actual = _middle(np.sort(values, axis=axis), axis)
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    """np.median imports numpy.ma on its first call; the treatments do not."""
+    cfg = write_experiment(tmp_path, **{"run.baseline_crossval": "3"})
+    src = Path(timeaware_cpdp.__file__).parents[1]
+    code = ("import sys; from timeaware_cpdp.cli import main; "
+            "assert main(['run', '--config', sys.argv[1]]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    manifest = (tmp_path / "out" / "manifest.json").read_text()
+    assert '"pair_technique_failures": 0' in manifest
