@@ -1,22 +1,21 @@
-"""Experiment orchestration: plan, run, fan out; results, manifest, dumps.
+"""Experiment orchestration: one walk over the pairs; results, manifest, dumps.
 
-A run first plans its work (``plan_run``): the pairs are grouped by
-training side, and each group keeps every distinct test side once, since
-window truncation gives several (window, split) tags the same releases.
-Each group is then one unit of work, run in the calling thread: per
-distinct (train, test) set, assembly -> optional under-sampling ->
-treatment -> tree training -> per-version scoring, with a tree grown
-once per distinct training order of the group: an input whose
-attributes sort and tie as an earlier input's, with the same labels
-and weights, takes that tree with thresholds from its own values
+Window truncation gives several (window, split) tags the same train and
+test releases, so the run computes each distinct (train, test) set once
+(``_set_key``). It walks the pairs in enumeration order; a set's first
+tag runs assembly -> optional under-sampling -> treatment -> tree
+training -> per-version scoring, and every tag of the set, the first
+included, takes its results: rows, skip warnings, failures and tree
+dumps. The set is dropped after its last tag. A tree is grown once per
+distinct training order of a training side: an input whose attributes
+sort and tie as an earlier input's of the same side, with the same
+labels and weights, takes that tree with thresholds from its own values
 (``tree.rethreshold``), bit for bit the tree a fit would give. So
 treatments that only map each attribute through an increasing function,
-such as camargocruz09 against watanabe08, share a tree. Fan-out walks
-the pairs in enumeration order and gives every (pair, technique) tag
-the results of its set: rows, skip warnings, failures and tree dumps.
-A row is the tag followed by one of the set's VersionScores, as one
-flat stability.ResultRecord; write_results_csv, next to that type,
-writes them to results.csv.
+such as camargocruz09 against watanabe08, share a tree. A side's trees
+are dropped after its last tag. A row is the tag followed by one of the
+set's VersionScores, as one flat stability.ResultRecord;
+write_results_csv, next to that type, writes them to results.csv.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or an
@@ -35,7 +34,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
@@ -116,50 +115,19 @@ def build_tasks(config: ExperimentConfig, ts: TimeSeriesDataset,
     return tasks
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """The distinct work of a run, and where each pair takes its results from.
-
-    groups holds one list per training side, in order of first
-    appearance: the first pair of each distinct test side trained on
-    it. slots gives every pair, in enumeration order, the (group,
-    position) of the pair whose results it shares.
-    """
-
-    groups: list[list[TrainTestPair]]
-    slots: list[tuple[int, int]]
-
-    @property
-    def distinct_pairs(self) -> int:
-        return sum(len(group) for group in self.groups)
-
-
-def plan_run(tasks: Sequence[TrainTestPair], config: ExperimentConfig) -> RunPlan:
-    """Group the pairs by training side and keep each test side once.
+def _set_key(pair: TrainTestPair,
+             config: ExperimentConfig) -> tuple[tuple, tuple]:
+    """(training side, test side): pairs with equal keys share their results.
 
     Window truncation at the dataset edges gives several (window, split)
     tags the same train and test releases. Under-sampling draws with a
     per-pair seed, so with balancing on the seed is part of the training
     side and no two pairs share one.
     """
-    groups: list[list[TrainTestPair]] = []
-    group_of: dict[tuple, int] = {}
-    slot_of: dict[tuple, tuple[int, int]] = {}
-    slots: list[tuple[int, int]] = []
-    for pair in tasks:
-        train: tuple = tuple(r.key for r in pair.train)
-        if config.balance:
-            train += (pair_seed(config.seed, pair.spec),)
-        if train not in group_of:
-            group_of[train] = len(groups)
-            groups.append([])
-        key = (train, tuple(r.key for r in pair.test))
-        if key not in slot_of:
-            group = group_of[train]
-            slot_of[key] = (group, len(groups[group]))
-            groups[group].append(pair)
-        slots.append(slot_of[key])
-    return RunPlan(groups, slots)
+    train: tuple = tuple(r.key for r in pair.train)
+    if config.balance:
+        train += (pair_seed(config.seed, pair.spec),)
+    return train, tuple(r.key for r in pair.test)
 
 
 @dataclass(frozen=True)
@@ -175,50 +143,45 @@ _SetResult = list[_Fit | BalancingError | DegenerateTreatmentError
                   | UnusableDataError]
 
 
-def _run_group(pairs: list[TrainTestPair], config: ExperimentConfig,
-               dump_trees: bool) -> list[_SetResult]:
-    """Results of each distinct (train, test) set of one training side.
+def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
+             config: ExperimentConfig, dump_trees: bool) -> _SetResult:
+    """Results of one distinct (train, test) set, per technique.
 
     A set that cannot be balanced gives its BalancingError to every
-    technique. Trees are kept by training order key (TreeParams is the
-    same for the whole run) and dropped when the group ends. Errors are
-    kept without their tracebacks, which would hold the frames' arrays
-    until fan-out.
+    technique. trees holds the trees of the set's training side by
+    training order key (TreeParams is the same for the whole run); a
+    fit adds to it. Errors are kept without their tracebacks, which
+    would hold the frames' arrays until the set's last tag.
     """
-    trees: dict[bytes, DecisionTree] = {}
-    results: list[_SetResult] = []
-    for pair in pairs:
-        base = assemble_pair(pair)
-        if config.balance:
-            try:
-                base = undersample(base, pair_seed(config.seed, pair.spec))
-            except BalancingError as exc:
-                results.append([exc.with_traceback(None)] * len(config.techniques))
-                continue
-        fits: _SetResult = []
-        for technique in config.techniques:
-            try:
-                treated = apply_treatment(technique, base, config)
-                order, key = training_order(treated)
-                tree = trees.get(key)
-                if tree is None:
-                    tree = trees[key] = train_tree(treated, config.tree_params,
-                                                   order=order)
-                else:
-                    tree = rethreshold(tree, treated)
-                version_scores = evaluate_pair(tree, treated)
-            except (DegenerateTreatmentError, UnusableDataError) as exc:
-                fits.append(exc.with_traceback(None))
-                continue
-            fits.append(_Fit(version_scores,
-                             dump_tree(tree) if dump_trees else None))
-        results.append(fits)
-    return results
+    base = assemble_pair(pair)
+    if config.balance:
+        try:
+            base = undersample(base, pair_seed(config.seed, pair.spec))
+        except BalancingError as exc:
+            return [exc.with_traceback(None)] * len(config.techniques)
+    fits: _SetResult = []
+    for technique in config.techniques:
+        try:
+            treated = apply_treatment(technique, base, config)
+            order, key = training_order(treated)
+            tree = trees.get(key)
+            if tree is None:
+                tree = trees[key] = train_tree(treated, config.tree_params,
+                                               order=order)
+            else:
+                tree = rethreshold(tree, treated)
+            version_scores = evaluate_pair(tree, treated)
+        except (DegenerateTreatmentError, UnusableDataError) as exc:
+            fits.append(exc.with_traceback(None))
+            continue
+        fits.append(_Fit(version_scores,
+                         dump_tree(tree) if dump_trees else None))
+    return fits
 
 
 @dataclass
 class _Tally:
-    """What the fan-out hands to the output files."""
+    """What the walk hands to the output files."""
 
     records: list[ResultRecord] = field(default_factory=list)
     dumps: list[tuple[str, str]] = field(default_factory=list)
@@ -227,25 +190,29 @@ class _Tally:
     failure_rows: int = 0
 
 
-def _fan_out(tasks: Sequence[TrainTestPair], plan: RunPlan,
-             computed: Iterator[list[_SetResult]], config: ExperimentConfig,
-             dump_trees: bool) -> _Tally:
+def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
+          dump_trees: bool) -> _Tally:
     """Give every (pair, technique) tag, in enumeration order, its set's results.
 
-    A group's results are taken from computed when the walk first needs
-    them, and a set's result is dropped after its last tag. Under
-    balancing every set has one tag, so its version scores become
+    A set is computed at its first tag and dropped after its last; the
+    trees of a training side are dropped after that side's last tag.
+    Under balancing every set has one tag, so its version scores become
     records as soon as they exist.
     """
+    keys = [_set_key(pair, config) for pair in tasks]
+    last_tag = {key: i for i, key in enumerate(keys)}
+    last_side = {train: i for i, (train, _) in enumerate(keys)}
+    sets: dict[tuple, _SetResult] = {}
+    trees: dict[tuple, dict[bytes, DecisionTree]] = {}
     tally = _Tally()
-    results: list[list[_SetResult | None]] = []
-    last_use = {slot: i for i, slot in enumerate(plan.slots)}
-    for i, (pair, (group, position)) in enumerate(zip(tasks, plan.slots)):
-        if group == len(results):  # groups are numbered by first use
-            results.append(next(computed))
-        result = results[group][position]
-        if last_use[group, position] == i:
-            results[group][position] = None
+    for i, (pair, key) in enumerate(zip(tasks, keys)):
+        train = key[0]
+        if key not in sets:
+            sets[key] = _run_set(pair, trees.setdefault(train, {}), config,
+                                 dump_trees)
+        result = sets.pop(key) if last_tag[key] == i else sets[key]
+        if last_side[train] == i:
+            del trees[train]
         spec = pair.spec
         test_versions = len(pair.test)
         tally.expected_rows += test_versions * len(config.techniques)
@@ -274,7 +241,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
                    threads: int = 1, dump_trees: bool = False) -> RunSummary:
     """Run the full experiment and write results, manifest, and reports.
 
-    Every group runs in the calling thread. threads is checked (it must
+    All work runs in the calling thread. threads is checked (it must
     be >= 1) but not used; the keyword goes once the benchmark stops
     passing it (ROADMAP item 1).
     """
@@ -285,9 +252,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
 
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
-    plan = plan_run(tasks, config)
-    computed = (_run_group(group, config, dump_trees) for group in plan.groups)
-    tally = _fan_out(tasks, plan, computed, config, dump_trees)
+    tally = _walk(tasks, config, dump_trees)
     records = tally.records
 
     write_results_csv(out / "results.csv", records)
@@ -390,8 +355,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     if config.baseline_crossval is not None:
         crossval = counts.get(ConfigurationKind.CROSSVAL.value, 0)
         diags.append(Diagnostic("info", f"crossval: {crossval} pairs"))
-    plan = plan_run(tasks, config)
+    keys = {_set_key(pair, config) for pair in tasks}
     diags.append(Diagnostic(
-        "info", f"plan: {len(tasks)} pairs, {plan.distinct_pairs} distinct "
-                f"(train, test) sets, {len(plan.groups)} training sides"))
+        "info", f"plan: {len(tasks)} pairs, {len(keys)} distinct (train, test) "
+                f"sets, {len({train for train, _ in keys})} training sides"))
     return diags

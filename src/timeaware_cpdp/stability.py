@@ -441,9 +441,9 @@ def _write_stability(path: Path, rows: Sequence[StabilityRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("technique,kind,window_k,metric,n,excluded,mean,sd,stable\n")
         for row in rows:
-            fh.write(f"{row.technique},{row.kind},{_fmt(row.window_k)},"
-                     f"{row.metric},{row.n},{row.excluded},{_fmt(row.mean)},"
-                     f"{_fmt(row.sd)},{_fmt(row.stable)}\n")
+            fh.write(f"{_csv_field(row.technique)},{_csv_field(row.kind)},"
+                     f"{_fmt(row.window_k)},{row.metric},{row.n},{row.excluded},"
+                     f"{_fmt(row.mean)},{_fmt(row.sd)},{_fmt(row.stable)}\n")
 
 
 def _write_ranks(path: Path, overall: Sequence[StabilityRow],
@@ -470,8 +470,8 @@ def _write_ranks(path: Path, overall: Sequence[StabilityRow],
             sd_by_tech = _rank_sds(cell_means, kind)
             for row in rank_techniques(values):
                 rs = dict(zip(RANK_METRICS, row.rankscores))
-                fh.write(f"{kind},{row.technique},{_fmt(rs['fscore'])},"
-                         f"{_fmt(rs['auc'])},{_fmt(rs['mcc'])},"
+                fh.write(f"{_csv_field(kind)},{_csv_field(row.technique)},"
+                         f"{_fmt(rs['fscore'])},{_fmt(rs['auc'])},{_fmt(rs['mcc'])},"
                          f"{_fmt(rs['gmeasure'])},{_fmt(row.mean_rank_score)},"
                          f"{row.rank},{_fmt(sd_by_tech[row.technique])}\n")
 
@@ -490,7 +490,8 @@ def _write_comparisons(path: Path, records: Sequence[ResultRecord]) -> None:
                     continue
                 p = wilcoxon_rank_sum(a, b)
                 delta, label = cliffs_delta(a, b)
-                fh.write(f"{tech},{metric},{_fmt(p)},{_fmt(delta)},{label}\n")
+                fh.write(f"{_csv_field(tech)},{metric},{_fmt(p)},"
+                         f"{_fmt(delta)},{label}\n")
 
 
 def _write_plotdata(path: Path,
@@ -500,5 +501,5 @@ def _write_plotdata(path: Path,
         fh.write("technique,kind,window_k,split_index,metric,value\n")
         for (tech, kind, window, split), means in cell_means.items():
             for metric, mean in means.items():
-                fh.write(f"{tech},{kind},{_fmt_window(window)},{split},"
-                         f"{metric},{_fmt(mean)}\n")
+                fh.write(f"{_csv_field(tech)},{_csv_field(kind)},"
+                         f"{_fmt_window(window)},{split},{metric},{_fmt(mean)}\n")

@@ -1,4 +1,4 @@
-"""Reference runner: the per-pair loop the planned run replaced.
+"""Reference runner: the per-pair loop that sharing work between pairs replaced.
 
 Every pair is assembled, (optionally) under-sampled, treated, fitted and
 scored on its own, even when another pair has the same (train, test)
@@ -6,7 +6,7 @@ releases or a technique leaves the same training input. Skip warnings
 are logged where the skip happens. ``tests/test_runner_oracle.py``
 checks that ``timeaware_cpdp.runner.run_experiment`` writes the same
 bytes and logs the same warnings. ``training_digest`` is the byte digest
-the planned run once keyed its fits on.
+the runner once keyed its fits on.
 
 The layer functions are bound here under the names ``runner`` binds, so
 a test that replaces one of them has to replace it in both modules.

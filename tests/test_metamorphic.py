@@ -11,19 +11,27 @@ the four reports and manifest.json byte-identical:
 
 The same config and CSV copied into another directory must give the
 same bytes too: config_sha256 leaves out the dataset and output paths.
+So must two processes with different string hash seeds, trees.txt,
+stdout and stderr included: the runner keys dicts on tuples of strings.
 
 A treatment sees its pair's whole test side. identity and nam15 read no
 test values, so dropping a pair's later test releases must leave the
 earliest release's scores unchanged under both.
 """
 
+import os
 import random
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date
 from itertools import chain, zip_longest
+from pathlib import Path
 
 import pytest
 
+import timeaware_cpdp
 from e2e import write_experiment
 from synth import dataset_csv, simple_release
 from timeaware_cpdp.cli import main
@@ -90,6 +98,32 @@ def test_another_directory_changes_no_output_byte(tmp_path):
         outputs.append(run_outputs(tmp_path / name, csv_text, "false"))
     for name in OUTPUTS:
         assert outputs[0][name] == outputs[1][name], name
+
+
+def test_hash_seed_changes_no_output_byte(tmp_path):
+    (tmp_path / "releases.csv").write_text(dataset_csv(rows(corpus())),
+                                           encoding="utf-8")
+    cfg = write_experiment(tmp_path, **{
+        "run.techniques": ",".join(TREATMENT_NAMES),
+        "run.baseline_crossval": "3",
+    })
+    src = Path(timeaware_cpdp.__file__).parents[1]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from timeaware_cpdp.cli import main; sys.exit(main())",
+             "run", "--config", str(cfg), "--dump-trees"],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "out"
+        outputs.append({name: (out / name).read_bytes()
+                        for name in OUTPUTS + ("trees.txt",)})
+        outputs[-1].update(stdout=proc.stdout, stderr=proc.stderr)
+        shutil.rmtree(out)
+    assert outputs[0] == outputs[1]
 
 
 # under-sampling draws training rows by position, so with balancing on a

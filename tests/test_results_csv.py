@@ -88,3 +88,24 @@ def test_quoted_ids_survive_run_report_and_pairs(tmp_path):
     assert {len(row) for row in rows} == {6}
     versions = {v for row in rows[1:] for side in row[4:] for v in side.split(";")}
     assert {"ant,core/1.0", 'beta/1."0'} <= versions
+
+
+def test_reports_quote_technique_and_kind(tmp_path):
+    cfg = write_experiment(tmp_path, **{"run.baseline_crossval": "3"})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg)]) == 0
+    names = {"camargocruz09": "a,b", "watanabe08": 'q"t', "CC": 'c,"c'}
+    records = [r._replace(technique=names.get(r.technique, r.technique),
+                          kind=names.get(r.kind, r.kind))
+               for r in load_results_csv(out / "results.csv")]
+    write_results_csv(out / "results.csv", records)
+    assert main(["report", "--config", str(cfg)]) == 0
+    for name in REPORTS:
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and {len(row) for row in rows} == {len(header)}, name
+        columns = {column: {row[i] for row in rows}
+                   for i, column in enumerate(header)}
+        assert {"a,b", 'q"t'} <= columns["technique"], name
+        if "kind" in columns:
+            assert 'c,"c' in columns["kind"], name

@@ -19,9 +19,8 @@ from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import (ConfigError, DatasetError,
                                    DegenerateTreatmentError)
-from timeaware_cpdp.runner import (build_tasks, load_dataset, plan_run,
-                                   run_experiment, validate, write_pairs_csv,
-                                   write_summary_csv)
+from timeaware_cpdp.runner import (build_tasks, load_dataset, run_experiment,
+                                   validate, write_pairs_csv, write_summary_csv)
 from timeaware_cpdp.stability import (RESULTS_HEADER, _fmt_window,
                                       load_results_csv, write_results_csv)
 
@@ -271,10 +270,11 @@ def test_camargocruz09_shares_the_watanabe08_tree(tmp_path, monkeypatch):
     _, both, _, fits_both, _ = counted_run(tmp_path, monkeypatch,
                                            "watanabe08,camargocruz09")
     releases, ts = load_dataset(cfg)
-    plan = plan_run(build_tasks(cfg, ts, releases), cfg)
+    sides = {tuple(r.key for r in pair.train)
+             for pair in build_tasks(cfg, ts, releases)}
     # one tree per training side: watanabe08 leaves the training values
     # as they are, and camargocruz09 maps them through log1p and a shift
-    assert len(fits_alone) == len(fits_both) == len(plan.groups)
+    assert len(fits_alone) == len(fits_both) == len(sides)
     records = load_results_csv(both / "results.csv")
     assert {r.technique for r in records} == {"watanabe08", "camargocruz09"}
     assert ((alone / "results.csv").read_text().splitlines()
@@ -309,7 +309,8 @@ def test_skip_warnings_come_per_tag_in_enumeration_order(
     releases, ts = load_dataset(cfg)
     tasks = build_tasks(cfg, ts, releases)
     assert 0 < len(expected) < len(tasks)
-    assert plan_run(tasks, cfg).distinct_pairs < len(tasks)
+    assert len({(tuple(r.key for r in pair.train),
+                 tuple(r.key for r in pair.test)) for pair in tasks}) < len(tasks)
     assert expected[0] == ("pair CC K=2 split=2 technique=ma12: "
                            "forced failure; skipped")
 

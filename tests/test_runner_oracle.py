@@ -1,12 +1,15 @@
-"""The planned run against the per-pair loop it replaced.
+"""The runner's walk, which shares work between pairs, against the per-pair loop.
 
 Random small datasets, whose truncated windows give several (window,
 split) tags the same train and test releases, must give byte-identical
 results.csv, manifest.json, trees.txt and reports, and the same skip
 warnings in the same order, from ``runner.run_experiment`` and from
-``runner_oracle.run_experiment``. The draws cover under-sampling and
-cross-validation on and off, treatments that reject negative features,
-and a treatment forced to fail on some training sides.
+``runner_oracle.run_experiment``. The runner must also do each piece of
+shared work exactly once: one assembly per distinct (train, test) set,
+at the set's first pair, and one fit per distinct training order of a
+training side. The draws cover under-sampling and cross-validation on
+and off, treatments that reject negative features, and a treatment
+forced to fail on some training sides.
 """
 
 import logging
@@ -93,12 +96,32 @@ def forcing(forced, real):
     return apply_treatment
 
 
-def counting(fits, real):
-    """train_tree that records the byte digest and order key of each fit."""
+def set_key(pair, cfg):
+    """(training side, test side) of a pair; under-sampling draws per pair."""
+    train = tuple(r.key for r in pair.train)
+    if cfg.balance:
+        train += (runner.pair_seed(cfg.seed, pair.spec),)
+    return train, tuple(r.key for r in pair.test)
+
+
+def assembling(assembled, real):
+    """assemble_pair that records each pair it assembles."""
+    def assemble_pair(pair):
+        assembled.append(pair)
+        return real(pair)
+    return assemble_pair
+
+
+def counting(fits, assembled, cfg, real):
+    """train_tree that records the byte digest, order key and training side of each fit.
+
+    The training side is that of the pair assembled last.
+    """
     def train_tree(treated, params=None, **kwargs):
         tree = real(treated, params, **kwargs)
         fits.append((oracle.training_digest(treated),
-                     training_order(treated)[1]))
+                     training_order(treated)[1],
+                     set_key(assembled[-1], cfg)[0]))
         return tree
     return train_tree
 
@@ -116,11 +139,13 @@ def captured_warnings(name):
         logger.removeHandler(handler)
 
 
-def run(module, cfg, out, forced, fits):
+def run(module, cfg, out, forced, fits, assembled):
     with mock.patch.object(module, "apply_treatment",
                            forcing(forced, runner.apply_treatment)), \
+            mock.patch.object(module, "assemble_pair",
+                              assembling(assembled, runner.assemble_pair)), \
             mock.patch.object(module, "train_tree",
-                              counting(fits, runner.train_tree)), \
+                              counting(fits, assembled, cfg, runner.train_tree)), \
             captured_warnings(module.logger.name) as warnings:
         module.run_experiment(cfg, out_dir=out, dump_trees=True)
     return {name: (out / name).read_bytes() for name in OUTPUTS}, warnings
@@ -128,37 +153,43 @@ def run(module, cfg, out, forced, fits):
 
 @settings(max_examples=100, deadline=None)
 @given(experiments())
-def test_planned_run_matches_per_pair_oracle(experiment):
+def test_walk_matches_per_pair_oracle(experiment):
     csv_text, overrides, forced, seed = experiment
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "releases.csv").write_text(csv_text, encoding="utf-8")
         cfg = ExperimentConfig.from_file(
             write_experiment(tmp, seed=seed, **overrides))
-        oracle_fits, planned_fits = [], []
-        expected = run(oracle, cfg, tmp / "oracle", forced, oracle_fits)
-        actual = run(runner, cfg, tmp / "planned", forced, planned_fits)
+        oracle_fits, walk_fits, oracle_assembled, walk_assembled = [], [], [], []
+        expected = run(oracle, cfg, tmp / "oracle", forced, oracle_fits,
+                       oracle_assembled)
+        actual = run(runner, cfg, tmp / "walk", forced, walk_fits,
+                     walk_assembled)
         releases, ts = runner.load_dataset(cfg)
         tasks = runner.build_tasks(cfg, ts, releases)
     release_sets = {(tuple(r.key for r in pair.train),
                      tuple(r.key for r in pair.test)) for pair in tasks}
     if len(release_sets) < len(tasks):
         event("duplicate (train, test) release sets")
-    oracle_digests = {digest for digest, _ in oracle_fits}
-    planned_digests = {digest for digest, _ in planned_fits}
+    oracle_digests = {digest for digest, _, _ in oracle_fits}
+    walk_digests = {digest for digest, _, _ in walk_fits}
+    oracle_orders = {(side, key) for _, key, side in oracle_fits}
     if len(oracle_digests) < len(oracle_fits):
         event("repeated fit inputs")
-    if len(planned_fits) < len(oracle_fits):
-        event("fits saved by the plan")
-    if len(planned_digests) < len(oracle_digests):
+    if len(walk_fits) < len(oracle_fits):
+        event("fits saved by sharing")
+    if len(walk_digests) < len(oracle_digests):
         event("distinct inputs share a tree by order")
     if expected[1]:
         event("skip warnings")
 
     assert actual == expected
-    # the planned run fits only inputs the oracle fits, at most as often,
-    # and grows a tree for every training order the oracle fits
-    assert planned_digests <= oracle_digests
-    assert ({key for _, key in oracle_fits}
-            <= {key for _, key in planned_fits})
-    assert len(planned_fits) <= len(oracle_fits)
+    # one assembly per distinct (train, test) set, at its first pair
+    assert oracle_assembled == tasks
+    assert ([set_key(pair, cfg) for pair in walk_assembled]
+            == list(dict.fromkeys(set_key(pair, cfg) for pair in tasks)))
+    # the walk fits only inputs the oracle fits, and grows one tree per
+    # training order of a training side that the oracle fits
+    assert walk_digests <= oracle_digests
+    assert {(side, key) for _, key, side in walk_fits} == oracle_orders
+    assert len(walk_fits) == len(oracle_orders)
