@@ -46,19 +46,11 @@ from .pairs import TrainTestPair
 # weights are floored here so that instance weights stay strictly positive
 MIN_INSTANCE_WEIGHT = 1e-6
 # amasaki15 computes nearest-test distances for at most this many
-# (train, test) cells at a time, in at most two 2 MB buffers; a call
-# with fewer cells allocates only what it needs. The size also keeps the
-# tree fast on the demo, whose largest calls fill both buffers. glibc
-# raises its mmap threshold to the largest block freed, and the tree's
-# split search allocates per node a few arrays above the initial 128 KB
-# threshold on nodes of 1000+ rows: the running weight sums along every
-# attribute and the 2k+1 class shares (and their complements) for k
-# admissible cuts. Below the threshold they come from the heap; above
-# it each is mapped, faulted in and unmapped on every such node. With
-# 512 KB buffers (1 << 16 cells) a demo run took ~19k page faults, ~17k
-# of them in the tree, against ~4k (~350 in the tree) at 1 << 18. That
-# was measured on the demo only.
-DISTANCE_CHUNK_CELLS = 1 << 18
+# (train, test) cells at a time, in two buffers of at most 64 KB (a call
+# with fewer cells allocates only what it needs). Blocks this size stay
+# in cache and below glibc's initial 128 KB mmap threshold, so they come
+# from the heap instead of being mapped and faulted in on every call.
+DISTANCE_CHUNK_CELLS = 1 << 13
 
 TREATMENT_NAMES = (
     "identity",

@@ -15,7 +15,9 @@ the rows up to its cut left. All counts and entropies use instance
 weights, so a duplicated instance and a doubled weight produce the same
 tree. Each fit sorts its rows by every attribute once; a node passes
 its sorted rows to its children by a stable partition, so every node
-scans its attributes in the order its own stable sort would give.
+scans its attributes in the order its own stable sort would give. The
+split search writes into work arrays allocated once per fit and sized
+for its root, not into arrays allocated at every node.
 Every tree is pruned by the classic pessimistic error estimate with a
 confidence parameter, applied bottom-up with subtree replacement only
 (no subtree raising). Prediction descends all rows of a matrix level by
@@ -103,9 +105,38 @@ def _threshold(below: float, above: float) -> float:
     return mid if below <= mid < above else below
 
 
+class _Scratch:
+    """The split search's work arrays for one fit, sized for its root.
+
+    A node of m rows over d attributes uses the first d·m cells of each
+    per-cell array and, for its k admissible cuts (k < d·m), the first
+    3k or 6k + 2 cells of each per-cut one. So no node allocates an
+    array that grows with its rows, except the k cut indices that
+    nonzero returns. A node writes every cell before it reads it, so
+    nothing carries over from a larger node or from what np.empty
+    hands back.
+    """
+
+    __slots__ = ("index", "values", "cum", "remaining", "ok", "at_cuts",
+                 "share", "no_class", "h")
+
+    def __init__(self, d: int, n: int):
+        cells = d * n
+        self.index = np.empty(cells, dtype=np.intp)
+        self.values = np.empty(cells)
+        self.cum = np.empty(2 * cells)
+        self.remaining = np.empty(cells)
+        self.ok = np.empty(cells, dtype=bool)
+        self.at_cuts = np.empty(3 * cells)
+        self.share = np.empty(6 * cells + 2)
+        self.no_class = np.empty(6 * cells + 2, dtype=bool)
+        self.h = np.empty(6 * cells + 2)
+
+
 def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
            weights: np.ndarray, total_w: float, total_d: float,
-           min_leaf: float) -> tuple[int, int, int, float] | None:
+           min_leaf: float,
+           scratch: _Scratch) -> tuple[int, int, int, float] | None:
     """Highest gain-ratio admissible split of one node, or None.
 
     A split is its attribute, the rows either side of its cut and its
@@ -121,36 +152,48 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     attribute, then the first threshold.
 
     Most nodes are small, so the cost is the number of NumPy calls:
-    ufuncs are called directly, mostly in place. Every value is computed
-    by the same operations in the same order as a clip/where form that
-    sorts each node anew (kept as the test oracle), so trees match it
-    bit for bit. Clamps that cannot bind are left out: a running sum of
-    defective weights never exceeds the running sum of all weights it is
-    part of, so every left side's share already lies in [0, 1].
+    ufuncs are called directly, writing into the fit's scratch. Every
+    value is computed by the same operations in the same order as a
+    clip/where form that sorts each node anew (kept as the test oracle),
+    so trees match it bit for bit. Clamps that cannot bind are left out:
+    a running sum of defective weights never exceeds the running sum of
+    all weights it is part of, so every left side's share already lies
+    in [0, 1].
     """
     d, m = ids.shape
-    vs = xt.take(np.add(ids, offsets))
-    cum = weights.take(ids, axis=1)
+    cells = d * m
+    index = np.add(ids, offsets, out=scratch.index[:cells].reshape(d, m))
+    # mode="clip": the indices are in range, and "raise" would buffer out
+    vs = xt.take(index, out=scratch.values[:cells].reshape(d, m), mode="clip")
+    cum = weights.take(ids, axis=1, out=scratch.cum[:2 * cells].reshape(2, d, m),
+                       mode="clip")
     cum.cumsum(axis=2, out=cum)
-    rw = np.subtract(total_w, cum[0])
+    rw = np.subtract(total_w, cum[0], out=scratch.remaining[:cells].reshape(d, m))
     np.maximum(rw, 0.0, out=rw)
-    # the last cut of an attribute would leave its right side empty
-    ok = np.zeros((d, m), dtype=bool)
+    ok = scratch.ok[:cells].reshape(d, m)
     np.greater(vs[:, 1:], vs[:, :-1], out=ok[:, :-1])
-    ok &= np.minimum(cum[0], rw) >= min_leaf
+    # the last cut of an attribute would leave its right side empty
+    ok[:, -1] = False
+    # the per-cut arrays are free until the cuts are known: h holds each
+    # cut's lighter side and no_class whether it is heavy enough
+    lighter = np.minimum(cum[0], rw, out=scratch.h[:cells].reshape(d, m))
+    ok &= np.greater_equal(lighter, min_leaf,
+                           out=scratch.no_class[:cells].reshape(d, m))
     cuts = ok.ravel().nonzero()[0]
     k = len(cuts)
     if k == 0:
         return None
-    lw, ld = cum.reshape(2, -1).take(cuts, axis=1)
-    rw = rw.ravel().take(cuts)
+    at_cuts = scratch.at_cuts[:3 * k].reshape(3, k)
+    cum.reshape(2, -1).take(cuts, axis=1, out=at_cuts[:2], mode="clip")
+    rw.ravel().take(cuts, out=at_cuts[2], mode="clip")
+    lw, ld, rw = at_cuts
 
     # the defective shares of the node, of every left side and of every
     # right side, then every left side's share of the node's weight; the
     # second half holds one minus each
     n_h = 2 * k + 1
     half = n_h + k
-    share = np.empty(2 * half)
+    share = scratch.share[:2 * half]
     share[0] = min(max(total_d / total_w, 0.0), 1.0)
     np.divide(ld, lw, out=share[1:k + 1])
     right = share[k + 1:n_h]
@@ -163,24 +206,24 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     # a class share of 0 adds no entropy: its log2 is taken of 1 instead
     # (adding False leaves every other share as it is); weight shares
     # are never replaced
-    no_class = share <= 0.0
+    no_class = np.less_equal(share, 0.0, out=scratch.no_class[:2 * half])
     no_class[n_h:half] = False
     no_class[half + n_h:] = False
-    h = np.add(share, no_class)
+    h = np.add(share, no_class, out=scratch.h[:2 * half])
     np.log2(h, out=h)
     h *= share
     h = np.add(h[:half], h[half:], out=h[:half])
     np.negative(h, out=h)
     # h: entropies of the node and of each left and right side, then
-    # each cut's split information
+    # each cut's split information; share and no_class are free again
 
-    gain = np.multiply(lw, h[1:k + 1])
+    gain = np.multiply(lw, h[1:k + 1], out=share[:k])
     rw *= h[k + 1:n_h]
     gain += rw
     gain /= total_w
     np.subtract(h[0], gain, out=gain)
     # entropies are finite, so the gain is never NaN
-    low = gain <= _GAIN_EPS
+    low = np.less_equal(gain, _GAIN_EPS, out=no_class[:k])
     gain /= h[n_h:]
     gain[low] = -math.inf
     best = int(gain.argmax())
@@ -212,6 +255,7 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
     offsets = np.arange(0, d * n, n)[:, np.newaxis]
     weights = np.stack((w, w * y))
     goes_left = np.empty(n, dtype=bool)
+    scratch = _Scratch(d, n)
     feature: list[int] = []
     threshold: list[float] = []
     right: list[int] = []
@@ -237,7 +281,7 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
         # positive weights: a class is present iff its weight is positive
         if wd > 0.0 and wc > 0.0 and wd + wc >= 2.0 * min_leaf:
             found = _split(ids[:d], xt, offsets, weights, float(_sum(ws)), wd,
-                           min_leaf)
+                           min_leaf, scratch)
         if found is None:
             feature.append(-1)
             threshold.append(math.nan)

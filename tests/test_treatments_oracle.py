@@ -1,17 +1,18 @@
 """amasaki15's two searches against the reference forms in treatments_oracle.py.
 
-Distances. On well-conditioned data (a coarse value grid, whose squares and
-products are exact in float64) the chunked direct differences must give
-the distances of the |a|² + |b|² - 2a·b form in treatments_oracle.py,
-and amasaki15 must keep the same attributes and training rows with
-either. amasaki15 measures distances after ``log1p``, so its features
-are ``expm1`` of the grid: the log brings back the grid values exactly,
-both forms compute the same squared sums, and ties at the relevancy
-threshold fall the same way. The draws cover 1-8 attributes, duplicate
-rows on and across the two sides, a single test row, and chunks from
-one training row to all of them. On rows far from the origin and close
-together the oracle cancels, and only the direct form matches
-``math.dist``.
+Distances. On random values, whose squares and sums round, every chunk
+size must give the same bytes. On well-conditioned data (a coarse value
+grid, whose squares and products are exact in float64) the chunked
+direct differences must give the distances of the |a|² + |b|² - 2a·b
+form in treatments_oracle.py, and amasaki15 must keep the same
+attributes and training rows with either. amasaki15 measures distances
+after ``log1p``, so its features are ``expm1`` of the grid: the log
+brings back the grid values exactly, both forms compute the same
+squared sums, and ties at the relevancy threshold fall the same way.
+The draws cover 1-8 attributes, duplicate rows on and across the two
+sides, a single test row, and chunks from one training row to all of
+them. On rows far from the origin and close together the oracle
+cancels, and only the direct form matches ``math.dist``.
 
 Attribute selection. The one-pass selection (one argsort over every
 attribute) must keep the attributes the per-column loop keeps, so that
@@ -68,6 +69,22 @@ def test_distances_match_dot_product_oracle(inputs):
         actual = _min_test_distances(train, test)
     np.testing.assert_allclose(actual, oracle._min_test_distances(train, test),
                                rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 70), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_distances_do_not_depend_on_the_chunk_size(width, n, m, seed):
+    # values off the grid, whose squares and sums round, so that any
+    # change in how a cell's terms are summed would move a last bit
+    rng = np.random.default_rng(seed)
+    train = rng.normal(0.0, 1.0, size=(n, width)) * 10.0 ** rng.integers(-3, 4, width)
+    test = np.concatenate([rng.normal(0.0, 1.0, size=(m, width)), train[:1]])
+    outputs = set()
+    for cells in (1, 7, 24, 60, treatments.DISTANCE_CHUNK_CELLS, 1 << 18):
+        with mock.patch.object(treatments, "DISTANCE_CHUNK_CELLS", cells):
+            outputs.add(_min_test_distances(train, test).tobytes())
+    assert len(outputs) == 1
 
 
 def log_grid_features(grid_rows):

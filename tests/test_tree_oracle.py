@@ -7,18 +7,23 @@ bit-identical probabilities, ranks and confusion counts, and the same
 per-version scores as the code in tree_oracle.py. The
 presorted grower must also give the per-node array grower's unpruned
 node lists bit for bit, on data large enough that the sorted row lists
-are partitioned many levels deep. A tree re-thresholded onto an input
+are partitioned many levels deep, and a small fit grown again after a
+wider and larger one, whose scratch cells held other values, must give
+its first node lists. A tree re-thresholded onto an input
 with the same training order key must be the tree a fresh fit on that
 input gives, bit for bit. Every grown, pruned and re-thresholded tree
 must keep the pre-order layout: split i's left subtree is nodes
 i + 1 .. right[i] - 1, and a walk from the root reaches each node once.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tree_oracle as oracle
+from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.metrics import (_auc_by_group, _confusion_cells,
                                     evaluate_pair, midranks, scores)
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, dump_tree,
@@ -187,6 +192,50 @@ def test_presorted_growth_matches_per_node_oracle(data):
             assert lo_row == hi_row == -1
         else:
             assert x[lo_row, attr] <= thr < x[hi_row, attr]
+
+
+def grow_watching_last_cuts(x, y, w, min_leaf):
+    """_grow's node lists, and for each split search whether the cut-mask
+    cells of its last cuts held a True before it ran and after it ran."""
+    before, after = [], []
+    search = tree_module._split
+
+    def watched(ids, *args):
+        d, m = ids.shape
+        last_cuts = args[-1].ok[m - 1:d * m:m]
+        before.append(bool(last_cuts.any()))
+        found = search(ids, *args)
+        after.append(bool(last_cuts.any()))
+        return found
+
+    with mock.patch.object(tree_module, "_split", watched):
+        nodes = _grow(x, y, w, min_leaf)
+    return nodes, before, after
+
+
+def test_scratch_carries_nothing_between_nodes_or_fits():
+    # a small fit, a wider and larger one, then the small one again: each
+    # fit's scratch comes from np.empty, and a node's cells are the first
+    # cells of the larger nodes grown before it. The weights' sums round,
+    # so a node's last cut may leave a right side of a few ulps, which
+    # passes this min_leaf: only clearing that cut keeps it out of the mask
+    rng = np.random.default_rng(3)
+    fits = []
+    for n, d in ((40, 2), (400, 7)):
+        x = np.array(LEVELS)[rng.integers(0, len(LEVELS), size=(n, d))]
+        x[:, 0] += rng.normal(size=n)
+        y = (x[:, 0] + rng.normal(size=n)) > 0.5
+        w = np.array(WEIGHTS)[rng.integers(0, len(WEIGHTS), size=n)] * 1e3
+        fits.append((x, y, w, 1e-11))
+    small, large = fits
+    first, *_ = grow_watching_last_cuts(*small)
+    grown, before, after = grow_watching_last_cuts(*large)
+    again, *_ = grow_watching_last_cuts(*small)
+    assert any(before) and not any(after)
+    for nodes, (x, y, w, min_leaf) in ((first, small), (grown, large)):
+        expected = oracle.grow_nodes(x, y, w, min_leaf)
+        assert node_bits(nodes[:5]) == node_bits(expected[:2] + expected[3:])
+    assert (node_bits(again[:5]), again[5:]) == (node_bits(first[:5]), first[5:])
 
 
 @st.composite
