@@ -17,12 +17,12 @@ the config file. ``dataset.path`` and ``run.seed`` are required.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
+from ._digest import sha256
 from .dataset import DatasetSchema
 from .errors import ConfigError
 from .pairs import ConfigurationKind
@@ -214,4 +214,4 @@ class ExperimentConfig:
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 over the canonical key/value lines."""
     text = "\n".join(f"{k}={v}" for k, v in config.canonical_items())
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()

@@ -29,7 +29,6 @@ shortest round-trip representation, and the manifest has no timestamps.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import __version__
+from ._digest import sha256
 from .config import ExperimentConfig, config_hash
 from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
@@ -91,7 +91,7 @@ def pair_seed(base_seed: int, spec: PairSpec) -> int:
     """Stable per-pair seed so results do not depend on execution order."""
     key = (f"{base_seed}:{spec.kind.value}:{_fmt_window(spec.window_k)}"
            f":{spec.split_index}:{spec.gap_buckets}")
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    return int.from_bytes(sha256(key.encode()).digest()[:8], "big")
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[list[Release], TimeSeriesDataset]:

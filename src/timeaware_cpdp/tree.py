@@ -34,13 +34,13 @@ same key.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from ._digest import blake2b
 from .errors import UnusableDataError
 from .treatments import TreatedPair
 
@@ -383,16 +383,17 @@ def _training_arrays(treated: TreatedPair) -> tuple[np.ndarray, ...]:
 def training_order(treated: TreatedPair) -> tuple[np.ndarray, bytes]:
     """The stable sort of the training rows by every attribute, and its key.
 
-    The key hashes the shape, each attribute's sort and tie mask (sorted
-    neighbours equal), the labels and the weights: two inputs with the
-    same key grow trees that differ at most in their thresholds. Raises
+    The key is a 32-byte BLAKE2b digest of the shape, each attribute's
+    sort and tie mask (sorted neighbours equal), the labels and the
+    weights: two inputs with the same key grow trees that differ at most
+    in their thresholds. The key is never written out. Raises
     the UnusableDataError train_tree raises for input it cannot train on.
     """
     x, y, w = _training_arrays(treated)
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1, kind="stable")
     ranked = np.take_along_axis(xt, order, axis=1)
-    digest = hashlib.sha256(repr(x.shape).encode())
+    digest = blake2b(repr(x.shape).encode(), digest_size=32)
     for array in (order, ranked[:, 1:] == ranked[:, :-1], y, w):
         digest.update(array.tobytes())
     return order, digest.digest()

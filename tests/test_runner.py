@@ -1,6 +1,7 @@
 """End-to-end runner behavior: files, determinism, accounting, validation."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -19,6 +20,7 @@ from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import (ConfigError, DatasetError,
                                    DegenerateTreatmentError)
+from timeaware_cpdp.pairs import ConfigurationKind, PairSpec
 from timeaware_cpdp.runner import (build_tasks, load_dataset, run_experiment,
                                    validate, write_pairs_csv, write_summary_csv)
 from timeaware_cpdp.stability import (RESULTS_HEADER, _fmt_window,
@@ -112,6 +114,27 @@ def test_crossval_depends_on_seed(tmp_path):
                          "pairs.configurations": ""})
     assert (out_a / "results.csv").read_bytes() != \
         (out_b / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("base_seed", [0, -1, 2**64 + 3])
+@pytest.mark.parametrize("kind, window_k, split, gap, key", [
+    ("CC", 3, 4, 1, "CC:3:4:1"),
+    ("IC", 1, 2, 0, "IC:1:2:0"),
+    ("CI", 12, 15, 2, "CI:12:15:2"),
+    ("II", None, 7, 1, "II:inf:7:1"),
+    ("crossval", None, 0, 0, "crossval:inf:0:0"),
+])
+def test_pair_seed_is_the_sha256_prefix_of_its_key(base_seed, kind, window_k,
+                                                   split, gap, key):
+    """pair_seed is the first 8 bytes, big-endian, of a SHA-256.
+
+    The hashed key is "seed:kind:window:split:gap", with an unbounded
+    window written as inf.
+    """
+    spec = PairSpec(ConfigurationKind(kind), window_k, split, gap)
+    digest = hashlib.sha256(f"{base_seed}:{key}".encode()).digest()
+    assert runner_module.pair_seed(base_seed, spec) == \
+        int.from_bytes(digest[:8], "big")
 
 
 def test_threads_keyword_runs_serially_with_the_same_bytes(tmp_path,

@@ -9,11 +9,13 @@ presorted grower must also give the per-node array grower's unpruned
 node lists bit for bit, on data large enough that the sorted row lists
 are partitioned many levels deep, and a small fit grown again after a
 wider and larger one, whose scratch cells held other values, must give
-its first node lists. A tree re-thresholded onto an input
-with the same training order key must be the tree a fresh fit on that
-input gives, bit for bit. Every grown, pruned and re-thresholded tree
-must keep the pre-order layout: split i's left subtree is nodes
-i + 1 .. right[i] - 1, and a walk from the root reaches each node once.
+its first node lists. A tree re-thresholded onto an input with the same
+training order key must be the tree a fresh fit on that input gives,
+bit for bit. Two order keys must be equal exactly when the oracle's
+SHA-256 keys of the same inputs are, and the sorts must be the same.
+Every grown, pruned and re-thresholded tree must keep the pre-order
+layout: split i's left subtree is nodes i + 1 .. right[i] - 1, and a
+walk from the root reaches each node once.
 """
 
 from unittest import mock
@@ -268,27 +270,40 @@ def increasing_map(draw, column):
     return low + step * rank
 
 
-@settings(max_examples=300, deadline=None)
-@given(weighted_data(), st.data())
-def test_rethresholded_tree_matches_fresh_fit(data, draws):
-    x, y, w, params = data
-    mapped = [draws.draw(increasing_map(x[:, j])) for j in range(x.shape[1])]
-    if draws.draw(st.booleans()):
+@st.composite
+def shared_order_inputs(draw):
+    """x, mapped, y, w, params: two inputs whose order keys are often equal.
+
+    mapped takes each attribute of x through an increasing_map; either
+    side may come first.
+    """
+    x, y, w, params = draw(weighted_data())
+    mapped = [draw(increasing_map(x[:, j])) for j in range(x.shape[1])]
+    if draw(st.booleans()):
         # rows in attribute 0's order, and a map that merges its lower
         # values through rounding: its sort stays, so only the tie mask
         # tells the order keys apart
         rows = np.argsort(x[:, 0], kind="stable")
         x, y, w = x[rows], y[rows], w[rows]
-        scale, offset = draws.draw(st.sampled_from(((1e-17, 1.0), (1e-12, 1e6))))
+        scale, offset = draw(st.sampled_from(((1e-17, 1.0), (1e-12, 1e6))))
         mapped = [x[:, 0] * scale + offset] + [m[rows] for m in mapped[1:]]
     mapped = np.column_stack(mapped)
     assert np.all(np.isfinite(mapped))
-    # either side may be the input whose tree is shared
-    if draws.draw(st.booleans()):
+    if draw(st.booleans()):
         x, mapped = mapped, x
-    versions = ((("p", "1"), 1),)
-    grown_on = treated(x, y, w, x[:1], y[:1], versions)
-    new_input = treated(mapped, y, w, mapped[:1], y[:1], versions)
+    return x, mapped, y, w, params
+
+
+VERSIONS = ((("p", "1"), 1),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_order_inputs())
+def test_rethresholded_tree_matches_fresh_fit(data):
+    x, mapped, y, w, params = data
+    # x's tree is the one shared
+    grown_on = treated(x, y, w, x[:1], y[:1], VERSIONS)
+    new_input = treated(mapped, y, w, mapped[:1], y[:1], VERSIONS)
     order, key = training_order(grown_on)
     tree = train_tree(grown_on, params, order=order)
     fresh = train_tree(new_input, params)
@@ -308,6 +323,32 @@ def test_rethresholded_tree_matches_fresh_fit(data, draws):
         event("shared; a midpoint of the new input fell back to the lower value")
     else:
         event("shared; every threshold a midpoint")
+
+
+@st.composite
+def key_inputs(draw):
+    """Two (x, y, w) training inputs: a shared-order pair or independent draws."""
+    if draw(st.booleans()):
+        x, mapped, y, w, _ = draw(shared_order_inputs())
+        return (x, y, w), (mapped, y, w)
+    return tuple(draw(weighted_data())[:3] for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_inputs())
+def test_order_key_matches_sha256_oracle(inputs):
+    keys, oracle_keys = [], []
+    for x, y, w in inputs:
+        order, key = training_order(treated(x, y, w, x[:1], y[:1], VERSIONS))
+        oracle_order, oracle_key = oracle.training_order(x, y, w)
+        assert (order.dtype, order.shape) == (oracle_order.dtype,
+                                              oracle_order.shape)
+        assert order.tobytes() == oracle_order.tobytes()
+        assert len(key) == 32
+        keys.append(key)
+        oracle_keys.append(oracle_key)
+    assert (keys[0] == keys[1]) == (oracle_keys[0] == oracle_keys[1])
+    event("keys equal" if keys[0] == keys[1] else "keys differ")
 
 
 def tree_bits(tree):

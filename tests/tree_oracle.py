@@ -12,10 +12,15 @@ fit sorted its rows once: it sorts every node's rows again and searches
 all attributes of the node with clip/where NumPy expressions. It returns
 the unpruned node lists, so the presorted grower must give the same
 lists, bit for bit.
+
+``training_order`` is the order key as it was before trees were keyed
+by BLAKE2b: a SHA-256 digest, taken through ``hashlib``, of the same
+bytes. The package's keys must be equal exactly when these are.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from statistics import NormalDist
 
@@ -261,6 +266,20 @@ def train(x, y, w, pruning_confidence: float = 0.25,
         z = NormalDist().inv_cdf(1.0 - pruning_confidence)
         root = _prune(root, z, pruning_confidence)
     return root
+
+
+def training_order(x, y, w) -> tuple[np.ndarray, bytes]:
+    """The stable sort of the rows by every attribute, and its SHA-256 key."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=bool)
+    w = np.asarray(w, dtype=np.float64)
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    ranked = np.take_along_axis(xt, order, axis=1)
+    digest = hashlib.sha256(repr(x.shape).encode())
+    for array in (order, ranked[:, 1:] == ranked[:, :-1], y, w):
+        digest.update(array.tobytes())
+    return order, digest.digest()
 
 
 def predict_proba(root, row) -> float:
