@@ -15,17 +15,39 @@ gaps:
 
 The dates file needs project, version, and date columns (names
 configurable). In merge mode every metrics row must find its
-(project, version) in the dates file.
+(project, version) in the dates file. On any error the script exits 1
+and writes nothing: an existing output file is left as it was. It needs
+only the standard library, neither NumPy nor the timeaware_cpdp package.
 """
 
 import argparse
 import csv
 import sys
+from datetime import date
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_MONTH_NAMES = {
+    "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
+    "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
+}
 
-from timeaware_cpdp.dataset import convert_date_token  # noqa: E402
+
+def convert_date_token(token: str) -> str:
+    """Normalize a '1999-Nov-08' style date token to ISO 'YYYY-MM-DD'.
+
+    ISO input passes through unchanged.
+    """
+    parts = token.strip().split("-")
+    if len(parts) != 3:
+        raise ValueError(f"unrecognized date token: {token!r}")
+    year, month, day = parts
+    if month.isdigit():
+        return date(int(year), int(month), int(day)).isoformat()
+    try:
+        month_no = _MONTH_NAMES[month.lower()[:3]]
+    except KeyError:
+        raise ValueError(f"unrecognized month in date token: {token!r}") from None
+    return date(int(year), month_no, int(day)).isoformat()
 
 
 def parse_args(argv=None):
@@ -50,6 +72,14 @@ def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
         return list(reader.fieldnames), list(reader)
 
 
+def write_rows(path: Path, fields: list[str], rows: list[dict[str, str]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     date_fields, date_rows = read_rows(args.dates)
@@ -61,7 +91,7 @@ def main(argv=None) -> int:
     for i, row in enumerate(date_rows, start=2):
         key = (row[args.project_col].strip(), row[args.version_col].strip())
         try:
-            iso = convert_date_token(row[args.date_col])
+            row[args.date_col] = iso = convert_date_token(row[args.date_col])
         except ValueError as exc:
             raise SystemExit(f"{args.dates} line {i}: {exc}")
         previous = dates.setdefault(key, iso)
@@ -69,14 +99,8 @@ def main(argv=None) -> int:
             raise SystemExit(f"{args.dates} line {i}: conflicting dates "
                              f"for {'/'.join(key)}: {previous} vs {iso}")
 
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     if args.metrics is None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=date_fields)
-            writer.writeheader()
-            for row in date_rows:
-                row[args.date_col] = convert_date_token(row[args.date_col])
-                writer.writerow(row)
+        write_rows(args.out, date_fields, date_rows)
         print(f"wrote {args.out} ({len(date_rows)} rows, dates normalized)")
         return 0
 
@@ -88,21 +112,15 @@ def main(argv=None) -> int:
     if args.date_col not in out_fields:
         out_fields.insert(2, args.date_col)
 
-    missing: set[tuple[str, str]] = set()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=out_fields)
-        writer.writeheader()
-        for row in metric_rows:
-            key = (row[args.project_col].strip(),
-                   row[args.version_col].strip())
-            if key not in dates:
-                missing.add(key)
-                continue
-            row[args.date_col] = dates[key]
-            writer.writerow(row)
+    keys = [(row[args.project_col].strip(), row[args.version_col].strip())
+            for row in metric_rows]
+    missing = set(keys) - dates.keys()
     if missing:
         listing = ", ".join("/".join(k) for k in sorted(missing))
         raise SystemExit(f"{args.metrics}: no release date for: {listing}")
+    for row, key in zip(metric_rows, keys):
+        row[args.date_col] = dates[key]
+    write_rows(args.out, out_fields, metric_rows)
     print(f"wrote {args.out} ({len(metric_rows)} rows joined with dates)")
     return 0
 

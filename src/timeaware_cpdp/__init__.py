@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .dataset import (BucketSummary, DatasetSchema, MetricRecord, Release,
                       TimeBucket, TimeSeriesDataset, bucketize,
-                      convert_date_token, dataset_summary, parse_dataset)
+                      dataset_summary, parse_dataset)
 from .errors import (BalancingError, ConfigError, ConflictError, DatasetError,
                      DegenerateTreatmentError, EmptyDatasetError, ParseError,
                      UnusableDataError)

@@ -25,11 +25,6 @@ from .errors import ConflictError, DatasetError, EmptyDatasetError, ParseError
 # ASCII digits only: date.fromisoformat alone takes more forms on 3.11+
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-_MONTH_NAMES = {
-    "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
-    "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
-}
-
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -142,25 +137,6 @@ def add_months(first_of_month: date, months: int) -> date:
 
 def _month_index(d: date, anchor: date) -> int:
     return (d.year - anchor.year) * 12 + (d.month - anchor.month)
-
-
-def convert_date_token(token: str) -> str:
-    """Normalize a '1999-Nov-08' style date token to ISO 'YYYY-MM-DD'.
-
-    ISO input passes through unchanged. Used by the dataset conversion
-    script, not by the parser; the parser accepts YYYY-MM-DD only.
-    """
-    parts = token.strip().split("-")
-    if len(parts) != 3:
-        raise ValueError(f"unrecognized date token: {token!r}")
-    year, month, day = parts
-    if month.isdigit():
-        return date(int(year), int(month), int(day)).isoformat()
-    try:
-        month_no = _MONTH_NAMES[month.lower()[:3]]
-    except KeyError:
-        raise ValueError(f"unrecognized month in date token: {token!r}") from None
-    return date(int(year), month_no, int(day)).isoformat()
 
 
 def parse_dataset(source: str | IO[str] | Iterable[str],

@@ -335,7 +335,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 "info", f"bucket {bucket.index} [{bucket.start}..{bucket.end}): "
                         f"{len(bucket.releases)} releases"))
 
-    if ts.bucket_count < config.gap_buckets + 2:
+    if config.configurations and ts.bucket_count < config.gap_buckets + 2:
         diags.append(Diagnostic(
             "warning", f"only {ts.bucket_count} buckets with gap "
                        f"{config.gap_buckets}: no room for any time-aware pair"))

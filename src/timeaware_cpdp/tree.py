@@ -6,18 +6,17 @@ scikit-learn's ``Tree`` the arrays hold no ``children_left``.
 ``dump_tree`` prints the nodes in that order, so its text (the
 ``--dump-trees`` format) reads the arrays top to bottom.
 
-Training is fully deterministic: candidate thresholds are the midpoints
-between adjacent distinct sorted values of an attribute, splits are
-chosen by gain ratio, and ties are broken by the lowest attribute index
-and then the lowest threshold. A midpoint that rounds to the upper value
-or overflows is replaced by the lower value, so a split always sends
-the rows up to its cut left. All counts and entropies use instance
-weights, so a duplicated instance and a doubled weight produce the same
-tree. Each fit sorts its rows by every attribute once; a node passes
-its sorted rows to its children by a stable partition, so every node
-scans its attributes in the order its own stable sort would give. The
-split search writes into work arrays allocated once per fit and sized
-for its root, not into arrays allocated at every node.
+Training is fully deterministic: a split is a cut between adjacent
+distinct sorted values of an attribute, chosen by gain ratio, with ties
+broken by the lowest attribute index and then the lowest cut. All
+counts and entropies use instance weights, so a duplicated instance and
+a doubled weight produce the same tree. Each fit sorts its rows by
+every attribute once. A split sends the rows up to its cut left by
+their sorted position, and every node passes its sorted rows to its
+children by a stable partition, so every node scans its attributes in
+the order its own stable sort would give. The split search writes into
+work arrays allocated once per fit and sized for its root, not into
+arrays allocated at every node.
 Every tree is pruned by the classic pessimistic error estimate with a
 confidence parameter, applied bottom-up with subtree replacement only
 (no subtree raising). Prediction descends all rows of a matrix level by
@@ -25,10 +24,11 @@ level.
 
 A tree therefore depends on its training input only through each
 attribute's sorted order and ties, the labels and the weights; the
-values set only the thresholds, from the two training rows either side
-of each cut. ``training_order`` gives the sort and a key of those, and
-``rethreshold`` turns a tree into the tree of another input with the
-same key.
+values set only the thresholds, after growth and by one rule for a
+fresh fit and a shared tree alike, from the two training rows either
+side of each cut. ``training_order`` gives the sort and a key of those,
+and ``rethreshold`` turns a tree into the tree of another input with
+the same key.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class DecisionTree:
     subtree spans nodes i + 1 .. right[i] - 1; right is -1 at a leaf.
     w_defective and w_clean are the training weights reaching the node.
     lo and hi are the training rows either side of a split's cut, -1 at
-    a leaf.
+    a leaf: growth sends the rows up to the cut left, and the threshold
+    is set afterwards from lo's and hi's values.
     """
 
     feature: np.ndarray
@@ -103,6 +104,17 @@ def _threshold(below: float, above: float) -> float:
     """
     mid = (below + above) / 2.0
     return mid if below <= mid < above else below
+
+
+def _thresholds(x: np.ndarray, feature: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+    """Each split's threshold from its lo and hi rows of x; NaN at a leaf."""
+    threshold = np.full(len(feature), math.nan)
+    split = np.flatnonzero(feature >= 0)
+    attr = feature[split]
+    threshold[split] = [_threshold(below, above) for below, above in zip(
+        x[lo[split], attr].tolist(), x[hi[split], attr].tolist())]
+    return threshold
 
 
 class _Scratch:
@@ -136,11 +148,10 @@ class _Scratch:
 def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
            weights: np.ndarray, total_w: float, total_d: float,
            min_leaf: float,
-           scratch: _Scratch) -> tuple[int, int, int, float] | None:
+           scratch: _Scratch) -> tuple[int, int] | None:
     """Highest gain-ratio admissible split of one node, or None.
 
-    A split is its attribute, the rows either side of its cut and its
-    threshold (_threshold of their values).
+    A split is its attribute and its cut: ids[attr, :cut + 1] go left.
 
     ids holds the node's rows sorted by each attribute, one row of ids
     per attribute. xt is the training matrix attribute by attribute,
@@ -149,7 +160,7 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     of an attribute lies after its r-th smallest value. Admissible: the
     values on both sides differ, both sides carry at least min_leaf
     weight and the information gain is positive. Ties keep the first
-    attribute, then the first threshold.
+    attribute, then the first cut.
 
     Most nodes are small, so the cost is the number of NumPy calls:
     ufuncs are called directly, writing into the fit's scratch. Every
@@ -229,22 +240,20 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     best = int(gain.argmax())
     if gain[best] == -math.inf:
         return None
-    attr, cut = divmod(int(cuts[best]), m)
-    return (attr, int(ids[attr, cut]), int(ids[attr, cut + 1]),
-            _threshold(float(vs[attr, cut]), float(vs[attr, cut + 1])))
+    return divmod(int(cuts[best]), m)
 
 
 def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
           order: np.ndarray | None = None) -> tuple[list, ...]:
-    """Node lists in pre-order: feature, threshold, right, w_def, w_clean,
-    and lo and hi, the rows either side of a split's cut.
+    """Node lists in pre-order: feature, right, w_def, w_clean, and lo
+    and hi, the rows either side of a split's cut.
 
     The rows are sorted by every attribute once, unless order (from
     training_order) already holds that sort. A node holds its rows
     in that order, one row of ids per attribute, plus a last row with
     the ids ascending; its children get the same rows by a stable
     partition, so each node sees the order its own stable sort would
-    give.
+    give. A split's left child gets the rows up to its cut.
     """
     n, d = x.shape
     xt = np.ascontiguousarray(x.T)
@@ -257,7 +266,6 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
     goes_left = np.empty(n, dtype=bool)
     scratch = _Scratch(d, n)
     feature: list[int] = []
-    threshold: list[float] = []
     right: list[int] = []
     w_def: list[float] = []
     w_cln: list[float] = []
@@ -282,29 +290,27 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float,
         if wd > 0.0 and wc > 0.0 and wd + wc >= 2.0 * min_leaf:
             found = _split(ids[:d], xt, offsets, weights, float(_sum(ws)), wd,
                            min_leaf, scratch)
+        right.append(-1)
         if found is None:
             feature.append(-1)
-            threshold.append(math.nan)
-            right.append(-1)
             lo.append(-1)
             hi.append(-1)
             continue
-        attr, lo_row, hi_row, thr = found
+        attr, cut = found
         feature.append(attr)
-        threshold.append(thr)
-        right.append(-1)
-        lo.append(lo_row)
-        hi.append(hi_row)
+        lo.append(int(ids[attr, cut]))
+        hi.append(int(ids[attr, cut + 1]))
         # a stable partition of every row list; taking by position is
         # much faster than boolean indexing on large nodes
-        goes_left[rows] = x[rows, attr] <= thr
+        goes_left[rows] = False
+        goes_left[ids[attr, :cut + 1]] = True
         mask = goes_left.take(ids).ravel()
         flat = ids.ravel()
         to_left = flat.take(mask.nonzero()[0]).reshape(d + 1, -1)
         to_right = flat.take((~mask).nonzero()[0]).reshape(d + 1, -1)
         stack.append((to_right, node))
         stack.append((to_left, -1))
-    return feature, threshold, right, w_def, w_cln, lo, hi
+    return feature, right, w_def, w_cln, lo, hi
 
 
 def _added_errors(n: float, e: float, z: float, cf: float) -> float:
@@ -337,7 +343,7 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
     are decided before it. A subtree's error is the sum of its two
     children's, each a leaf's own estimate or its subtree's sum.
     """
-    feature, threshold, right, w_def, w_cln, lo, hi = nodes
+    feature, right, w_def, w_cln, lo, hi = nodes
     z = NormalDist().inv_cdf(1.0 - cf)
     n = len(feature)
     errors = [0.0] * n
@@ -354,16 +360,14 @@ def _prune(nodes: tuple[list, ...], cf: float) -> tuple[list, ...]:
         if as_leaf <= as_subtree:
             errors[i] = as_leaf
             keep[i + 1:last[i] + 1] = [False] * (last[i] - i)
-            feature[i], threshold[i], right[i] = -1, math.nan, -1
-            lo[i] = hi[i] = -1
+            feature[i] = right[i] = lo[i] = hi[i] = -1
         else:
             errors[i] = as_subtree
     new_index = np.cumsum(keep) - 1
+    right = [int(new_index[r]) if r >= 0 else -1 for r in right]
     kept = [i for i in range(n) if keep[i]]
-    return ([feature[i] for i in kept], [threshold[i] for i in kept],
-            [int(new_index[right[i]]) if right[i] >= 0 else -1 for i in kept],
-            [w_def[i] for i in kept], [w_cln[i] for i in kept],
-            [lo[i] for i in kept], [hi[i] for i in kept])
+    return tuple([column[i] for i in kept]
+                 for column in (feature, right, w_def, w_cln, lo, hi))
 
 
 def _training_arrays(treated: TreatedPair) -> tuple[np.ndarray, ...]:
@@ -403,15 +407,11 @@ def rethreshold(tree: DecisionTree, treated: TreatedPair) -> DecisionTree:
     """The tree train_tree gives on treated, from a tree of the same order key.
 
     A fit on treated makes the same splits between the same rows, so
-    only the thresholds are taken anew, from treated's values.
+    only the thresholds are set anew, from treated's values.
     """
     x = np.asarray(treated.train_features, dtype=np.float64)
-    split = np.flatnonzero(tree.feature >= 0)
-    attr = tree.feature[split]
-    threshold = tree.threshold.copy()
-    threshold[split] = [_threshold(below, above) for below, above in zip(
-        x[tree.lo[split], attr].tolist(), x[tree.hi[split], attr].tolist())]
-    return dataclasses.replace(tree, threshold=threshold)
+    return dataclasses.replace(
+        tree, threshold=_thresholds(x, tree.feature, tree.lo, tree.hi))
 
 
 def train_tree(treated: TreatedPair, params: TreeParams | None = None,
@@ -422,16 +422,15 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None,
     """
     params = params or TreeParams()
     x, y, w = _training_arrays(treated)
-    feature, threshold, right, w_def, w_cln, lo, hi = _prune(
+    feature, right, w_def, w_cln, lo, hi = _prune(
         _grow(x, y, w, params.min_leaf_weight, order), params.pruning_confidence)
+    feature, lo, hi = (np.array(v, dtype=np.intp) for v in (feature, lo, hi))
     return DecisionTree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold, dtype=np.float64),
+        feature=feature, threshold=_thresholds(x, feature, lo, hi),
         right=np.array(right, dtype=np.intp),
         w_defective=np.array(w_def, dtype=np.float64),
         w_clean=np.array(w_cln, dtype=np.float64),
-        lo=np.array(lo, dtype=np.intp), hi=np.array(hi, dtype=np.intp),
-        n_attributes=x.shape[1])
+        lo=lo, hi=hi, n_attributes=x.shape[1])
 
 
 def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:

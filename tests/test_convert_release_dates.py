@@ -1,0 +1,112 @@
+"""scripts/convert_release_dates.py: date tokens, both modes, and its errors.
+
+The script runs in a fresh interpreter in tmp_path. On any error it
+exits 1 and writes nothing, so a previous output file keeps its bytes.
+It needs only the standard library: neither NumPy nor the package.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "convert_release_dates.py"
+
+DATES = "project,version,release_date\nant,1.5,2002-Jul-15\nant,1.6,2003-12-18\n"
+METRICS = ("project,version,class,defects,wmc\n"
+           "ant,1.5,org.apache.tools.ant.Main,2,14\n"
+           "ant,1.6,org.apache.tools.ant.Main,0,15\n")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("convert_release_dates", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def python(tmp_path, *args):
+    """Run a fresh interpreter in tmp_path without the package on its path."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def convert(tmp_path, *args):
+    return python(tmp_path, str(SCRIPT), *args)
+
+
+def write(tmp_path, name, text):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+
+
+def test_convert_date_token():
+    convert_date_token = load_script().convert_date_token
+    assert convert_date_token("1999-Nov-08") == "1999-11-08"
+    assert convert_date_token("2009-feb-17") == "2009-02-17"
+    assert convert_date_token("2005-12-03") == "2005-12-03"
+    with pytest.raises(ValueError):
+        convert_date_token("Nov 8 1999")
+    with pytest.raises(ValueError):
+        convert_date_token("1999-Foo-08")
+
+
+def test_script_loads_neither_numpy_nor_the_package(tmp_path):
+    probe = (f"import runpy, sys; runpy.run_path({str(SCRIPT)!r}); "
+             "print(sorted({'numpy', 'timeaware_cpdp'} & set(sys.modules)))")
+    done = python(tmp_path, "-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_normalize_mode(tmp_path):
+    write(tmp_path, "dates.csv", DATES)
+    done = convert(tmp_path, "--dates", "dates.csv", "--out", "out/fixed.csv")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "fixed.csv").read_text(
+        encoding="utf-8").splitlines() == [
+        "project,version,release_date", "ant,1.5,2002-07-15",
+        "ant,1.6,2003-12-18"]
+
+
+def test_merge_mode_inserts_the_date_column_third(tmp_path):
+    write(tmp_path, "dates.csv", DATES)
+    write(tmp_path, "classes.csv", METRICS)
+    done = convert(tmp_path, "--dates", "dates.csv", "--metrics", "classes.csv",
+                   "--out", "out/releases.csv")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "releases.csv").read_text(
+        encoding="utf-8").splitlines() == [
+        "project,version,release_date,class,defects,wmc",
+        "ant,1.5,2002-07-15,org.apache.tools.ant.Main,2,14",
+        "ant,1.6,2003-12-18,org.apache.tools.ant.Main,0,15"]
+
+
+@pytest.mark.parametrize("existing", [None, b"project,version\nold,1\n"])
+def test_missing_date_writes_nothing(tmp_path, existing):
+    write(tmp_path, "dates.csv", "project,version,release_date\n"
+                                 "ant,1.5,2002-Jul-15\n")
+    write(tmp_path, "classes.csv", METRICS)
+    out = tmp_path / "out" / "releases.csv"
+    if existing is not None:
+        out.parent.mkdir()
+        out.write_bytes(existing)
+    done = convert(tmp_path, "--dates", "dates.csv", "--metrics", "classes.csv",
+                   "--out", "out/releases.csv")
+    assert done.returncode == 1
+    assert "no release date for: ant/1.6" in done.stderr
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+def test_conflicting_dates_exit_one(tmp_path):
+    write(tmp_path, "dates.csv", DATES + "ant,1.5,2002-07-16\n")
+    done = convert(tmp_path, "--dates", "dates.csv", "--out", "fixed.csv")
+    assert done.returncode == 1
+    assert "conflicting dates for ant/1.5" in done.stderr
+    assert not (tmp_path / "fixed.csv").exists()

@@ -6,8 +6,8 @@ from datetime import date
 import pytest
 
 from timeaware_cpdp.dataset import (DatasetSchema, add_months, bucketize,
-                                    convert_date_token, dataset_summary,
-                                    month_start, parse_dataset)
+                                    dataset_summary, month_start,
+                                    parse_dataset)
 from timeaware_cpdp.errors import (ConflictError, EmptyDatasetError,
                                    ParseError)
 
@@ -142,16 +142,6 @@ def test_month_arithmetic():
     assert add_months(date(1999, 11, 1), 6) == date(2000, 5, 1)
     assert add_months(date(2000, 12, 1), 1) == date(2001, 1, 1)
     assert add_months(date(2000, 1, 1), 25) == date(2002, 2, 1)
-
-
-def test_convert_date_token():
-    assert convert_date_token("1999-Nov-08") == "1999-11-08"
-    assert convert_date_token("2009-feb-17") == "2009-02-17"
-    assert convert_date_token("2005-12-03") == "2005-12-03"
-    with pytest.raises(ValueError):
-        convert_date_token("Nov 8 1999")
-    with pytest.raises(ValueError):
-        convert_date_token("1999-Foo-08")
 
 
 def test_bucketize_grid_is_anchored_and_contiguous():

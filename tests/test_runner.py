@@ -493,6 +493,14 @@ def test_validate_warns_when_gap_leaves_no_room(tmp_path):
     diags = validate(cfg)
     assert any(d.severity == "warning" and "no room" in d.message
                for d in diags)
+    # a baseline-only config asks for no time-aware pair
+    cfg = ExperimentConfig.from_file(write_experiment(
+        tmp_path, **{"buckets.granularity_months": "12",
+                     "pairs.gap_buckets": "1", "pairs.configurations": "",
+                     "run.baseline_crossval": "3"}))
+    diags = validate(cfg)
+    assert [d for d in diags if d.severity != "info"] == []
+    assert "crossval: 3 pairs" in [d.message for d in diags]
 
 
 def test_validate_flags_oversized_crossval(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.errors import UnusableDataError
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _threshold,
-                                 dump_tree, leaf_count, predict_proba_rows,
-                                 train_tree)
+                                 _thresholds, dump_tree, leaf_count,
+                                 predict_proba_rows, train_tree)
 from timeaware_cpdp.treatments import TreatedPair
 
 
@@ -31,10 +32,15 @@ def fit(train_x, train_y, weights=None, **param_kwargs) -> DecisionTree:
 
 def grow(train_x, train_y, min_leaf_weight=2.0):
     """The unpruned node lists train_tree grows on unit weights: feature,
-    threshold, left, right, w_def, w_clean, lo, hi."""
+    threshold, right, w_def, w_clean, lo, hi. The thresholds are set from
+    lo and hi by the setter train_tree uses."""
     train_x = np.asarray(train_x, dtype=float)
-    return _grow(train_x, np.asarray(train_y, dtype=bool),
-                 np.ones(len(train_x)), min_leaf_weight)
+    feature, right, w_def, w_cln, lo, hi = _grow(
+        train_x, np.asarray(train_y, dtype=bool), np.ones(len(train_x)),
+        min_leaf_weight)
+    threshold = _thresholds(train_x, np.array(feature), np.array(lo),
+                            np.array(hi))
+    return feature, threshold.tolist(), right, w_def, w_cln, lo, hi
 
 
 def proba(tree, row) -> float:
@@ -69,8 +75,8 @@ def test_separable_data_yields_midpoint_threshold():
     # the sum overflows to +inf and to -inf
     (1e308, 1.5e308), (-1.5e308, -1e308)])
 def test_threshold_falls_back_to_the_lower_value(low, high):
-    # checked first: a split whose threshold sent every row left grew
-    # the same node again without end
+    # checked first: a threshold equal to the upper value would send the
+    # rows above the cut left at prediction, though growth sent them right
     assert _threshold(low, high) == low
     _, threshold, _, w_def, _, lo, hi = grow(
         [[low], [low], [high], [high]], [False, False, True, True])
@@ -111,6 +117,19 @@ def test_xor_requires_depth_two_and_fits_exactly():
     assert depth(tree) == 2
     assert leaf_count(tree) >= 3
     assert ((predict_proba_rows(tree, x) >= 0.5) == y).all()
+
+
+def test_growth_sets_no_threshold():
+    # a split sends the rows up to its cut left by their sorted position;
+    # the thresholds are set after growth, so _grow never calls _threshold
+    x, y = xor_dataset()
+    w = np.ones(len(x))
+    expected = _grow(x, y, w, 2.0)
+    assert expected[0].count(-1) >= 3
+    with mock.patch.object(tree_module, "_threshold",
+                           side_effect=AssertionError) as setter:
+        assert _grow(x, y, w, 2.0) == expected
+    assert setter.call_count == 0
 
 
 def test_tied_attributes_break_to_lowest_index():

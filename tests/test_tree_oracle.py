@@ -2,7 +2,8 @@
 
 Random weighted data with tied values, constant columns, single-class
 nodes and leaf-weight limits near the side weights must give the same
-dump text, pruned (train_tree) and unpruned (_grow's node lists),
+dump text, pruned (train_tree) and unpruned (_grow's node lists, with
+the thresholds train_tree sets from their lo and hi rows),
 bit-identical probabilities, ranks and confusion counts, and the same
 per-version scores as the code in tree_oracle.py. The
 presorted grower must also give the per-node array grower's unpruned
@@ -28,9 +29,9 @@ import tree_oracle as oracle
 from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.metrics import (_auc_by_group, _confusion_cells,
                                     evaluate_pair, midranks, scores)
-from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, dump_tree,
-                                 predict_proba_rows, rethreshold, train_tree,
-                                 training_order)
+from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _thresholds,
+                                 dump_tree, predict_proba_rows, rethreshold,
+                                 train_tree, training_order)
 from timeaware_cpdp.treatments import TreatedPair
 
 
@@ -76,10 +77,19 @@ def treated(x, y, w, test_x, test_y, versions):
         test_features=test_x, test_labels=test_y, test_versions=versions)
 
 
+def with_thresholds(x, nodes):
+    """_grow's node lists on x as feature, threshold, right, w_def,
+    w_clean, lo, hi: the thresholds are set from lo and hi by the setter
+    train_tree uses."""
+    feature, right, w_def, w_cln, lo, hi = nodes
+    threshold = _thresholds(x, np.array(feature), np.array(lo), np.array(hi))
+    return feature, threshold.tolist(), right, w_def, w_cln, lo, hi
+
+
 def unpruned_tree(x, y, w, params):
     """The tree train_tree grows on x, y, w, before it is pruned."""
-    feature, threshold, right, w_def, w_cln, lo, hi = _grow(
-        x, y, w, params.min_leaf_weight)
+    feature, threshold, right, w_def, w_cln, lo, hi = with_thresholds(
+        x, _grow(x, y, w, params.min_leaf_weight))
     return DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
@@ -181,7 +191,7 @@ def node_bits(nodes):
 @given(weighted_data())
 def test_presorted_growth_matches_per_node_oracle(data):
     x, y, w, params = data
-    grown = _grow(x, y, w, params.min_leaf_weight)
+    grown = with_thresholds(x, _grow(x, y, w, params.min_leaf_weight))
     expected = oracle.grow_nodes(x, y, w, params.min_leaf_weight)
     # the oracle stores each split's left child: the node right after it
     assert expected[2] == [i + 1 if attr >= 0 else -1
@@ -197,8 +207,9 @@ def test_presorted_growth_matches_per_node_oracle(data):
 
 
 def grow_watching_last_cuts(x, y, w, min_leaf):
-    """_grow's node lists, and for each split search whether the cut-mask
-    cells of its last cuts held a True before it ran and after it ran."""
+    """_grow's node lists with their thresholds, and for each split search
+    whether the cut-mask cells of its last cuts held a True before it ran
+    and after it ran."""
     before, after = [], []
     search = tree_module._split
 
@@ -212,7 +223,7 @@ def grow_watching_last_cuts(x, y, w, min_leaf):
 
     with mock.patch.object(tree_module, "_split", watched):
         nodes = _grow(x, y, w, min_leaf)
-    return nodes, before, after
+    return with_thresholds(x, nodes), before, after
 
 
 def test_scratch_carries_nothing_between_nodes_or_fits():
