@@ -35,35 +35,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-aware evaluation of cross-project defect prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, summary, func in (
+            ("validate", "check config and dataset", cmd_validate),
+            ("summary", "dataset bucket summary", cmd_summary),
+            ("pairs", "write the pair manifest", cmd_pairs),
+            ("run", "run the experiment", cmd_run),
+            ("report", "rebuild reports from <out>/results.csv", cmd_report)):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, type=Path,
                        help="experiment config file")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides run.output_dir)")
-
-    p_validate = sub.add_parser("validate", help="check config and dataset")
-    add_common(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_summary = sub.add_parser("summary", help="dataset bucket summary")
-    add_common(p_summary)
-    p_summary.set_defaults(func=cmd_summary)
-
-    p_pairs = sub.add_parser("pairs", help="write the pair manifest")
-    add_common(p_pairs)
-    p_pairs.set_defaults(func=cmd_pairs)
-
-    p_run = sub.add_parser("run", help="run the experiment")
-    add_common(p_run)
-    p_run.add_argument("--dump-trees", action="store_true",
-                       help="also write every trained tree to trees.txt")
-    p_run.set_defaults(func=cmd_run)
-
-    p_report = sub.add_parser(
-        "report", help="rebuild reports from <out>/results.csv")
-    add_common(p_report)
-    p_report.set_defaults(func=cmd_report)
-
+        if name == "run":
+            p.add_argument("--dump-trees", action="store_true",
+                           help="also write every trained tree to trees.txt")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -74,12 +60,9 @@ def _out_dir(args, config: ExperimentConfig) -> Path:
 def cmd_validate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     diagnostics = validate(config)
-    errors = 0
     for diag in diagnostics:
         print(f"{diag.severity.upper()}: {diag.message}")
-        if diag.severity == "error":
-            errors += 1
-    return 1 if errors else 0
+    return 1 if any(diag.severity == "error" for diag in diagnostics) else 0
 
 
 def _emit(out: Path | None, name: str, write: Callable[[IO[str]], None]) -> None:

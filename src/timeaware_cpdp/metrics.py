@@ -6,6 +6,11 @@ root is 0. AUC is the rank-based Mann-Whitney statistic with midranks
 for tied scores; when the actual labels contain only one class it is
 undefined and reported as 0.5 together with a degenerate flag.
 
+Every test row takes its leaf's probability, so a pair's scores follow
+from one count table of the clean and defective rows of each test
+version at each distinct leaf probability. Rows at one probability share
+a midrank, a half-integer, so a version's AUC is an exact table sum.
+
 evaluate_pair gives one flat VersionScore per test release, that is per
 entry of the pair's test_versions: the id, confusion counts, scores and
 flag, in the column order of results.csv. Its values are plain Python
@@ -19,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .tree import DecisionTree, predict_proba_rows
+from .tree import DecisionTree, _leaves, _probas
 from .treatments import TreatedPair
 
 # a row is predicted defective iff its leaf probability reaches this
@@ -44,13 +49,6 @@ class VersionScore(NamedTuple):
     auc_degenerate: bool
 
 
-def _confusion_cells(group: np.ndarray, predicted: np.ndarray,
-                     actual: np.ndarray, n_groups: int) -> np.ndarray:
-    """(n_groups, 4) instance counts per group, columns (tn, fn, fp, tp)."""
-    cell = 4 * group + 2 * predicted.astype(np.intp) + actual.astype(np.intp)
-    return np.bincount(cell, minlength=4 * n_groups).reshape(n_groups, 4)
-
-
 def _ratio(num: float, den: float) -> float:
     return num / den if den != 0 else 0.0
 
@@ -68,60 +66,62 @@ def scores(tp: int, fp: int, tn: int,
     return precision, recall, fscore, gmeasure, mcc
 
 
-def _midranks_within(values: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """1-based midranks of each value among the values of its group."""
-    n = len(values)
-    order = np.lexsort((values, group))
-    sv, sg = values[order], group[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
-    start = np.flatnonzero(first)  # sorted position of each tie group's first value
-    end = np.append(start[1:], n) - 1  # ... and of its last
-    offset = np.searchsorted(sg, sg[start])  # sorted position of the group's first value
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(((start - offset) + (end - offset)) / 2.0 + 1.0,
-                             end - start + 1)
+def midranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their rank range;
+    NaNs sort last, each with a rank of its own."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    # sorted positions of each tie group's first value and of its last
+    start = np.flatnonzero(np.append(True, sv[1:] != sv[:-1]))
+    end = np.append(start[1:], len(v)) - 1
+    ranks = np.empty(len(v), dtype=np.float64)
+    ranks[order] = np.repeat((start + end) / 2.0 + 1.0, end - start + 1)
     return ranks
 
 
-def midranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of their rank range."""
-    v = np.asarray(values, dtype=np.float64)
-    return _midranks_within(v, np.zeros(len(v), dtype=np.intp))
+def _table_scores(table: np.ndarray, cut: int) -> list[tuple]:
+    """VersionScore's fields after the ids, of every version of a count table.
 
-
-def _auc_by_group(values: np.ndarray, labels: np.ndarray, group: np.ndarray,
-                  n_groups: int) -> np.ndarray:
-    """AUC of every group's values against its labels; 0.5 if single-class."""
-    ranks = _midranks_within(values, group)
-    n_pos = np.bincount(group[labels], minlength=n_groups)
-    n_neg = np.bincount(group, minlength=n_groups) - n_pos
-    pos_rank_sum = np.bincount(group, weights=np.where(labels, ranks, 0.0),
-                               minlength=n_groups)
-    area = np.full(n_groups, 0.5)
-    two = (n_pos > 0) & (n_neg > 0)
-    n_pos, n_neg = n_pos[two], n_neg[two]
-    area[two] = (pos_rank_sum[two] - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return area
+    table[v, r, label] counts version v's rows of each label (1 for
+    defective) at the r-th smallest probability; ranks from cut up are
+    predicted defective. The rows at one rank share the midrank
+    (rows below) + (count + 1) / 2.
+    """
+    seen = table.sum(axis=2)
+    midrank = seen.cumsum(axis=1) - (seen - 1) / 2.0
+    rank_sums = (table[:, :, 1] * midrank).sum(axis=1)
+    out = []
+    for (tn, fn), (fp, tp), rank_sum in zip(table[:, :cut].sum(axis=1).tolist(),
+                                            table[:, cut:].sum(axis=1).tolist(),
+                                            rank_sums.tolist()):
+        n_pos, n_neg = tp + fn, tn + fp
+        degenerate = n_pos == 0 or n_neg == 0
+        area = 0.5 if degenerate else (
+            (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        out.append((tp, fp, tn, fn, *scores(tp, fp, tn, fn), area, degenerate))
+    return out
 
 
 def evaluate_pair(tree: DecisionTree, treated: TreatedPair) -> list[VersionScore]:
     """Score the model separately on every test project version.
 
     Each entry of test_versions yields one VersionScore, in order, from
-    its run of rows. All rows are predicted in one pass and all
-    confusion matrices counted at once.
+    its run of rows. The rows descend the tree in one pass, and one
+    bincount over leaf probability ranks counts every version's table.
     """
+    leaf = tree.feature < 0
+    levels, rank = np.unique(_probas(tree)[leaf], return_inverse=True)
+    offset = np.zeros(len(leaf), dtype=np.intp)  # a leaf's cell in a version's block
+    offset[leaf] = 2 * rank
     counts = [count for _, count in treated.test_versions]
-    version = np.repeat(np.arange(len(counts)), counts)
-    probas = predict_proba_rows(tree, treated.test_features)
-    actual = np.asarray(treated.test_labels, dtype=bool)
-    cells = _confusion_cells(version, probas >= PREDICTION_THRESHOLD, actual,
-                             len(counts))
-    areas = _auc_by_group(probas, actual, version, len(counts))
-
-    return [VersionScore(project, version_id, tp, fp, tn, fn,
-                         *scores(tp, fp, tn, fn), area,
-                         tp + fn == 0 or tn + fp == 0)
-            for ((project, version_id), _), (tn, fn, fp, tp), area
-            in zip(treated.test_versions, cells.tolist(), areas.tolist())]
+    block = 2 * len(levels)
+    cells = (np.repeat(np.arange(0, block * len(counts), block), counts)
+             + offset[_leaves(tree, treated.test_features)]
+             + np.asarray(treated.test_labels, dtype=bool))
+    table = np.bincount(cells, minlength=block * len(counts)).reshape(
+        len(counts), -1, 2)
+    return [VersionScore(project, version_id, *fields)
+            for ((project, version_id), _), fields in zip(
+                treated.test_versions,
+                _table_scores(table, np.searchsorted(levels, PREDICTION_THRESHOLD)))]

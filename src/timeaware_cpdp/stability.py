@@ -101,9 +101,21 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
+def _parse_count(text: str) -> int:
+    if (count := int(text)) < 0:
+        raise ValueError(f"negative count {count}")
+    return count
+
+
+def _parse_score(text: str) -> float:
+    if not math.isfinite(score := float(text)):
+        raise ValueError(f"non-finite score {text!r}")
+    return score
+
+
 # how each results.csv column is read back
-_PARSERS = (str, str, _parse_window, int, int, str, str, int, int, int, int,
-            float, float, float, float, float, float, _parse_bool)
+_PARSERS = (str, str, _parse_window, int, int, str, str, *[_parse_count] * 4,
+            *[_parse_score] * 6, _parse_bool)
 
 
 def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
@@ -125,7 +137,11 @@ def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
 
 
 def load_results_csv(path: Path) -> list[ResultRecord]:
-    """Records of a results.csv; a malformed row raises DatasetError."""
+    """Records of a results.csv; a malformed row raises DatasetError.
+
+    A field that does not parse, a negative confusion count or a
+    non-finite score is named by its line and column.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -137,8 +153,13 @@ def load_results_csv(path: Path) -> list[ResultRecord]:
                     continue
                 if len(row) != len(_PARSERS):
                     raise ValueError(f"expected {len(_PARSERS)} fields")
-                records.append(ResultRecord._make(
-                    [parse(v) for parse, v in zip(_PARSERS, row)]))
+                fields = []
+                for column, parse, text in zip(RESULTS_COLUMNS, _PARSERS, row):
+                    try:
+                        fields.append(parse(text))
+                    except ValueError as exc:
+                        raise ValueError(f"{exc} (column {column})") from None
+                records.append(ResultRecord._make(fields))
         except (ValueError, csv.Error) as exc:
             raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
@@ -208,17 +229,11 @@ def aggregate(records: Sequence[ResultRecord],
         window = key[2] if by_window else None
         for metric in RANK_METRICS:
             values, excluded = _metric_values(group, metric)
-            if not values:
-                rows.append(StabilityRow(
-                    technique=key[0], kind=key[1], window_k=window,
-                    metric=metric, n=0, excluded=excluded,
-                    mean=None, sd=None, stable=None))
-                continue
-            mean, sd = _mean_sd(values)
+            mean, sd = _mean_sd(values) if values else (None, None)
             rows.append(StabilityRow(
                 technique=key[0], kind=key[1], window_k=window,
                 metric=metric, n=len(values), excluded=excluded,
-                mean=mean, sd=sd, stable=sd < threshold))
+                mean=mean, sd=sd, stable=None if sd is None else sd < threshold))
     return rows
 
 
@@ -246,8 +261,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> float:
     if n_a <= RANK_SUM_EXACT_LIMIT and n_b <= RANK_SUM_EXACT_LIMIT:
         rank_list = ranks.tolist()
         total = comb(n, n_a)
-        count_le = 0
-        count_ge = 0
+        count_le = count_ge = 0
         for idx in combinations(range(n), n_a):
             s = sum(rank_list[i] for i in idx)
             if s <= w_obs + 1e-9:
@@ -284,8 +298,7 @@ def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> tuple[float, str]:
         raise ValueError("both samples must be non-empty")
     sb = sorted(float(v) for v in b)
     m = len(sb)
-    greater = 0
-    less = 0
+    greater = less = 0
     for v in a:
         v = float(v)
         greater += bisect.bisect_left(sb, v)
@@ -334,16 +347,13 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
                   for m in metrics}
     mean_rs = {t: sum(per_metric[m][t] for m in metrics) / len(metrics)
                for t in techniques}
-    rows = []
-    for i, tech in enumerate(techniques):
-        rank = 1 + sum(1 for u in techniques if mean_rs[u] > mean_rs[tech])
-        rows.append((rank, i, RankRow(
-            technique=tech,
-            rankscores=tuple(per_metric[m][tech] for m in metrics),
-            mean_rank_score=mean_rs[tech],
-            rank=rank)))
-    rows.sort(key=lambda item: (item[0], item[1]))
-    return [row for _, _, row in rows]
+    rows = [RankRow(technique=tech,
+                    rankscores=tuple(per_metric[m][tech] for m in metrics),
+                    mean_rank_score=mean_rs[tech],
+                    rank=1 + sum(1 for u in techniques if mean_rs[u] > mean_rs[tech]))
+            for tech in techniques]
+    # sorted is stable: techniques of equal rank keep their input order
+    return sorted(rows, key=lambda row: row.rank)
 
 
 def _cell_means(records: Sequence[ResultRecord]) -> dict[tuple, dict[str, float]]:
@@ -468,11 +478,11 @@ def _write_ranks(path: Path, overall: Sequence[StabilityRow],
                                "with complete metrics", kind)
                 continue
             sd_by_tech = _rank_sds(cell_means, kind)
+            # the rank score columns follow RANK_METRICS
             for row in rank_techniques(values):
-                rs = dict(zip(RANK_METRICS, row.rankscores))
                 fh.write(f"{_csv_field(kind)},{_csv_field(row.technique)},"
-                         f"{_fmt(rs['fscore'])},{_fmt(rs['auc'])},{_fmt(rs['mcc'])},"
-                         f"{_fmt(rs['gmeasure'])},{_fmt(row.mean_rank_score)},"
+                         f"{','.join(map(_fmt, row.rankscores))},"
+                         f"{_fmt(row.mean_rank_score)},"
                          f"{row.rank},{_fmt(sd_by_tech[row.technique])}\n")
 
 

@@ -19,8 +19,8 @@ work arrays allocated once per fit and sized for its root, not into
 arrays allocated at every node.
 Every tree is pruned by the classic pessimistic error estimate with a
 confidence parameter, applied bottom-up with subtree replacement only
-(no subtree raising). Prediction descends all rows of a matrix level by
-level.
+(no subtree raising). One descent, ``_leaves``, takes all rows of a
+matrix to their leaves level by level, for prediction and scoring.
 
 A tree therefore depends on its training input only through each
 attribute's sorted order and ties, the labels and the weights; the
@@ -433,12 +433,9 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None,
         lo=lo, hi=hi, n_attributes=x.shape[1])
 
 
-def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
-    """Laplace-smoothed defect probability of the leaf each row reaches.
-
-    All rows descend together, one tree level per step; the matrix is
-    validated once.
-    """
+def _leaves(tree: DecisionTree, rows) -> np.ndarray:
+    """The leaf node each row reaches; all rows descend together, one
+    tree level per step, and the matrix is validated once."""
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != tree.n_attributes:
         raise ValueError(
@@ -454,8 +451,17 @@ def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
         live, at, attr = live[inner], at[inner], attr[inner]
         goes_left = x[live, attr] <= tree.threshold[at]
         node[live] = np.where(goes_left, at + 1, tree.right[at])
-    w_def = tree.w_defective[node]
-    return (w_def + 1.0) / (w_def + tree.w_clean[node] + 2.0)
+    return node
+
+
+def _probas(tree: DecisionTree) -> np.ndarray:
+    """Laplace-smoothed defect probability of every node."""
+    return (tree.w_defective + 1.0) / (tree.w_defective + tree.w_clean + 2.0)
+
+
+def predict_proba_rows(tree: DecisionTree, rows) -> np.ndarray:
+    """Laplace-smoothed defect probability of the leaf each row reaches."""
+    return _probas(tree)[_leaves(tree, rows)]
 
 
 def leaf_count(tree: DecisionTree) -> int:

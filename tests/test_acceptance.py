@@ -22,22 +22,15 @@ from synth import oracle_bucket_index, oracle_pairs, pair_as_tuple, \
     random_dataset, toy_three_buckets
 from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.dataset import bucketize
-from timeaware_cpdp.metrics import _auc_by_group, scores
+from timeaware_cpdp.metrics import scores
 from timeaware_cpdp.pairs import ConfigurationKind, enumerate_pairs
 from timeaware_cpdp.runner import run_experiment
 from timeaware_cpdp.stability import (cliffs_delta, load_results_csv,
                                       magnitude_label, rankscores,
                                       wilcoxon_rank_sum)
 from timeaware_cpdp.treatments import camargocruz09, ma12, watanabe08
+from test_metrics import auc
 from test_treatments import build_pair
-
-
-def auc(values, labels):
-    """AUC of values against labels: _auc_by_group on a single group."""
-    labels = np.asarray(labels, dtype=bool)
-    group = np.zeros(len(labels), dtype=np.intp)
-    return float(_auc_by_group(np.asarray(values, dtype=np.float64), labels,
-                               group, 1)[0])
 
 
 I, J, K = ("i", "2008"), ("j", "2009"), ("k", "2010")

@@ -12,6 +12,7 @@ import pytest
 import timeaware_cpdp
 from e2e import toy_csv, write_experiment
 from timeaware_cpdp.cli import main
+from timeaware_cpdp.stability import RESULTS_COLUMNS
 
 
 def test_validate_prints_diagnostics(tmp_path, capsys):
@@ -191,6 +192,31 @@ def test_malformed_results_row_exits_one(tmp_path, caplog):
     assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 1
     assert f"{results}: line 4:" in caplog.text
     assert "internal error" not in caplog.text
+
+
+def test_non_finite_score_or_negative_count_exits_one(tmp_path, caplog):
+    cfg = write_experiment(tmp_path)
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    reports = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
+    results = out_dir / "results.csv"
+    written = results.read_text(encoding="utf-8").splitlines()
+    # line 3's AUC, line 4's F-score, line 5's tp
+    for line, column, text in ((3, "auc", "nan"), (4, "fscore", "inf"),
+                               (5, "tp", "-5")):
+        lines = list(written)
+        fields = lines[line - 1].split(",")
+        fields[RESULTS_COLUMNS.index(column)] = text
+        lines[line - 1] = ",".join(fields)
+        results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name in reports:
+            (out_dir / name).unlink(missing_ok=True)
+        caplog.clear()
+        assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert f"{results}: line {line}:" in caplog.text
+        assert f"(column {column})" in caplog.text
+        assert "internal error" not in caplog.text
+        assert not any((out_dir / name).exists() for name in reports)
 
 
 def test_results_csv_that_is_a_directory_exits_one(tmp_path, caplog):

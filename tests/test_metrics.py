@@ -6,27 +6,38 @@ import random
 import numpy as np
 import pytest
 
-from timeaware_cpdp.metrics import (_auc_by_group, _confusion_cells,
-                                    evaluate_pair, midranks, scores)
+from timeaware_cpdp.metrics import (_table_scores, evaluate_pair, midranks,
+                                    scores)
 from timeaware_cpdp.tree import TreeParams, predict_proba_rows, train_tree
 from timeaware_cpdp.treatments import TreatedPair
 
 
+def count_table(group, rank, labels, n_groups, n_ranks):
+    """Rows counted per (group, rank, label): evaluate_pair's count table."""
+    cell = (np.asarray(group) * n_ranks + rank) * 2 + np.asarray(labels, dtype=bool)
+    return np.bincount(cell, minlength=2 * n_ranks * n_groups).reshape(
+        n_groups, n_ranks, 2)
+
+
 def auc(values, labels):
-    """AUC of values against labels: _auc_by_group on a single group."""
-    labels = np.asarray(labels, dtype=bool)
-    group = np.zeros(len(labels), dtype=np.intp)
-    return float(_auc_by_group(np.asarray(values, dtype=np.float64), labels,
-                               group, 1)[0])
+    """AUC of values against labels: the count-table AUC of one group."""
+    levels, rank = np.unique(np.asarray(values, dtype=np.float64),
+                             return_inverse=True)
+    table = count_table(np.zeros(len(rank), dtype=np.intp), rank, labels, 1,
+                        len(levels))
+    ((*_, area, _),) = _table_scores(table, len(levels))
+    return area
 
 
 def test_confusion_cells_count_each_cell_per_group():
     predicted = np.array([True, True, False, False, True, False])
     actual = np.array([True, False, False, True, True, True])
     group = np.array([0, 0, 0, 0, 0, 2])
-    # columns (tn, fn, fp, tp); group 1 has no rows
-    assert _confusion_cells(group, predicted, actual, 3).tolist() == [
-        [1, 1, 1, 2], [0, 0, 0, 0], [0, 1, 0, 0]]
+    # rank 1, from the cut up, is predicted defective; group 1 has no rows
+    table = count_table(group, predicted.astype(np.intp), actual, 3, 2)
+    # (tp, fp, tn, fn) per group
+    assert [fields[:4] for fields in _table_scores(table, 1)] == [
+        (2, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 1)]
 
 
 def test_scores_fixture_values():

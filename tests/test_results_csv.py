@@ -3,11 +3,13 @@
 import csv
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e2e import toy_csv, write_experiment
 from timeaware_cpdp.cli import main
+from timeaware_cpdp.errors import DatasetError
 from timeaware_cpdp.metrics import VersionScore
 from timeaware_cpdp.stability import (RESULTS_COLUMNS, RESULTS_HEADER,
                                       ResultRecord, load_results_csv,
@@ -27,7 +29,8 @@ def test_one_column_list():
 # text that needs quoting: separators, quotes, line breaks of every kind
 TEXT = st.text(st.sampled_from('ab ,";/\n\r \x85é'), max_size=8)
 COUNT = st.integers(0, 10 ** 6)
-SCORE = st.floats(allow_nan=False) | st.sampled_from((-0.0, 5e-324, 1e308))
+SCORE = (st.floats(allow_nan=False, allow_infinity=False)
+         | st.sampled_from((-0.0, 5e-324, 1e308)))
 
 
 @st.composite
@@ -50,6 +53,29 @@ def test_results_csv_round_trip(tmp_path_factory, records):
     # == does not tell -0.0 from 0.0; the bytes of a second write do
     write_results_csv(path, loaded)
     assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("column,text,message", [
+    ("auc", "nan", "non-finite score 'nan'"),
+    ("fscore", "inf", "non-finite score 'inf'"),
+    ("mcc", "-inf", "non-finite score '-inf'"),
+    ("precision", "NaN", "non-finite score 'NaN'"),
+    ("tp", "-5", "negative count -5"),
+    ("fn", "-1", "negative count -1")])
+def test_results_csv_rejects_non_finite_scores_and_negative_counts(
+        tmp_path, column, text, message):
+    record = ResultRecord("t", "CC", None, 1, 0, "p", "1",
+                          3, 1, 4, 2, 0.75, 0.6, 0.5, 0.5, 0.25, 0.5, False)
+    path = tmp_path / "results.csv"
+    write_results_csv(path, [record, record])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[2].split(",")
+    fields[RESULTS_COLUMNS.index(column)] = text
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_results_csv(path)
+    assert str(err.value) == f"{path}: line 3: {message} (column {column})"
 
 
 def quoted_ids_experiment(tmp_path):

@@ -16,7 +16,10 @@ bit for bit. Two order keys must be equal exactly when the oracle's
 SHA-256 keys of the same inputs are, and the sorts must be the same.
 Every grown, pruned and re-thresholded tree must keep the pre-order
 layout: split i's left subtree is nodes i + 1 .. right[i] - 1, and a
-walk from the root reaches each node once.
+walk from the root reaches each node once. evaluate_pair, which scores
+from one count table per leaf probability, must give the VersionScores
+of the row-level scoring in metrics_oracle.py bit for bit, also when
+distinct leaves share a probability.
 """
 
 from unittest import mock
@@ -25,22 +28,15 @@ import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import metrics_oracle
 import tree_oracle as oracle
+from test_metrics import auc, count_table
 from timeaware_cpdp import tree as tree_module
-from timeaware_cpdp.metrics import (_auc_by_group, _confusion_cells,
-                                    evaluate_pair, midranks, scores)
+from timeaware_cpdp.metrics import _table_scores, evaluate_pair, midranks, scores
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _thresholds,
                                  dump_tree, predict_proba_rows, rethreshold,
                                  train_tree, training_order)
 from timeaware_cpdp.treatments import TreatedPair
-
-
-def auc(values, labels):
-    """AUC of values against labels: _auc_by_group on a single group."""
-    labels = np.asarray(labels, dtype=bool)
-    group = np.zeros(len(labels), dtype=np.intp)
-    return float(_auc_by_group(np.asarray(values, dtype=np.float64), labels,
-                               group, 1)[0])
 
 
 # few distinct values per column, so most columns have ties; a column of
@@ -75,6 +71,15 @@ def treated(x, y, w, test_x, test_y, versions):
     return TreatedPair(
         train_features=x, train_labels=y, train_weights=w,
         test_features=test_x, test_labels=test_y, test_versions=versions)
+
+
+def random_versions(rng, n):
+    """Versions of random length that together hold n rows."""
+    counts, left = [], n
+    while left:
+        counts.append(int(rng.integers(1, left + 1)))
+        left -= counts[-1]
+    return tuple((("p", str(i)), count) for i, count in enumerate(counts))
 
 
 def with_thresholds(x, nodes):
@@ -141,11 +146,7 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
     test_x = np.vstack([x, on_cut])
     test_y = np.concatenate([y, y[::-1]])
     # the test rows fall into consecutive versions of random length
-    counts, left = [], 2 * n
-    while left:
-        counts.append(int(rng.integers(1, left + 1)))
-        left -= counts[-1]
-    versions = tuple((("p", str(i)), count) for i, count in enumerate(counts))
+    versions = random_versions(rng, 2 * n)
     pair = treated(x, y, w, test_x, test_y, versions)
 
     tree = train_tree(pair, params) if prune else unpruned_tree(x, y, w, params)
@@ -159,7 +160,7 @@ def test_tree_matches_recursive_oracle(data, prune, seed):
     assert probas.tobytes() == expected.tobytes()
 
     # per-version scores of the loop pipeline the fast path replaces
-    bounds = np.cumsum([0] + counts)
+    bounds = np.cumsum([0] + [count for _, count in versions])
     result = evaluate_pair(tree, pair)
     assert [(v.test_project, v.test_version) for v in result] == [
         key for key, _ in versions]
@@ -371,10 +372,15 @@ def tree_bits(tree):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 7.0)),
+@given(st.lists(st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 7.0, np.nan)),
                 max_size=40))
 def test_midranks_match_loop_oracle(values):
-    assert midranks(values).tobytes() == oracle.midranks(values).tobytes()
+    ranks = midranks(values).tobytes()
+    assert ranks == oracle.midranks(values).tobytes()
+    # and the grouped midranks they replace, on a single group
+    v = np.asarray(values, dtype=np.float64)
+    assert ranks == metrics_oracle.midranks_within(
+        v, np.zeros(len(v), dtype=np.intp)).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -382,8 +388,61 @@ def test_midranks_match_loop_oracle(values):
                 min_size=1, max_size=40))
 def test_confusion_cells_match_loop_oracle(cells):
     group, predicted, actual = (np.array(column) for column in zip(*cells))
-    counts = _confusion_cells(group, predicted, actual, 4)
-    for g, (tn, fn, fp, tp) in enumerate(counts.tolist()):
+    # rank 1, from the cut up, is predicted defective
+    table = count_table(group, predicted.astype(np.intp), actual, 4, 2)
+    for g, (tp, fp, tn, fn, *_) in enumerate(_table_scores(table, 1)):
         mine = group == g
         assert (tp, fp, tn, fn) == oracle.confusion(predicted[mine],
                                                     actual[mine])
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_evaluate_pair_matches_row_level_oracle(data, prune, seed):
+    x, y, w, params = data
+    n, m = x.shape
+    rng = np.random.default_rng(seed)
+    test_x = np.vstack([x, np.array(MIDPOINTS)[
+        rng.integers(0, len(MIDPOINTS), size=(n, m))]])
+    test_y = rng.random(2 * n) < rng.choice((0.0, 0.1, 0.5, 1.0))
+    pair = treated(x, y, w, test_x, test_y, random_versions(rng, 2 * n))
+    tree = train_tree(pair, params) if prune else unpruned_tree(x, y, w, params)
+    leaf = tree.feature < 0
+    probas = tree_module._probas(tree)[leaf]
+    if len(np.unique(probas)) < len(probas):
+        event("leaves share a probability")
+    result = evaluate_pair(tree, pair)
+    assert repr(result) == repr(metrics_oracle.evaluate_pair(tree, pair))
+
+
+def test_evaluate_pair_ranks_tied_leaves_together():
+    # leaves 1 and 4 hold the same weights, so their rows share a
+    # probability, 0.6; leaf 3's is 1/3
+    tree = DecisionTree(
+        feature=np.array([0, -1, 0, -1, -1]),
+        threshold=np.array([0.5, np.nan, 1.5, np.nan, np.nan]),
+        right=np.array([2, -1, 4, -1, -1]),
+        w_defective=np.array([5.0, 2.0, 3.0, 1.0, 2.0]),
+        w_clean=np.array([5.0, 1.0, 4.0, 3.0, 1.0]),
+        lo=np.array([0, -1, 1, -1, -1]), hi=np.array([1, -1, 2, -1, -1]),
+        n_attributes=1)
+    check_layout(tree)
+    test_x = np.array([[0.0], [1.0], [0.0], [2.0], [2.0],  # every leaf
+                       [0.0], [2.0], [1.0],  # one class
+                       [2.0], [2.0], [2.0]])  # one leaf
+    test_y = np.array([True, False, True, False, False,
+                       False, False, False,
+                       True, False, True])
+    versions = ((("a", "1"), 5), (("b", "1"), 3), (("c", "1"), 3))
+    pair = treated(test_x, test_y, np.ones(len(test_y)), test_x, test_y, versions)
+    result = evaluate_pair(tree, pair)
+    assert repr(result) == repr(metrics_oracle.evaluate_pair(tree, pair))
+    every, one_class, one_leaf = result
+    # the two defective rows, on leaf 1, tie with the two clean ones on
+    # leaf 4 and beat the third
+    assert (every.tp, every.fp, every.tn, every.fn) == (2, 2, 1, 0)
+    assert (every.auc, every.auc_degenerate) == (4 / 6, False)
+    assert (one_class.tp, one_class.fp, one_class.tn, one_class.fn) == (0, 2, 1, 0)
+    assert (one_class.auc, one_class.auc_degenerate) == (0.5, True)
+    assert (one_leaf.tp, one_leaf.fp, one_leaf.tn, one_leaf.fn) == (2, 1, 0, 0)
+    assert (one_leaf.auc, one_leaf.auc_degenerate) == (0.5, False)
