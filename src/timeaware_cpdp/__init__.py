@@ -9,9 +9,9 @@ summarize how conclusions hold up across time.
 
 __version__ = "0.1.0"
 
-from .dataset import (BucketSummary, DatasetSchema, MetricRecord, Release,
-                      TimeBucket, TimeSeriesDataset, bucketize,
-                      dataset_summary, parse_dataset)
+from .dataset import (BucketSummary, DatasetSchema, Release, TimeBucket,
+                      TimeSeriesDataset, bucketize, dataset_summary,
+                      parse_dataset)
 from .errors import (BalancingError, ConfigError, ConflictError, DatasetError,
                      DegenerateTreatmentError, EmptyDatasetError, ParseError,
                      UnusableDataError)

@@ -1,11 +1,12 @@
 """Class-level defect data with dated releases, and its time bucketing.
 
 A dataset is a list of releases. Each release is one (project, version)
-pair with a release date and one metric record per class/file. Releases
-are laid out on a timeline of fixed-width calendar-month buckets; the
-bucket grid is anchored at the first day of the month of the earliest
-release and always covers the latest release. Buckets with no releases
-are kept so that bucket indices stay aligned with calendar time.
+pair with a release date and one record per class/file: its attribute
+values and whether it is defective. Releases are laid out on a timeline
+of fixed-width calendar-month buckets; the bucket grid is anchored at
+the first day of the month of the earliest release and always covers
+the latest release. Buckets with no releases are kept so that bucket
+indices stay aligned with calendar time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import re
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -42,28 +42,21 @@ class DatasetSchema:
     feature_cols: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    """One class of a release; the Release holds its project, version and date."""
-
-    class_id: str
-    features: tuple[float, ...]
-    defect_count: int
-
-    @property
-    def defective(self) -> bool:
-        # a class is defective iff at least one defect was recorded
-        return self.defect_count > 0
-
-
-@dataclass(frozen=True)
+# eq=False: records is an array, which dataclass equality cannot compare
+@dataclass(frozen=True, eq=False)
 class Release:
-    """All records of one (project, version) at its release date."""
+    """All classes of one (project, version) at its release date.
+
+    records is a read-only structured array, one row per class in
+    source order. Its field "features" holds the row's float64 attribute
+    values and "defective" is True iff at least one defect was recorded.
+    Its scalar type is np.record, so each row also reads as rec.defective.
+    """
 
     project_id: str
     version_id: str
     release_date: date
-    records: tuple[MetricRecord, ...]
+    records: np.ndarray
 
     @property
     def key(self) -> tuple[str, str]:
@@ -72,20 +65,10 @@ class Release:
     def __len__(self) -> int:
         return len(self.records)
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The records as a float64 feature matrix and a bool defect vector.
 
-        Built on first use and kept: a release takes part in many pairs.
-        Raises ValueError when the records differ in attribute count.
-        """
-        widths = sorted({len(rec.features) for rec in self.records})
-        if len(widths) > 1:
-            raise ValueError(f"inconsistent attribute counts: {widths}")
-        features = np.array([rec.features for rec in self.records],
-                            dtype=np.float64)
-        labels = np.array([rec.defective for rec in self.records], dtype=bool)
-        return features.reshape(len(self.records), *widths), labels
+def release_order(rel: Release) -> tuple[date, str, str]:
+    """The one order of releases: by date, then project, then version."""
+    return (rel.release_date, rel.project_id, rel.version_id)
 
 
 @dataclass(frozen=True)
@@ -144,10 +127,11 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     """Parse CSV text into releases.
 
     The file must have a header row naming at least the five identity
-    columns of the schema. Every data row becomes one MetricRecord; rows
-    sharing (project, version) form one release and must agree on the
-    release date. Releases are returned sorted by (date, project,
-    version); records keep their source order within a release.
+    columns of the schema. Every data row becomes one row of its
+    release's record array; rows sharing (project, version) form one
+    release and must agree on the release date. The class column must be
+    present but is not kept. Releases are returned in release_order;
+    records keep their source order within a release.
 
     Raises ParseError (with a line number) for malformed content, such
     as a header that names a column twice, two identity roles of the
@@ -198,7 +182,8 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
         raise ParseError("no feature columns", line=1)
     feature_pos = [positions[c] for c in feature_cols]
 
-    groups: dict[tuple[str, str], list[MetricRecord]] = {}
+    # per release, its rows' feature values and defect flags
+    groups: dict[tuple[str, str], tuple[list, list]] = {}
     dates: dict[tuple[str, str], date] = {}
     row_count = 0
     for line_no, row in enumerate(reader, start=2):
@@ -211,7 +196,6 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
         project = row[positions[schema.project_col]].strip()
         version = row[positions[schema.version_col]].strip()
         raw_date = row[positions[schema.date_col]].strip()
-        class_id = row[positions[schema.class_col]].strip()
         raw_defects = row[positions[schema.defects_col]].strip()
         if not project or not version:
             raise ParseError("empty project or version identifier", line=line_no)
@@ -252,19 +236,25 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
                 f"release {project}/{version} has conflicting dates "
                 f"{dates[key]} and {released}", line=line_no)
         dates.setdefault(key, released)
-        groups.setdefault(key, []).append(MetricRecord(
-            class_id=class_id, features=tuple(features),
-            defect_count=defect_count))
+        rows, labels = groups.setdefault(key, ([], []))
+        rows.append(features)
+        labels.append(defect_count > 0)
 
     if row_count == 0:
         raise EmptyDatasetError("dataset has a header but no data rows")
 
-    releases = [
-        Release(project_id=k[0], version_id=k[1], release_date=dates[k],
-                records=tuple(recs))
-        for k, recs in groups.items()
-    ]
-    releases.sort(key=lambda r: (r.release_date, r.project_id, r.version_id))
+    dtype = np.dtype((np.record, [
+        ("features", np.float64, (len(feature_cols),)), ("defective", bool)]))
+    releases = []
+    for (project, version), (rows, labels) in groups.items():
+        records = np.empty(len(rows), dtype)
+        records["features"] = rows
+        records["defective"] = labels
+        records.flags.writeable = False
+        releases.append(Release(project_id=project, version_id=version,
+                                release_date=dates[project, version],
+                                records=records))
+    releases.sort(key=release_order)
     return releases
 
 
@@ -275,8 +265,8 @@ def bucketize(releases: Iterable[Release],
     Bucket 0 starts on the first day of the month of the earliest
     release; every bucket spans exactly granularity_months months and
     bucket[i].end == bucket[i+1].start. Buckets without releases are
-    materialized. Release order inside a bucket is (date, project,
-    version), so the grid is independent of input order.
+    materialized. Releases inside a bucket are in release_order, so the
+    grid is independent of input order.
     """
     releases = list(releases)
     if granularity_months < 1:
@@ -284,7 +274,7 @@ def bucketize(releases: Iterable[Release],
     if not releases:
         raise EmptyDatasetError("cannot bucketize zero releases")
 
-    releases.sort(key=lambda r: (r.release_date, r.project_id, r.version_id))
+    releases.sort(key=release_order)
     anchor = month_start(releases[0].release_date)
     last = releases[-1].release_date
     count = _month_index(last, anchor) // granularity_months + 1
@@ -313,8 +303,8 @@ def dataset_summary(ts: TimeSeriesDataset) -> list[BucketSummary]:
     rows = []
     for bucket in ts.buckets:
         instances = sum(len(r) for r in bucket.releases)
-        defective = sum(
-            1 for r in bucket.releases for rec in r.records if rec.defective)
+        defective = sum(int(np.count_nonzero(r.records["defective"]))
+                        for r in bucket.releases)
         pct = 100.0 * defective / instances if instances else 0.0
         rows.append(BucketSummary(
             bucket_index=bucket.index, start=bucket.start, end=bucket.end,

@@ -17,7 +17,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .dataset import Release, TimeSeriesDataset
+from .dataset import Release, TimeSeriesDataset, release_order
 from .errors import ConfigError
 
 
@@ -122,8 +122,7 @@ def crossval_pairs(releases: list[Release], folds: int,
         raise ConfigError(
             f"fold count {folds} exceeds the {len(releases)} releases")
 
-    ordered = sorted(releases,
-                     key=lambda r: (r.release_date, r.project_id, r.version_id))
+    ordered = sorted(releases, key=release_order)
     rng = random.Random(seed)
     rng.shuffle(ordered)
 

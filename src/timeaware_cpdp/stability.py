@@ -92,7 +92,11 @@ RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
 
 
 def _parse_window(text: str) -> int | None:
-    return None if text == UNBOUNDED else int(text)
+    if text == UNBOUNDED:
+        return None
+    if (window := int(text)) < 1:
+        raise ValueError(f"window {window} below 1")
+    return window
 
 
 def _parse_bool(text: str) -> bool:
@@ -101,10 +105,12 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _parse_count(text: str) -> int:
-    if (count := int(text)) < 0:
-        raise ValueError(f"negative count {count}")
-    return count
+def _non_negative(what: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        if (value := int(text)) < 0:
+            raise ValueError(f"negative {what} {value}")
+        return value
+    return parse
 
 
 def _parse_score(text: str) -> float:
@@ -114,7 +120,8 @@ def _parse_score(text: str) -> float:
 
 
 # how each results.csv column is read back
-_PARSERS = (str, str, _parse_window, int, int, str, str, *[_parse_count] * 4,
+_PARSERS = (str, str, _parse_window, _non_negative("split"),
+            _non_negative("gap"), str, str, *[_non_negative("count")] * 4,
             *[_parse_score] * 6, _parse_bool)
 
 
@@ -139,8 +146,9 @@ def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
 def load_results_csv(path: Path) -> list[ResultRecord]:
     """Records of a results.csv; a malformed row raises DatasetError.
 
-    A field that does not parse, a negative confusion count or a
-    non-finite score is named by its line and column.
+    A field that does not parse, a window below 1, a negative split,
+    gap or confusion count, or a non-finite score is named by its line
+    and column.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

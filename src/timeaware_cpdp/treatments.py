@@ -107,18 +107,18 @@ class TreatedPair:
 
 
 def assemble_pair(pair: TrainTestPair) -> TreatedPair:
-    """Stack the releases' matrices (``Release.arrays``) with unit weights.
+    """Stack each side's ``Release.records`` fields with unit weights.
 
     The arrays are read-only: treatments pass them on without copies.
     """
-    widths = {rel.arrays[0].shape[1] for side in (pair.train, pair.test)
-              for rel in side}
+    widths = {rel.records["features"].shape[1]
+              for side in (pair.train, pair.test) for rel in side}
     if len(widths) != 1:
         raise ValueError(f"inconsistent attribute counts: {sorted(widths)}")
 
     def rows(releases):
-        return (np.concatenate([rel.arrays[0] for rel in releases]),
-                np.concatenate([rel.arrays[1] for rel in releases]))
+        return (np.concatenate([rel.records["features"] for rel in releases]),
+                np.concatenate([rel.records["defective"] for rel in releases]))
 
     train_x, train_y = rows(pair.train)
     test_x, test_y = rows(pair.test)

@@ -5,17 +5,22 @@ from __future__ import annotations
 import random
 from datetime import date, timedelta
 
-from timeaware_cpdp.dataset import (MetricRecord, Release, TimeSeriesDataset,
-                                    add_months, month_start)
+import numpy as np
+
+from timeaware_cpdp.dataset import (Release, TimeSeriesDataset, add_months,
+                                    month_start)
 from timeaware_cpdp.pairs import ConfigurationKind, TrainTestPair
 
 
 def make_release(project: str, version: str, released: date,
                  rows: list[tuple[tuple[float, ...], bool]]) -> Release:
-    records = tuple(
-        MetricRecord(class_id=f"C{i}", features=feats,
-                     defect_count=1 if defective else 0)
-        for i, (feats, defective) in enumerate(rows))
+    """A release of the given (features, defective) rows, built as parse_dataset does."""
+    width = len(rows[0][0])
+    records = np.empty(len(rows), np.dtype((np.record, [
+        ("features", np.float64, (width,)), ("defective", bool)])))
+    records["features"] = [feats for feats, _ in rows]
+    records["defective"] = [defective for _, defective in rows]
+    records.flags.writeable = False
     return Release(project_id=project, version_id=version,
                    release_date=released, records=records)
 
@@ -32,15 +37,22 @@ def simple_release(project: str, version: str, released: date,
     return make_release(project, version, released, rows)
 
 
-def dataset_csv(rows: list[tuple[Release, MetricRecord]]) -> str:
-    """(release, record) rows as a dataset CSV in the default schema, in list order."""
-    width = len(rows[0][1].features)
+def csv_rows(releases: list[Release]) -> list[tuple[Release, str, np.record]]:
+    """(release, class id, record) rows, release by release; ids C0, C1, ... per release."""
+    return [(rel, f"C{i}", rec)
+            for rel in releases for i, rec in enumerate(rel.records)]
+
+
+def dataset_csv(rows: list[tuple[Release, str, np.record]]) -> str:
+    """(release, class id, record) rows as a dataset CSV in the default schema, in list order."""
+    width = len(rows[0][2].features)
     lines = ["project,version,release_date,class,defects,"
              + ",".join(f"f{i + 1}" for i in range(width))]
     lines += [",".join([rel.project_id, rel.version_id,
-                        rel.release_date.isoformat(), rec.class_id,
-                        str(rec.defect_count), *map(repr, rec.features)])
-              for rel, rec in rows]
+                        rel.release_date.isoformat(), class_id,
+                        "1" if rec.defective else "0",
+                        *map(repr, rec.features.tolist())])
+              for rel, class_id, rec in rows]
     return "\n".join(lines) + "\n"
 
 

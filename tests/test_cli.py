@@ -194,16 +194,18 @@ def test_malformed_results_row_exits_one(tmp_path, caplog):
     assert "internal error" not in caplog.text
 
 
-def test_non_finite_score_or_negative_count_exits_one(tmp_path, caplog):
+def assert_each_edit_exits_one(tmp_path, caplog, edits):
+    """report exits 1 on each (line, column, text) edit of a run's results.csv.
+
+    The error names the line and column, and no report file is written.
+    """
     cfg = write_experiment(tmp_path)
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
     reports = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
     results = out_dir / "results.csv"
     written = results.read_text(encoding="utf-8").splitlines()
-    # line 3's AUC, line 4's F-score, line 5's tp
-    for line, column, text in ((3, "auc", "nan"), (4, "fscore", "inf"),
-                               (5, "tp", "-5")):
+    for line, column, text in edits:
         lines = list(written)
         fields = lines[line - 1].split(",")
         fields[RESULTS_COLUMNS.index(column)] = text
@@ -217,6 +219,18 @@ def test_non_finite_score_or_negative_count_exits_one(tmp_path, caplog):
         assert f"(column {column})" in caplog.text
         assert "internal error" not in caplog.text
         assert not any((out_dir / name).exists() for name in reports)
+
+
+def test_non_finite_score_or_negative_count_exits_one(tmp_path, caplog):
+    # line 3's AUC, line 4's F-score, line 5's tp
+    assert_each_edit_exits_one(tmp_path, caplog, (
+        (3, "auc", "nan"), (4, "fscore", "inf"), (5, "tp", "-5")))
+
+
+def test_window_below_one_or_negative_split_or_gap_exits_one(tmp_path, caplog):
+    assert_each_edit_exits_one(tmp_path, caplog, (
+        (2, "window_k", "-3"), (3, "window_k", "0"),
+        (4, "split_index", "-1"), (5, "gap", "-7")))
 
 
 def test_results_csv_that_is_a_directory_exits_one(tmp_path, caplog):

@@ -26,9 +26,8 @@ def test_parse_groups_rows_into_releases():
         ("alpha", "1.0"), ("beta", "2.0")]
     alpha = releases[0]
     assert alpha.release_date == date(2005, 3, 15)
-    assert [rec.class_id for rec in alpha.records] == ["A", "B"]
     assert [rec.defective for rec in alpha.records] == [False, True]
-    assert alpha.records[0].features == (1.5, 2.0)
+    assert alpha.records["features"].tolist() == [[1.5, 2.0], [0.5, 1.0]]
 
 
 def test_parse_sorts_releases_by_date_then_identity():
@@ -42,11 +41,11 @@ def test_parse_sorts_releases_by_date_then_identity():
 
 def test_parse_features_default_to_all_remaining_columns():
     releases = parse_dataset(CSV_HEADER + "a,1,2001-01-01,A,0,7,8\n")
-    assert releases[0].records[0].features == (7.0, 8.0)
+    assert releases[0].records["features"].tolist() == [[7.0, 8.0]]
     # explicit subset
     schema = DatasetSchema(feature_cols=("m2",))
     releases = parse_dataset(CSV_HEADER + "a,1,2001-01-01,A,0,7,8\n", schema)
-    assert releases[0].records[0].features == (8.0,)
+    assert releases[0].records["features"].tolist() == [[8.0]]
 
 
 def test_parse_errors_carry_line_numbers():

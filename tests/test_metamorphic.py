@@ -24,7 +24,6 @@ import random
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import date
 from itertools import chain, zip_longest
 from pathlib import Path
@@ -33,7 +32,7 @@ import pytest
 
 import timeaware_cpdp
 from e2e import write_experiment
-from synth import dataset_csv, simple_release
+from synth import csv_rows, dataset_csv, simple_release
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.dataset import bucketize
 from timeaware_cpdp.metrics import evaluate_pair
@@ -58,25 +57,18 @@ def corpus():
     return releases
 
 
-def rows(releases):
-    """(release, record) rows, release by release."""
-    return [(rel, rec) for rel in releases for rec in rel.records]
-
-
 def interleaved(releases):
     """Round-robin over the releases, each release's rows in their order."""
-    rounds = zip_longest(*([(rel, rec) for rec in rel.records]
-                           for rel in releases))
+    rounds = zip_longest(*(csv_rows([rel]) for rel in releases))
     return [row for row in chain.from_iterable(rounds) if row is not None]
 
 
 def renamed(releases):
     """Every class id replaced by a distinct unrelated one."""
-    original = rows(releases)
+    original = csv_rows(releases)
     names = [f"renamed.K{i}" for i in random.Random(3).sample(
         range(len(original)), len(original))]
-    return [(rel, replace(rec, class_id=name))
-            for (rel, rec), name in zip(original, names)]
+    return [(rel, name, rec) for (rel, _, rec), name in zip(original, names)]
 
 
 def run_outputs(tmp_path, csv_text, balance):
@@ -91,7 +83,7 @@ def run_outputs(tmp_path, csv_text, balance):
 
 
 def test_another_directory_changes_no_output_byte(tmp_path):
-    csv_text = dataset_csv(rows(corpus()))
+    csv_text = dataset_csv(csv_rows(corpus()))
     outputs = []
     for name in ("one", "two"):
         (tmp_path / name).mkdir()
@@ -101,7 +93,7 @@ def test_another_directory_changes_no_output_byte(tmp_path):
 
 
 def test_hash_seed_changes_no_output_byte(tmp_path):
-    (tmp_path / "releases.csv").write_text(dataset_csv(rows(corpus())),
+    (tmp_path / "releases.csv").write_text(dataset_csv(csv_rows(corpus())),
                                            encoding="utf-8")
     cfg = write_experiment(tmp_path, **{
         "run.techniques": ",".join(TREATMENT_NAMES),
@@ -132,7 +124,7 @@ def test_hash_seed_changes_no_output_byte(tmp_path):
 @pytest.mark.parametrize("edit", [interleaved, renamed])
 def test_dataset_edit_changes_no_output_byte(tmp_path, edit, balance):
     releases = corpus()
-    original = run_outputs(tmp_path, dataset_csv(rows(releases)), balance)
+    original = run_outputs(tmp_path, dataset_csv(csv_rows(releases)), balance)
     # the run scores every technique, so the relation covers all of them
     results = original["results.csv"].decode()
     for technique in TREATMENT_NAMES:

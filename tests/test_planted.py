@@ -31,7 +31,7 @@ from datetime import date
 import pytest
 
 from e2e import write_experiment
-from synth import dataset_csv, make_release
+from synth import csv_rows, dataset_csv, make_release
 from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.runner import run_experiment
 from timeaware_cpdp.stability import load_results_csv
@@ -60,8 +60,7 @@ def run(tmp_path, flip_at):
     """results.csv records and overall AUC rows of stability.csv by (technique, kind)."""
     releases = corpus(flip_at)
     (tmp_path / "releases.csv").write_text(
-        dataset_csv([(rel, rec) for rel in releases for rec in rel.records]),
-        encoding="utf-8")
+        dataset_csv(csv_rows(releases)), encoding="utf-8")
     cfg = ExperimentConfig.from_file(write_experiment(
         tmp_path, seed=1, **{"pairs.configurations": "CC,II",
                              "pairs.gap_buckets": None,

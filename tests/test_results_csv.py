@@ -36,7 +36,7 @@ SCORE = (st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def result_records(draw):
     return ResultRecord(
-        draw(TEXT), draw(TEXT), draw(st.none() | st.integers(-5, 10 ** 6)),
+        draw(TEXT), draw(TEXT), draw(st.none() | st.integers(1, 10 ** 6)),
         draw(COUNT), draw(COUNT), draw(TEXT), draw(TEXT),
         *(draw(COUNT) for _ in range(4)), *(draw(SCORE) for _ in range(6)),
         draw(st.booleans()))
@@ -55,15 +55,8 @@ def test_results_csv_round_trip(tmp_path_factory, records):
     assert path.read_bytes() == written
 
 
-@pytest.mark.parametrize("column,text,message", [
-    ("auc", "nan", "non-finite score 'nan'"),
-    ("fscore", "inf", "non-finite score 'inf'"),
-    ("mcc", "-inf", "non-finite score '-inf'"),
-    ("precision", "NaN", "non-finite score 'NaN'"),
-    ("tp", "-5", "negative count -5"),
-    ("fn", "-1", "negative count -1")])
-def test_results_csv_rejects_non_finite_scores_and_negative_counts(
-        tmp_path, column, text, message):
+def edited_results(tmp_path, column, text):
+    """A two-row results.csv whose second row has text in column."""
     record = ResultRecord("t", "CC", None, 1, 0, "p", "1",
                           3, 1, 4, 2, 0.75, 0.6, 0.5, 0.5, 0.25, 0.5, False)
     path = tmp_path / "results.csv"
@@ -73,9 +66,47 @@ def test_results_csv_rejects_non_finite_scores_and_negative_counts(
     fields[RESULTS_COLUMNS.index(column)] = text
     lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("column,text,message", [
+    ("auc", "nan", "non-finite score 'nan'"),
+    ("fscore", "inf", "non-finite score 'inf'"),
+    ("mcc", "-inf", "non-finite score '-inf'"),
+    ("precision", "NaN", "non-finite score 'NaN'"),
+    ("tp", "-5", "negative count -5"),
+    ("fn", "-1", "negative count -1")])
+def test_results_csv_rejects_non_finite_scores_and_negative_counts(
+        tmp_path, column, text, message):
+    path = edited_results(tmp_path, column, text)
     with pytest.raises(DatasetError) as err:
         load_results_csv(path)
     assert str(err.value) == f"{path}: line 3: {message} (column {column})"
+
+
+@pytest.mark.parametrize("column,text,message", [
+    ("window_k", "0", "window 0 below 1"),
+    ("window_k", "-3", "window -3 below 1"),
+    ("split_index", "-1", "negative split -1"),
+    ("gap", "-7", "negative gap -7")])
+def test_results_csv_rejects_a_window_below_one_or_a_negative_split_or_gap(
+        tmp_path, column, text, message):
+    path = edited_results(tmp_path, column, text)
+    with pytest.raises(DatasetError) as err:
+        load_results_csv(path)
+    assert str(err.value) == f"{path}: line 3: {message} (column {column})"
+
+
+def test_results_csv_keeps_the_least_values_the_program_writes(tmp_path):
+    # crossval folds start at split 0 with gap 0; time-aware windows at 1
+    records = [
+        ResultRecord("t", "crossval", None, 0, 0, "p", "1",
+                     3, 1, 4, 2, 0.75, 0.6, 0.5, 0.5, 0.25, 0.5, False),
+        ResultRecord("t", "CC", 1, 1, 0, "p", "2",
+                     3, 1, 4, 2, 0.75, 0.6, 0.5, 0.5, 0.25, 0.5, False)]
+    path = tmp_path / "results.csv"
+    write_results_csv(path, records)
+    assert load_results_csv(path) == records
 
 
 def quoted_ids_experiment(tmp_path):

@@ -62,9 +62,11 @@ def test_assemble_pair_flattens_releases():
     assert tp.test_features.tolist() == [[5.0, 6.0], [7.0, 8.0]]
 
 
-@pytest.mark.parametrize("test_rows", [
-    [((5.0, 6.0, 7.0), True)],                   # widths differ by release
-    [((5.0, 6.0), True), ((7.0, 8.0, 9.0), False)],  # and within one
+# a release's record array holds rows of one width, so widths can only
+# differ between releases: across the two sides, or within one side
+@pytest.mark.parametrize("test_rows", [  # the rows of each test release
+    [[((5.0, 6.0, 7.0), True)]],
+    [[((5.0, 6.0), True)], [((7.0, 8.0, 9.0), False)]],
 ])
 def test_assemble_pair_rejects_inconsistent_attribute_counts(test_rows):
     from datetime import date
@@ -77,7 +79,8 @@ def test_assemble_pair_rejects_inconsistent_attribute_counts(test_rows):
                       gap_buckets=0),
         train=(make_release("a", "1", date(2001, 1, 1),
                             [((1.0, 2.0), True), ((3.0, 4.0), False)]),),
-        test=(make_release("b", "1", date(2002, 1, 1), test_rows),))
+        test=tuple(make_release(f"b{i}", "1", date(2002, 1, 1), rows)
+                   for i, rows in enumerate(test_rows)))
     with pytest.raises(ValueError,
                        match=r"inconsistent attribute counts: \[2, 3\]"):
         assemble_pair(pair)
