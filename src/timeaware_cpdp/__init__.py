@@ -21,7 +21,7 @@ from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
                          identity_treatment, ma12, nam15, watanabe08)
 from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count,
                    predict_proba_rows, train_tree)
-from .metrics import VersionScore, evaluate_pair, midranks, scores
+from .metrics import VersionScore, evaluate_pair, scores
 from .stability import (RESULTS_HEADER, RankRow, ResultRecord, StabilityRow,
                         aggregate, cliffs_delta, load_results_csv,
                         magnitude_label, rank_techniques, rankscores,

@@ -134,11 +134,11 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     records keep their source order within a release.
 
     Raises ParseError (with a line number) for malformed content, such
-    as a header that names a column twice, two identity roles of the
-    schema naming one column, or a feature_cols entry that is repeated
-    or is an identity column; ConflictError, a ParseError,
-    for contradictory release dates; and EmptyDatasetError when there
-    are no data rows.
+    as a number that is not ASCII or has a "_", a header that names a
+    column twice, two identity roles of the schema naming one column, or
+    a feature_cols entry that is repeated or is an identity column;
+    ConflictError, a ParseError, for contradictory release dates; and
+    EmptyDatasetError when there are no data rows.
     """
     schema = schema or DatasetSchema()
     if isinstance(source, str):
@@ -208,6 +208,9 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
                 f"column {schema.date_col!r}: not an ISO date: {raw_date!r}",
                 line=line_no) from None
         try:
+            # int and float alone also take other scripts' digits and "_"
+            if not raw_defects.isascii() or "_" in raw_defects:
+                raise ValueError(raw_defects)
             defect_count = int(raw_defects)
         except ValueError:
             raise ParseError(
@@ -221,6 +224,8 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
         for col, pos in zip(feature_cols, feature_pos):
             raw = row[pos].strip()
             try:
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError(raw)
                 value = float(raw)
             except ValueError:
                 raise ParseError(

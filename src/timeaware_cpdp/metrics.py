@@ -9,7 +9,9 @@ undefined and reported as 0.5 together with a degenerate flag.
 Every test row takes its leaf's probability, so a pair's scores follow
 from one count table of the clean and defective rows of each test
 version at each distinct leaf probability. Rows at one probability share
-a midrank, a half-integer, so a version's AUC is an exact table sum.
+the midrank (rows below) + (count + 1) / 2, a half-integer, so a
+version's AUC is an exact table sum. The rank-sum test and Cliff's delta
+in stability rank their pooled samples by the same rule.
 
 evaluate_pair gives one flat VersionScore per test release, that is per
 entry of the pair's test_versions: the id, confusion counts, scores and
@@ -20,7 +22,7 @@ ints, floats and bools.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,20 +66,6 @@ def scores(tp: int, fp: int, tn: int,
     denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     mcc = 0.0 if denom == 0 else (tp * tn - fp * fn) / math.sqrt(denom)
     return precision, recall, fscore, gmeasure, mcc
-
-
-def midranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks, tied values sharing the mean of their rank range;
-    NaNs sort last, each with a rank of its own."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    # sorted positions of each tie group's first value and of its last
-    start = np.flatnonzero(np.append(True, sv[1:] != sv[:-1]))
-    end = np.append(start[1:], len(v)) - 1
-    ranks = np.empty(len(v), dtype=np.float64)
-    ranks[order] = np.repeat((start + end) / 2.0 + 1.0, end - start + 1)
-    return ranks
 
 
 def _table_scores(table: np.ndarray, cut: int) -> list[tuple]:

@@ -45,7 +45,7 @@ from .errors import (BalancingError, ConfigError, DatasetError,
 from .metrics import VersionScore, evaluate_pair
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs)
-from .stability import (ResultRecord, _csv_field, _fmt_window, undersample,
+from .stability import (ResultRecord, _csv_line, _fmt_window, undersample,
                         write_reports, write_results_csv)
 from .tree import (DecisionTree, dump_tree, rethreshold, train_tree,
                    training_order)
@@ -298,9 +298,9 @@ def _pair_counts(tasks: Sequence[TrainTestPair]) -> dict[str, int]:
 def write_summary_csv(fh: IO[str], ts: TimeSeriesDataset) -> None:
     fh.write("bucket_index,start,end,releases,instances,defective_pct\n")
     for row in dataset_summary(ts):
-        fh.write(f"{row.bucket_index},{row.start.isoformat()},"
-                 f"{row.end.isoformat()},{row.releases},{row.instances},"
-                 f"{row.defective_pct!r}\n")
+        fh.write(_csv_line(row.bucket_index, row.start.isoformat(),
+                           row.end.isoformat(), row.releases, row.instances,
+                           row.defective_pct))
 
 
 def write_pairs_csv(fh: IO[str], tasks: Sequence[TrainTestPair]) -> None:
@@ -308,9 +308,9 @@ def write_pairs_csv(fh: IO[str], tasks: Sequence[TrainTestPair]) -> None:
     for pair in tasks:
         train = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.train)
         test = ";".join(f"{r.project_id}/{r.version_id}" for r in pair.test)
-        fh.write(f"{pair.spec.kind.value},{_fmt_window(pair.spec.window_k)},"
-                 f"{pair.spec.split_index},{pair.spec.gap_buckets},"
-                 f"{_csv_field(train)},{_csv_field(test)}\n")
+        fh.write(_csv_line(pair.spec.kind.value, _fmt_window(pair.spec.window_k),
+                           pair.spec.split_index, pair.spec.gap_buckets,
+                           train, test))
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:

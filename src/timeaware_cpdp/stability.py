@@ -10,17 +10,17 @@ The rank-sum test enumerates the exact null distribution for small
 samples and falls back to the tie-corrected normal approximation with
 continuity correction otherwise. Effect sizes use Cliff's delta with
 the conventional magnitude thresholds (negligible up to 0.147, small up
-to 0.33, medium up to 0.474, large beyond).
+to 0.33, medium up to 0.474, large beyond); both rank the pooled samples once.
 
 A ResultRecord is one row of results.csv: the tag of a (pair,
 technique) combination followed by the flat VersionScore of one test
 version. write_results_csv and load_results_csv write and read that
 file, and every report is computed from a list of these records.
 
-write_reports writes four CSV reports from a run's records:
-stability.csv, ranks.csv (with the SD of each technique's per-cell
-rank), comparisons.csv (time-aware against the cross-validation
-baseline) and plotdata.csv (per-cell metric means).
+write_reports writes four CSV reports from a run's records, grouped on
+a prefix of their tag: stability.csv, ranks.csv (with the SD of each
+technique's per-cell rank), comparisons.csv (time-aware against the
+cross-validation baseline) and plotdata.csv (per-cell metric means).
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BalancingError, ConfigError, DatasetError
-from .metrics import VersionScore, midranks
+from .metrics import VersionScore
 from .pairs import ConfigurationKind
 from .treatments import TreatedPair
 
@@ -80,6 +80,12 @@ def _csv_field(text: str) -> str:
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_line(*fields) -> str:
+    """One CSV line: text through _csv_field, every other value through _fmt."""
+    return ",".join(_csv_field(f) if isinstance(f, str) else _fmt(f)
+                    for f in fields) + "\n"
 
 
 # one results.csv row, its columns in field order: the tag of a (pair,
@@ -128,9 +134,9 @@ _PARSERS = (str, str, _parse_window, _non_negative("split"),
 def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
     """Write records as results.csv, one line each, columns in field order.
 
-    Text is quoted when it needs it, ints are written with str and
-    floats with their shortest repr. One f-string per row: a formatter
-    call per cell, or csv.writer, took ~25 % longer.
+    Each line is _csv_line of the record with the window spelled "inf".
+    One f-string per row: a formatter call per cell, or csv.writer,
+    took ~25 % longer.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(RESULTS_HEADER + "\n")
@@ -195,11 +201,11 @@ class RankRow:
 
 
 def _group(records: Sequence[ResultRecord],
-           key: Callable[[ResultRecord], tuple]) -> dict[tuple, list[ResultRecord]]:
-    """Records grouped by key; groups and their members in record order."""
+           width: int) -> dict[tuple, list[ResultRecord]]:
+    """Records grouped by (technique, kind, window, split)[:width], all in record order."""
     groups: dict[tuple, list[ResultRecord]] = {}
     for r in records:
-        groups.setdefault(key(r), []).append(r)
+        groups.setdefault(r[:width], []).append(r)
     return groups
 
 
@@ -225,16 +231,16 @@ def aggregate(records: Sequence[ResultRecord],
               threshold: float = STABILITY_THRESHOLD) -> list[StabilityRow]:
     """Mean/SD stability rows grouped by (technique, kind[, window]).
 
-    Groups follow first appearance order in the input. A single-value
-    group reports SD 0 (so it counts as stable) and n 1. Groups whose
-    AUC values were all degenerate report no AUC mean at all.
+    Groups follow first appearance order in the input; by_window skips
+    the groups without a window (II, crossval). A single-value group
+    reports SD 0 (so it counts as stable) and n 1. Groups whose AUC
+    values were all degenerate report no AUC mean at all.
     """
-    width = 3 if by_window else 2
-    groups = _group(records, lambda r: (r.technique, r.kind, r.window_k)[:width])
-
     rows = []
-    for key, group in groups.items():
+    for key, group in _group(records, 3 if by_window else 2).items():
         window = key[2] if by_window else None
+        if by_window and window is None:
+            continue
         for metric in RANK_METRICS:
             values, excluded = _metric_values(group, metric)
             mean, sd = _mean_sd(values) if values else (None, None)
@@ -245,25 +251,33 @@ def aggregate(records: Sequence[ResultRecord],
     return rows
 
 
+def _pooled_ranks(a: Sequence[float],
+                  b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Midrank of each value of a, then of b, in the pooled sample; and tie group sizes.
+
+    A value's midrank is (values below it) + (tie size + 1) / 2.
+    """
+    if not len(a) or not len(b):
+        raise ValueError("both samples must be non-empty")
+    _, group, counts = np.unique(np.array([*a, *b], dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    return (counts.cumsum() - (counts - 1) / 2.0)[group], counts
+
+
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided rank-sum test p-value.
 
-    Both samples at most RANK_SUM_EXACT_LIMIT long: the rank-sum null
-    distribution is enumerated exactly over all assignments of the
-    pooled values (midranks fixed, so ties are handled). Larger samples
-    use the normal approximation with tie correction and a 0.5
-    continuity correction. Two identical samples give p = 1.0.
+    W sums a's pooled midranks. Both samples at most RANK_SUM_EXACT_LIMIT
+    long: W's null distribution is enumerated exactly over all assignments
+    of the pooled midranks (so ties are handled). Larger samples use the
+    normal approximation with the pooled tie group sizes' correction and a
+    0.5 continuity correction. Two samples of one value give p = 1.0.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    if not a or not b:
-        raise ValueError("both samples must be non-empty")
-    pooled = a + b
-    if max(pooled) == min(pooled):
+    ranks, ties = _pooled_ranks(a, b)
+    if len(ties) == 1:
         return 1.0
     n_a, n_b = len(a), len(b)
     n = n_a + n_b
-    ranks = midranks(pooled)
     w_obs = float(ranks[:n_a].sum())
 
     if n_a <= RANK_SUM_EXACT_LIMIT and n_b <= RANK_SUM_EXACT_LIMIT:
@@ -279,8 +293,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> float:
         return min(1.0, 2.0 * min(count_le, count_ge) / total)
 
     mu = n_a * (n + 1) / 2.0
-    _, tie_counts = np.unique(np.asarray(pooled), return_counts=True)
-    tie_term = float(((tie_counts ** 3) - tie_counts).sum())
+    tie_term = float(((ties ** 3) - ties).sum())
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0:
         return 1.0
@@ -300,18 +313,13 @@ def magnitude_label(delta: float) -> str:
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> tuple[float, str]:
     """Cliff's delta of a over b and its magnitude label.
 
-    delta = (#(a > b) - #(a < b)) / (|a| * |b|), in [-1, 1].
+    delta = (#(a > b) - #(a < b)) / (|a| * |b|), in [-1, 1]; the numerator
+    is 2 R_a - |a| (|a| + 1) - |a| |b|, R_a the sum of a's pooled midranks.
     """
-    if not len(a) or not len(b):
-        raise ValueError("both samples must be non-empty")
-    sb = sorted(float(v) for v in b)
-    m = len(sb)
-    greater = less = 0
-    for v in a:
-        v = float(v)
-        greater += bisect.bisect_left(sb, v)
-        less += m - bisect.bisect_right(sb, v)
-    delta = (greater - less) / (len(a) * m)
+    ranks, _ = _pooled_ranks(a, b)
+    n_a, n_b = len(a), len(b)
+    delta = ((2.0 * float(ranks[:n_a].sum()) - n_a * (n_a + 1) - n_a * n_b)
+             / (n_a * n_b))
     return delta, magnitude_label(delta)
 
 
@@ -367,8 +375,7 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
 def _cell_means(records: Sequence[ResultRecord]) -> dict[tuple, dict[str, float]]:
     """Means per (technique, kind, window, split) cell; a metric without values is left out."""
     out = {}
-    cells = _group(records, lambda r: (r.technique, r.kind, r.window_k, r.split_index))
-    for cell, group in cells.items():
+    for cell, group in _group(records, 4).items():
         means = {}
         for metric in RANK_METRICS:
             values, _ = _metric_values(group, metric)
@@ -442,82 +449,72 @@ def write_reports(records: Sequence[ResultRecord], out_dir: Path,
 
     stability.csv has the overall rows, then the per-window rows of the
     windowed configurations; a group without a window (II, crossval)
-    has only its overall row.
+    has only its overall row. plotdata.csv has the per-cell metric means
+    in the layout of the variation figures.
     """
     out_dir = Path(out_dir)
     overall = aggregate(records, by_window=False, threshold=stability_threshold)
-    cell_means = _cell_means(records)
     per_window = aggregate(records, by_window=True, threshold=stability_threshold)
-    _write_stability(out_dir / "stability.csv", overall + [
-        row for row in per_window if row.window_k is not None])
-    _write_ranks(out_dir / "ranks.csv", overall, cell_means)
-    _write_comparisons(out_dir / "comparisons.csv", records)
-    _write_plotdata(out_dir / "plotdata.csv", cell_means)
+    cell_means = _cell_means(records)
+    _write_csv(out_dir / "stability.csv",
+               "technique,kind,window_k,metric,n,excluded,mean,sd,stable",
+               (_csv_line(row.technique, row.kind, row.window_k, row.metric,
+                          row.n, row.excluded, row.mean, row.sd, row.stable)
+                for row in overall + per_window))
+    _write_csv(out_dir / "ranks.csv",
+               "kind,technique,rankscore_fscore,rankscore_auc,rankscore_mcc,"
+               "rankscore_gmeasure,mean_rank_score,rank,rank_sd",
+               _rank_lines(overall, cell_means))
+    _write_csv(out_dir / "comparisons.csv",
+               "technique,metric,p_value,cliffs_delta,magnitude",
+               _comparison_lines(records))
+    _write_csv(out_dir / "plotdata.csv",
+               "technique,kind,window_k,split_index,metric,value",
+               (_csv_line(tech, kind, _fmt_window(window), split, metric, mean)
+                for (tech, kind, window, split), means in cell_means.items()
+                for metric, mean in means.items()))
 
 
-def _write_stability(path: Path, rows: Sequence[StabilityRow]) -> None:
+def _write_csv(path: Path, header: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("technique,kind,window_k,metric,n,excluded,mean,sd,stable\n")
-        for row in rows:
-            fh.write(f"{_csv_field(row.technique)},{_csv_field(row.kind)},"
-                     f"{_fmt(row.window_k)},{row.metric},{row.n},{row.excluded},"
-                     f"{_fmt(row.mean)},{_fmt(row.sd)},{_fmt(row.stable)}\n")
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
-def _write_ranks(path: Path, overall: Sequence[StabilityRow],
-                 cell_means: Mapping[tuple, Mapping[str, float]]) -> None:
+def _rank_lines(overall: Sequence[StabilityRow],
+                cell_means: Mapping[tuple, Mapping[str, float]]) -> Iterator[str]:
     """Rank scores per kind; techniques enter in first-appearance order over all records."""
     techniques = list(dict.fromkeys(cell[0] for cell in cell_means))
-    kinds = list(dict.fromkeys(cell[1] for cell in cell_means))
+    if len(techniques) < 2:
+        return
     means: dict[tuple, dict[str, float]] = {}
     for row in overall:
         if row.mean is not None:
             means.setdefault((row.technique, row.kind), {})[row.metric] = row.mean
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("kind,technique,rankscore_fscore,rankscore_auc,rankscore_mcc,"
-                 "rankscore_gmeasure,mean_rank_score,rank,rank_sd\n")
-        if len(techniques) < 2:
-            return
-        for kind in kinds:
-            values = {t: means[t, kind] for t in techniques
-                      if len(means.get((t, kind), ())) == len(RANK_METRICS)}
-            if len(values) < 2:
-                logger.warning("ranks for %s skipped: fewer than 2 techniques "
-                               "with complete metrics", kind)
-                continue
-            sd_by_tech = _rank_sds(cell_means, kind)
-            # the rank score columns follow RANK_METRICS
-            for row in rank_techniques(values):
-                fh.write(f"{_csv_field(kind)},{_csv_field(row.technique)},"
-                         f"{','.join(map(_fmt, row.rankscores))},"
-                         f"{_fmt(row.mean_rank_score)},"
-                         f"{row.rank},{_fmt(sd_by_tech[row.technique])}\n")
+    for kind in dict.fromkeys(cell[1] for cell in cell_means):
+        values = {t: means[t, kind] for t in techniques
+                  if len(means.get((t, kind), ())) == len(RANK_METRICS)}
+        if len(values) < 2:
+            logger.warning("ranks for %s skipped: fewer than 2 techniques "
+                           "with complete metrics", kind)
+            continue
+        sd_by_tech = _rank_sds(cell_means, kind)
+        # the rank score columns follow RANK_METRICS
+        for row in rank_techniques(values):
+            yield _csv_line(kind, row.technique, *row.rankscores,
+                            row.mean_rank_score, row.rank, sd_by_tech[row.technique])
 
 
-def _write_comparisons(path: Path, records: Sequence[ResultRecord]) -> None:
+def _comparison_lines(records: Sequence[ResultRecord]) -> Iterator[str]:
     """Time-aware configurations pooled against the cross-validation baseline."""
     baseline_kind = ConfigurationKind.CROSSVAL.value
-    sides = _group(records, lambda r: (r.technique, r.kind == baseline_kind))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("technique,metric,p_value,cliffs_delta,magnitude\n")
-        for tech in dict.fromkeys(tech for tech, _ in sides):
-            for metric in RANK_METRICS:
-                a, _ = _metric_values(sides.get((tech, False), []), metric)
-                b, _ = _metric_values(sides.get((tech, True), []), metric)
-                if not a or not b:
-                    continue
-                p = wilcoxon_rank_sum(a, b)
-                delta, label = cliffs_delta(a, b)
-                fh.write(f"{_csv_field(tech)},{metric},{_fmt(p)},"
-                         f"{_fmt(delta)},{label}\n")
-
-
-def _write_plotdata(path: Path,
-                    cell_means: Mapping[tuple, Mapping[str, float]]) -> None:
-    """Per-cell metric means in the layout of the variation figures."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("technique,kind,window_k,split_index,metric,value\n")
-        for (tech, kind, window, split), means in cell_means.items():
-            for metric, mean in means.items():
-                fh.write(f"{_csv_field(tech)},{_csv_field(kind)},"
-                         f"{_fmt_window(window)},{split},{metric},{_fmt(mean)}\n")
+    sides: dict[tuple, list[ResultRecord]] = {}
+    for (tech, kind), group in _group(records, 2).items():
+        sides.setdefault((tech, kind == baseline_kind), []).extend(group)
+    for tech in dict.fromkeys(tech for tech, _ in sides):
+        for metric in RANK_METRICS:
+            a, _ = _metric_values(sides.get((tech, False), []), metric)
+            b, _ = _metric_values(sides.get((tech, True), []), metric)
+            if a and b:
+                yield _csv_line(tech, metric, wilcoxon_rank_sum(a, b),
+                                *cliffs_delta(a, b))

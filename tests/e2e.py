@@ -1,5 +1,6 @@
 """Shared end-to-end fixture: a small synthetic dataset plus config files."""
 
+import importlib.util
 import random
 from pathlib import Path
 
@@ -59,3 +60,12 @@ def write_experiment(tmp_path: Path, seed: int = 17,
     config = tmp_path / "experiment.cfg"
     config.write_text(text, encoding="utf-8")
     return config
+
+
+def make_demo(out: Path, seed: int) -> None:
+    """Write the quick-start demo of scripts/make_demo.py into out."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo.py"
+    spec = importlib.util.spec_from_file_location("make_demo", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.generate(out, seed=seed)

@@ -3,7 +3,8 @@
 Every report here is rebuilt from the full record list: ranks.csv and
 comparisons.csv filter the records again for each kind, technique and
 metric, and per-cell and per-(technique, kind) means are computed once
-per report. ``tests/test_report_oracle.py`` checks that
+per report; p-values and deltas come from stats_oracle.py.
+``tests/test_report_oracle.py`` checks that
 ``timeaware_cpdp.stability.write_reports`` writes the same bytes.
 """
 
@@ -14,11 +15,12 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+from stats_oracle import cliffs_delta, wilcoxon_rank_sum
 from timeaware_cpdp.errors import ConfigError
 from timeaware_cpdp.pairs import ConfigurationKind
 from timeaware_cpdp.stability import (RANK_METRICS, STABILITY_THRESHOLD,
-                                      ResultRecord, StabilityRow, cliffs_delta,
-                                      rank_techniques, wilcoxon_rank_sum)
+                                      ResultRecord, StabilityRow,
+                                      rank_techniques)
 
 logger = logging.getLogger(__name__)
 

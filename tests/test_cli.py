@@ -285,6 +285,22 @@ def test_missing_dataset_exits_one(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_ascii_digit_in_dataset_exits_one(tmp_path, caplog, capsys, command):
+    cfg = write_experiment(tmp_path)
+    lines = toy_csv().splitlines(keepends=True)
+    # line 4 is alpha.C2, a defective class: "\u0663" is an Arabic-Indic three
+    fields = lines[3].split(",")
+    fields[4] = "\u0663"
+    lines[3] = ",".join(fields)
+    (tmp_path / "releases.csv").write_text("".join(lines), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 1
+    text = caplog.text + capsys.readouterr().out
+    assert "line 4: column 'defects': not an integer: '\u0663'" in text
+    assert "internal error" not in text
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_non_utf8_dataset_exits_one(tmp_path, caplog, capsys, command):
     cfg = write_experiment(tmp_path)
     data = tmp_path / "releases.csv"

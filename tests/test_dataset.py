@@ -69,6 +69,33 @@ def test_parse_errors_carry_line_numbers():
         parse_dataset("project,version\n")
 
 
+# int and float alone take each of these: "\u0663" is an Arabic-Indic
+# three, "\uff11" a fullwidth one, and "_" groups digits
+@pytest.mark.parametrize("defects,m1,message", [
+    ("\u0663", "7", "column 'defects': not an integer: '\u0663'"),
+    ("1_0", "7", "column 'defects': not an integer: '1_0'"),
+    ("0", "1_000", "column 'm1': not a number: '1_000'"),
+    ("0", "\u0663", "column 'm1': not a number: '\u0663'"),
+    ("0", "\uff11.5", "column 'm1': not a number: '\uff11.5'"),
+    ("0", "1e1_0", "column 'm1': not a number: '1e1_0'")])
+def test_parse_takes_only_ascii_numbers_without_underscores(defects, m1, message):
+    with pytest.raises(ParseError) as err:
+        parse_dataset(CSV_HEADER + "a,1,2001-01-01,A,0,7,8\n"
+                      + f"a,1,2001-01-01,B,{defects},{m1},8\n")
+    assert str(err.value) == f"line 3: {message}"
+
+
+def test_parse_keeps_the_ascii_number_forms_and_their_messages():
+    releases = parse_dataset(CSV_HEADER + "a,1,2001-01-01,A, +3 ,1e3,-.5\n")
+    assert releases[0].records["defective"].tolist() == [True]
+    assert releases[0].records["features"].tolist() == [[1000.0, -0.5]]
+    for m1, message in (("inf", "non-finite value"), ("NaN", "non-finite value"),
+                        ("x", "not a number: 'x'")):
+        with pytest.raises(ParseError) as err:
+            parse_dataset(CSV_HEADER + f"a,1,2001-01-01,A,0,{m1},8\n")
+        assert str(err.value) == f"line 2: column 'm1': {message}"
+
+
 # both parse with date.fromisoformat on Python 3.11 but not on 3.10
 @pytest.mark.parametrize("raw", ["20020715", "2003-W02-1"])
 def test_parse_accepts_only_yyyy_mm_dd(raw):

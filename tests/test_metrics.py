@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from timeaware_cpdp.metrics import (_table_scores, evaluate_pair, midranks,
-                                    scores)
+from stats_oracle import midranks
+from timeaware_cpdp.metrics import _table_scores, evaluate_pair, scores
 from timeaware_cpdp.tree import TreeParams, predict_proba_rows, train_tree
 from timeaware_cpdp.treatments import TreatedPair
 

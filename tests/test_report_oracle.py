@@ -7,7 +7,8 @@ byte-identical ranks.csv, comparisons.csv and plotdata.csv from
 ``stability.write_reports`` and from the writers in report_oracle.py.
 stability.csv must be the oracle's minus the per-window rows of the
 groups without a window (II, crossval), which repeated their overall
-rows.
+rows. So must the records of a run of the quick-start demo, the one
+corpus here with cross-validation comparisons from real scores.
 """
 
 import tempfile
@@ -17,7 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import report_oracle as oracle
-from timeaware_cpdp.stability import ResultRecord, write_reports
+from e2e import make_demo
+from timeaware_cpdp.config import ExperimentConfig
+from timeaware_cpdp.runner import run_experiment
+from timeaware_cpdp.stability import (ResultRecord, load_results_csv,
+                                      write_reports)
 
 REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
 TECHNIQUES = ("watanabe08", "camargocruz09", "ma12", "amasaki15", "nam15",
@@ -134,3 +139,17 @@ def test_first_pair_gap_example_orders_ties_globally():
     ranks = actual["ranks.csv"].decode().splitlines()
     assert [line.split(",")[:2] for line in ranks[1:]] == [
         ["CC", "b"], ["CC", "a"], ["IC", "b"], ["IC", "a"]]
+
+
+def test_demo_run_reports_match_record_filtering_oracle(tmp_path):
+    make_demo(tmp_path / "demo", seed=7)
+    cfg = ExperimentConfig.from_file(tmp_path / "demo" / "experiment.cfg")
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=out)
+    records = load_results_csv(out / "results.csv")
+    assert {r.kind for r in records} == {"CC", "IC", "CI", "II", "crossval"}
+    expected, actual = write_both(records, cfg.stability_threshold)
+    assert actual == expected
+    assert {name: (out / name).read_bytes() for name in REPORTS} == actual
+    # every technique is compared with the baseline on every metric
+    assert len(actual["comparisons.csv"].splitlines()) == 1 + 5 * 4

@@ -12,8 +12,8 @@ from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import DatasetError
 from timeaware_cpdp.metrics import VersionScore
 from timeaware_cpdp.stability import (RESULTS_COLUMNS, RESULTS_HEADER,
-                                      ResultRecord, load_results_csv,
-                                      write_results_csv)
+                                      ResultRecord, _csv_line,
+                                      load_results_csv, write_results_csv)
 
 REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
 
@@ -53,6 +53,17 @@ def test_results_csv_round_trip(tmp_path_factory, records):
     # == does not tell -0.0 from 0.0; the bytes of a second write do
     write_results_csv(path, loaded)
     assert path.read_bytes() == written
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(result_records(), max_size=12))
+def test_results_csv_lines_are_csv_line_of_each_record(tmp_path_factory, records):
+    # the one-f-string writer spells a row as the reports' line speller does
+    path = tmp_path_factory.mktemp("lines") / "results.csv"
+    write_results_csv(path, records)
+    assert path.read_bytes() == (RESULTS_HEADER + "\n" + "".join(
+        _csv_line(*r._replace(window_k="inf" if r.window_k is None else r.window_k))
+        for r in records)).encode()
 
 
 def edited_results(tmp_path, column, text):

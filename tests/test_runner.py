@@ -2,17 +2,15 @@
 
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import logging
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from e2e import toy_csv, write_experiment
+from e2e import make_demo, toy_csv, write_experiment
 from timeaware_cpdp import __version__
 from timeaware_cpdp import runner as runner_module
 from timeaware_cpdp import tree as tree_module
@@ -36,15 +34,6 @@ def run(tmp_path, out_name="out", seed=17, dump_trees=False, **overrides):
     out = tmp_path / out_name
     summary = run_experiment(cfg, out_dir=out, dump_trees=dump_trees)
     return cfg, out, summary
-
-
-def make_demo(out: Path, seed: int) -> None:
-    """Write the quick-start demo of scripts/make_demo.py into out."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo.py"
-    spec = importlib.util.spec_from_file_location("make_demo", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.generate(out, seed=seed)
 
 
 def read_all(out, names=REPORT_FILES):

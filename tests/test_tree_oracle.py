@@ -30,9 +30,10 @@ from hypothesis import strategies as st
 
 import metrics_oracle
 import tree_oracle as oracle
+from stats_oracle import midranks
 from test_metrics import auc, count_table
 from timeaware_cpdp import tree as tree_module
-from timeaware_cpdp.metrics import _table_scores, evaluate_pair, midranks, scores
+from timeaware_cpdp.metrics import _table_scores, evaluate_pair, scores
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _thresholds,
                                  dump_tree, predict_proba_rows, rethreshold,
                                  train_tree, training_order)
