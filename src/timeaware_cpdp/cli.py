@@ -44,8 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, type=Path,
                        help="experiment config file")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (overrides run.output_dir)")
+        if name != "validate":
+            p.add_argument("--out", type=Path, default=None, metavar="DIR",
+                           help=f"write {name}.csv into DIR instead of stdout"
+                           if name in ("summary", "pairs") else
+                           "output directory (overrides run.output_dir)")
         if name == "run":
             p.add_argument("--dump-trees", action="store_true",
                            help="also write every trained tree to trees.txt")

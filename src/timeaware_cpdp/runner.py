@@ -2,35 +2,38 @@
 
 Window truncation gives several (window, split) tags the same train and
 test releases, so the run computes each distinct (train, test) set once
-(``_set_key``). It walks the pairs in enumeration order; a set's first
-tag runs assembly -> optional under-sampling -> treatment -> tree
-training -> per-version scoring, and every tag of the set, the first
-included, takes its results: rows, skip warnings, failures and tree
-dumps. The set is dropped after its last tag. A tree is grown once per
-distinct training order of a training side: an input whose attributes
-sort and tie as an earlier input's of the same side, with the same
-labels and weights, takes that tree with thresholds from its own values
-(``tree.rethreshold``), bit for bit the tree a fit would give. So
-treatments that only map each attribute through an increasing function,
-such as camargocruz09 against watanabe08, share a tree. A side's trees
-are dropped after its last tag. A row is the tag followed by one of the
-set's VersionScores, as one flat stability.ResultRecord;
-write_results_csv, next to that type, writes them to results.csv.
+(``_set_key``). It walks the pairs in enumeration order and keeps one
+entry per training side: the side's trees and the results of its sets.
+A set's first tag runs assembly -> optional under-sampling -> treatment
+-> tree training -> per-version scoring, and every tag of the set, the
+first included, takes its results: rows, skip warnings, failures and
+tree dumps. A tree is grown once per distinct training order of a
+training side: an input whose attributes sort and tie as an earlier
+input's of the same side, with the same labels and weights, takes that
+tree with thresholds from its own values (``tree.rethreshold``), bit for
+bit the tree a fit would give. So treatments that only map each
+attribute through an increasing function, such as camargocruz09 against
+watanabe08, share a tree. A side's trees and set results are dropped
+after its last tag. A row is the tag followed by one of the set's
+VersionScores, as one flat stability.ResultRecord; write_results_csv,
+next to that type, writes them to results.csv.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or an
 UnusableDataError for input the treatments or the tree reject); any
 other exception, a plain ValueError included, fails the run. Rows
-expected (test versions times techniques) less skipped rows are the
-rows written. All output is byte-deterministic for a fixed config and
-seed: rows and warnings come in enumeration order, floats use their
-shortest round-trip representation, and the manifest has no timestamps.
+expected (test versions times techniques, counted off the pair list)
+less skipped rows are the rows written. All output is byte-deterministic
+for a fixed config and seed: rows and warnings come in enumeration
+order, floats use their shortest round-trip representation, and the
+manifest has no timestamps.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
@@ -151,7 +154,7 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
     technique. trees holds the trees of the set's training side by
     training order key (TreeParams is the same for the whole run); a
     fit adds to it. Errors are kept without their tracebacks, which
-    would hold the frames' arrays until the set's last tag.
+    would hold the frames' arrays until the side's last tag.
     """
     base = assemble_pair(pair)
     if config.balance:
@@ -186,7 +189,6 @@ class _Tally:
     records: list[ResultRecord] = field(default_factory=list)
     dumps: list[tuple[str, str]] = field(default_factory=list)
     failures: int = 0
-    expected_rows: int = 0
     failure_rows: int = 0
 
 
@@ -194,29 +196,25 @@ def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
           dump_trees: bool) -> _Tally:
     """Give every (pair, technique) tag, in enumeration order, its set's results.
 
-    A set is computed at its first tag and dropped after its last; the
-    trees of a training side are dropped after that side's last tag.
-    Under balancing every set has one tag, so its version scores become
-    records as soon as they exist.
+    A training side's entry holds its trees and its set results. A set
+    is computed at its first tag; the whole entry is dropped after the
+    side's last tag. Under balancing every set has one tag, so its
+    version scores become records as soon as they exist.
     """
     keys = [_set_key(pair, config) for pair in tasks]
-    last_tag = {key: i for i, key in enumerate(keys)}
-    last_side = {train: i for i, (train, _) in enumerate(keys)}
-    sets: dict[tuple, _SetResult] = {}
-    trees: dict[tuple, dict[bytes, DecisionTree]] = {}
+    last_tag = {train: i for i, (train, _) in enumerate(keys)}
+    sides: dict[tuple, tuple[dict[bytes, DecisionTree],
+                             dict[tuple, _SetResult]]] = {}
     tally = _Tally()
-    for i, (pair, key) in enumerate(zip(tasks, keys)):
-        train = key[0]
-        if key not in sets:
-            sets[key] = _run_set(pair, trees.setdefault(train, {}), config,
-                                 dump_trees)
-        result = sets.pop(key) if last_tag[key] == i else sets[key]
-        if last_side[train] == i:
-            del trees[train]
+    for i, (pair, (train, test)) in enumerate(zip(tasks, keys)):
+        trees, sets = sides.setdefault(train, ({}, {}))
+        if test not in sets:
+            sets[test] = _run_set(pair, trees, config, dump_trees)
+        if last_tag[train] == i:
+            del sides[train]
         spec = pair.spec
         test_versions = len(pair.test)
-        tally.expected_rows += test_versions * len(config.techniques)
-        for technique, fit in zip(config.techniques, result):
+        for technique, fit in zip(config.techniques, sets[test]):
             if not isinstance(fit, _Fit):
                 logger.warning("pair %s K=%s split=%s technique=%s: %s; skipped",
                                spec.kind.value, _fmt_window(spec.window_k),
@@ -248,12 +246,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
+    # after the input checks, so bad input writes nothing
+    out.mkdir(parents=True, exist_ok=True)
     tally = _walk(tasks, config, dump_trees)
     records = tally.records
+    expected_rows = sum(len(pair.test) for pair in tasks) * len(config.techniques)
 
     write_results_csv(out / "results.csv", records)
     if dump_trees:
@@ -270,13 +269,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
         "releases": len(releases),
         "pair_counts": _pair_counts(tasks),
         "row_accounting": {
-            "expected_rows": tally.expected_rows,
+            "expected_rows": expected_rows,
             "rows_from_failed_combinations": tally.failure_rows,
             "written_rows": len(records),
         },
         "pair_technique_failures": tally.failures,
     }
-    if tally.expected_rows - tally.failure_rows != len(records):
+    if expected_rows - tally.failure_rows != len(records):
         raise RuntimeError("row accounting does not balance")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -288,11 +287,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
                       pair_technique_failures=tally.failures)
 
 
-def _pair_counts(tasks: Sequence[TrainTestPair]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for pair in tasks:
-        counts[pair.spec.kind.value] = counts.get(pair.spec.kind.value, 0) + 1
-    return counts
+def _pair_counts(tasks: Sequence[TrainTestPair]) -> Counter[str]:
+    return Counter(pair.spec.kind.value for pair in tasks)
 
 
 def write_summary_csv(fh: IO[str], ts: TimeSeriesDataset) -> None:

@@ -154,9 +154,9 @@ def load_results_csv(path: Path) -> list[ResultRecord]:
 
     A field that does not parse, a window below 1, a negative split,
     gap or confusion count, or a non-finite score is named by its line
-    and column.
+    and column. A leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(RESULTS_COLUMNS):

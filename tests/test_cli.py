@@ -12,7 +12,7 @@ import pytest
 import timeaware_cpdp
 from e2e import toy_csv, write_experiment
 from timeaware_cpdp.cli import main
-from timeaware_cpdp.stability import RESULTS_COLUMNS
+from timeaware_cpdp.stability import RESULTS_COLUMNS, load_results_csv
 
 
 def test_validate_prints_diagnostics(tmp_path, capsys):
@@ -126,6 +126,21 @@ def test_run_and_report_cycle(tmp_path, capsys):
     assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert {name: (out_dir / name).read_bytes() for name in reports} == before
 
+
+def test_report_reads_results_that_start_with_a_byte_order_mark(tmp_path):
+    """A spreadsheet that re-saves results.csv puts a BOM in front."""
+    cfg = write_experiment(tmp_path, **{"run.baseline_crossval": "3"})
+    out_dir, bom_dir = tmp_path / "results", tmp_path / "resaved"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    bom_dir.mkdir()
+    (bom_dir / "results.csv").write_bytes(
+        b"\xef\xbb\xbf" + (out_dir / "results.csv").read_bytes())
+    assert (load_results_csv(bom_dir / "results.csv")
+            == load_results_csv(out_dir / "results.csv"))
+    assert main(["report", "--config", str(cfg), "--out", str(bom_dir)]) == 0
+    for name in ("stability.csv", "ranks.csv", "comparisons.csv",
+                 "plotdata.csv"):
+        assert (bom_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 def test_run_stdout_ends_with_the_combination_failures(tmp_path, capsys,
@@ -282,6 +297,7 @@ def test_missing_dataset_exits_one(tmp_path):
     cfg = write_experiment(tmp_path)
     (tmp_path / "releases.csv").unlink()
     assert main(["run", "--config", str(cfg)]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -297,7 +313,7 @@ def test_non_ascii_digit_in_dataset_exits_one(tmp_path, caplog, capsys, command)
     text = caplog.text + capsys.readouterr().out
     assert "line 4: column 'defects': not an integer: '\u0663'" in text
     assert "internal error" not in text
-    assert not (tmp_path / "out" / "results.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -330,6 +346,16 @@ def test_removed_threads_flag_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_validate_takes_no_out_flag(tmp_path, capsys):
+    cfg = write_experiment(tmp_path)
+    out = tmp_path / "elsewhere"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --out {out}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_internal_error_exits_two(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 """End-to-end runner behavior: files, determinism, accounting, validation."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import logging
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -362,6 +364,84 @@ def test_demo_stability_report_has_no_duplicate_lines(tmp_path):
         assert len([r for r in rows if r["kind"] == kind]) == 5 * 4
         assert {r["window_k"] for r in rows if r["kind"] == kind} == {""}
     assert {r["window_k"] for r in rows if r["kind"] == "CC"} > {""}
+
+
+@pytest.fixture
+def demo_tasks(tmp_path):
+    """The quick-start demo's config and pairs: 45 pairs, 15 sets, 7 sides."""
+    make_demo(tmp_path / "demo", seed=7)
+    cfg = ExperimentConfig.from_file(tmp_path / "demo" / "experiment.cfg")
+    releases, ts = load_dataset(cfg)
+    return cfg, build_tasks(cfg, ts, releases)
+
+
+def test_each_set_runs_once_with_its_sides_tree_memo(demo_tasks, monkeypatch):
+    cfg, tasks = demo_tasks
+    real_run_set = runner_module._run_set
+    calls = []  # holding each memo keeps its id from being reused
+
+    def run_set(pair, trees, config, dump_trees):
+        calls.append((runner_module._set_key(pair, config), trees))
+        return real_run_set(pair, trees, config, dump_trees)
+
+    monkeypatch.setattr(runner_module, "_run_set", run_set)
+    runner_module._walk(tasks, cfg, False)
+    first_tags = list(dict.fromkeys(runner_module._set_key(pair, cfg)
+                                    for pair in tasks))
+    assert (len(tasks), len(first_tags)) == (45, 15)
+    assert [key for key, _ in calls] == first_tags
+    memos: dict = {}
+    for (train, _), trees in calls:
+        assert memos.setdefault(train, trees) is trees
+    assert len(memos) == 7
+    assert len({id(trees) for trees in memos.values()}) == len(memos)
+
+
+def test_a_sides_trees_die_after_its_last_tag(demo_tasks, monkeypatch):
+    cfg, tasks = demo_tasks
+    sides = [runner_module._set_key(pair, cfg)[0] for pair in tasks]
+    last_tag = {train: i for i, train in enumerate(sides)}
+    real_run_set = runner_module._run_set
+    real_train_tree = runner_module.train_tree
+    fitted: dict = {}  # training side -> weak references to its trees
+    side = None
+    finished = []
+
+    def run_set(pair, trees, config, dump_trees):
+        nonlocal side
+        i = next(i for i, task in enumerate(tasks) if task is pair)
+        gc.collect()
+        for train, refs in fitted.items():
+            alive = [ref() is not None for ref in refs]
+            if last_tag[train] < i:
+                assert not any(alive)
+                finished.append(train)
+            else:
+                assert all(alive)
+        side = sides[i]
+        return real_run_set(pair, trees, config, dump_trees)
+
+    def train_tree(*args, **kwargs):
+        tree = real_train_tree(*args, **kwargs)
+        fitted.setdefault(side, []).append(weakref.ref(tree))
+        return tree
+
+    monkeypatch.setattr(runner_module, "_run_set", run_set)
+    monkeypatch.setattr(runner_module, "train_tree", train_tree)
+    runner_module._walk(tasks, cfg, False)
+    assert len(fitted) == 7 and finished
+    gc.collect()
+    assert all(ref() is None for refs in fitted.values() for ref in refs)
+
+
+def test_a_tag_the_walk_skips_unbalances_the_accounting(tmp_path,
+                                                       monkeypatch):
+    real_walk = runner_module._walk
+    monkeypatch.setattr(runner_module, "_walk",
+                        lambda tasks, *args: real_walk(tasks[:-1], *args))
+    with pytest.raises(RuntimeError, match="row accounting does not balance"):
+        run(tmp_path)
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_results_roundtrip_through_csv(tmp_path):
