@@ -109,8 +109,7 @@ def cmd_report(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     out = _out_dir(args, config)
     results = out / "results.csv"
-    records = load_results_csv(results)
-    write_reports(records, out, config.stability_threshold)
+    write_reports(load_results_csv(results), out, config.stability_threshold)
     print(f"rebuilt reports in {out} from {results}")
     return 0
 

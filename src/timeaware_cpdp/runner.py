@@ -14,9 +14,17 @@ tree with thresholds from its own values (``tree.rethreshold``), bit for
 bit the tree a fit would give. So treatments that only map each
 attribute through an increasing function, such as camargocruz09 against
 watanabe08, share a tree. A side's trees and set results are dropped
-after its last tag. A row is the tag followed by one of the set's
-VersionScores, as one flat stability.ResultRecord; write_results_csv,
-next to that type, writes them to results.csv.
+after its last tag.
+
+A set keeps, per technique, its results.csv lines after the tag
+(stability.result_lines) and a block of stability.SCORES rows for the
+reports, not its VersionScores; the blocks of all sets are slices of
+one array (_ScoreStore). Each tag writes its rows as soon as the walk
+reaches it (write_results_csv) and adds a ResultBlock that shares its
+set's block, so the run holds no per-row objects. The rows go to
+results.csv.partial, which becomes results.csv only when the row
+accounting balances; a run that fails leaves neither file, and an
+earlier results.csv keeps its bytes.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or an
@@ -33,10 +41,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
+
+import numpy as np
 
 from . import __version__
 from ._digest import sha256
@@ -48,7 +59,8 @@ from .errors import (BalancingError, ConfigError, DatasetError,
 from .metrics import VersionScore, evaluate_pair
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs)
-from .stability import (ResultRecord, _csv_line, _fmt_window, undersample,
+from .stability import (RESULTS_HEADER, SCORES, ResultBlock, _csv_line,
+                        _fmt_window, result_lines, score_fields, undersample,
                         write_reports, write_results_csv)
 from .tree import (DecisionTree, dump_tree, rethreshold, train_tree,
                    training_order)
@@ -133,11 +145,35 @@ def _set_key(pair: TrainTestPair,
     return train, tuple(r.key for r in pair.test)
 
 
+class _ScoreStore:
+    """One SCORES array for the rows of every set, handed out in walk order.
+
+    The blocks live until the reports. Taken from one array made before
+    the walk, they stay out of the heap that the fits' scratch arrays
+    come and go in. With a small array per block instead, the history
+    workload's peak memory rose by up to 0.25 MB.
+    """
+
+    def __init__(self, rows: int) -> None:
+        self.rows = np.empty(rows, dtype=SCORES)
+        self.used = 0
+
+    def block(self, version_scores: Sequence[VersionScore]) -> np.ndarray:
+        """The next rows, set to the SCORES of version_scores; read-only."""
+        start = self.used
+        self.used += len(version_scores)
+        block = self.rows[start:self.used]
+        block[:] = [score_fields(vs) for vs in version_scores]
+        block.flags.writeable = False
+        return block
+
+
 @dataclass(frozen=True)
 class _Fit:
-    """One technique on one distinct (train, test) set."""
+    """One technique on one distinct (train, test) set, as each of its tags takes it."""
 
-    version_scores: list[VersionScore]
+    lines: list[str]  # results.csv lines after the tag, one per test version
+    scores: np.ndarray  # the stability.SCORES of those rows
     tree_dump: str | None  # only with --dump-trees
 
 
@@ -147,13 +183,14 @@ _SetResult = list[_Fit | BalancingError | DegenerateTreatmentError
 
 
 def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
-             config: ExperimentConfig, dump_trees: bool) -> _SetResult:
+             store: _ScoreStore, config: ExperimentConfig,
+             dump_trees: bool) -> _SetResult:
     """Results of one distinct (train, test) set, per technique.
 
     A set that cannot be balanced gives its BalancingError to every
     technique. trees holds the trees of the set's training side by
     training order key (TreeParams is the same for the whole run); a
-    fit adds to it. Errors are kept without their tracebacks, which
+    fit adds to it. A fit's scores take the next rows of store. Errors are kept without their tracebacks, which
     would hold the frames' arrays until the side's last tag.
     """
     base = assemble_pair(pair)
@@ -177,39 +214,43 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
         except (DegenerateTreatmentError, UnusableDataError) as exc:
             fits.append(exc.with_traceback(None))
             continue
-        fits.append(_Fit(version_scores,
+        fits.append(_Fit(result_lines(version_scores),
+                         store.block(version_scores),
                          dump_tree(tree) if dump_trees else None))
     return fits
 
 
 @dataclass
 class _Tally:
-    """What the walk hands to the output files."""
+    """What the walk hands to the manifest, trees.txt and the reports."""
 
-    records: list[ResultRecord] = field(default_factory=list)
+    blocks: list[ResultBlock] = field(default_factory=list)
     dumps: list[tuple[str, str]] = field(default_factory=list)
+    rows: int = 0
     failures: int = 0
     failure_rows: int = 0
 
 
 def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
-          dump_trees: bool) -> _Tally:
+          dump_trees: bool, results: IO[str]) -> _Tally:
     """Give every (pair, technique) tag, in enumeration order, its set's results.
 
     A training side's entry holds its trees and its set results. A set
     is computed at its first tag; the whole entry is dropped after the
-    side's last tag. Under balancing every set has one tag, so its
-    version scores become records as soon as they exist.
+    side's last tag. Each tag's rows are written to results as the walk
+    reaches it.
     """
     keys = [_set_key(pair, config) for pair in tasks]
     last_tag = {train: i for i, (train, _) in enumerate(keys)}
+    store = _ScoreStore(sum(len(test) for _, test in dict.fromkeys(keys))
+                        * len(config.techniques))
     sides: dict[tuple, tuple[dict[bytes, DecisionTree],
                              dict[tuple, _SetResult]]] = {}
     tally = _Tally()
     for i, (pair, (train, test)) in enumerate(zip(tasks, keys)):
         trees, sets = sides.setdefault(train, ({}, {}))
         if test not in sets:
-            sets[test] = _run_set(pair, trees, config, dump_trees)
+            sets[test] = _run_set(pair, trees, store, config, dump_trees)
         if last_tag[train] == i:
             del sides[train]
         spec = pair.spec
@@ -230,8 +271,9 @@ def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
                     fit.tree_dump))
             tag = (technique, spec.kind.value, spec.window_k,
                    spec.split_index, spec.gap_buckets)
-            tally.records.extend(ResultRecord(*tag, *vs)
-                                 for vs in fit.version_scores)
+            write_results_csv(results, tag, fit.lines)
+            tally.rows += len(fit.lines)
+            tally.blocks.append(ResultBlock(*tag, fit.scores))
     return tally
 
 
@@ -250,11 +292,18 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     tasks = build_tasks(config, ts, releases)
     # after the input checks, so bad input writes nothing
     out.mkdir(parents=True, exist_ok=True)
-    tally = _walk(tasks, config, dump_trees)
-    records = tally.records
     expected_rows = sum(len(pair.test) for pair in tasks) * len(config.techniques)
+    partial = out / "results.csv.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.write(RESULTS_HEADER + "\n")
+            tally = _walk(tasks, config, dump_trees, fh)
+        if expected_rows - tally.failure_rows != tally.rows:
+            raise RuntimeError("row accounting does not balance")
+        os.replace(partial, out / "results.csv")
+    finally:
+        partial.unlink(missing_ok=True)
 
-    write_results_csv(out / "results.csv", records)
     if dump_trees:
         with open(out / "trees.txt", "w", encoding="utf-8") as fh:
             for title, text in tally.dumps:
@@ -271,18 +320,16 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
         "row_accounting": {
             "expected_rows": expected_rows,
             "rows_from_failed_combinations": tally.failure_rows,
-            "written_rows": len(records),
+            "written_rows": tally.rows,
         },
         "pair_technique_failures": tally.failures,
     }
-    if expected_rows - tally.failure_rows != len(records):
-        raise RuntimeError("row accounting does not balance")
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    write_reports(records, out, config.stability_threshold)
-    return RunSummary(out_dir=out, rows_written=len(records),
+    write_reports(tally.blocks, out, config.stability_threshold)
+    return RunSummary(out_dir=out, rows_written=tally.rows,
                       pairs_total=len(tasks),
                       pair_technique_failures=tally.failures)
 
@@ -351,6 +398,24 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     if config.baseline_crossval is not None:
         crossval = counts.get(ConfigurationKind.CROSSVAL.value, 0)
         diags.append(Diagnostic("info", f"crossval: {crossval} pairs"))
+        # comparisons.csv pools each side's rows; say how many releases
+        # the two sides have in common
+        scored: dict[bool, set] = {True: set(), False: set()}
+        for pair in tasks:
+            scored[pair.spec.kind is ConfigurationKind.CROSSVAL].update(
+                r.key for r in pair.test)
+        baseline, time_aware = scored[True], scored[False]
+        diags.append(Diagnostic(
+            "info", f"crossval: scores {len(baseline)} of {len(releases)} "
+                    f"releases"))
+        if config.configurations:
+            shared = len(baseline & time_aware)
+            diags.append(Diagnostic(
+                "info" if shared else "warning",
+                f"crossval: scores {shared} of the {len(time_aware)} "
+                f"time-aware test versions"
+                + ("" if shared else
+                   "; comparisons.csv compares different releases")))
     keys = {_set_key(pair, config) for pair in tasks}
     diags.append(Diagnostic(
         "info", f"plan: {len(tasks)} pairs, {len(keys)} distinct (train, test) "

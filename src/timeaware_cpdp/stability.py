@@ -12,12 +12,22 @@ continuity correction otherwise. Effect sizes use Cliff's delta with
 the conventional magnitude thresholds (negligible up to 0.147, small up
 to 0.33, medium up to 0.474, large beyond); both rank the pooled samples once.
 
-A ResultRecord is one row of results.csv: the tag of a (pair,
-technique) combination followed by the flat VersionScore of one test
-version. write_results_csv and load_results_csv write and read that
-file, and every report is computed from a list of these records.
+A results.csv row is the tag of a (pair, technique) combination,
+(technique, kind, window_k, split_index, gap), followed by the flat
+VersionScore of one test version. result_lines spells a fit's
+VersionScores once, and write_results_csv writes them under each tag
+that takes them. The reports read ResultBlocks: a tag and a read-only
+SCORES array of its rows, with the float64 fscore, auc, mcc and
+gmeasure and the bool auc_degenerate of each (score_fields picks them
+from a VersionScore). A run gives every tag of a set the set's block,
+and load_results_csv reads a results.csv back as blocks, so a run and a
+rebuild from its file report alike.
 
-write_reports writes four CSV reports from a run's records, grouped on
+Every mean, SD and mean rank score adds its values left to right from
+0.0 (_sum). Python 3.12's sum() compensates float rounding, so it would
+make the reports' bytes depend on the interpreter.
+
+write_reports writes four CSV reports from a run's blocks, grouped on
 a prefix of their tag: stability.csv, ranks.csv (with the SD of each
 technique's per-cell rank), comparisons.csv (time-aware against the
 cross-validation baseline) and plotdata.csv (per-cell metric means).
@@ -30,12 +40,15 @@ import csv
 import dataclasses
 import logging
 import math
+import operator
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, groupby
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (IO, Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 import numpy as np
 
@@ -88,13 +101,30 @@ def _csv_line(*fields) -> str:
                     for f in fields) + "\n"
 
 
-# one results.csv row, its columns in field order: the tag of a (pair,
-# technique) combination, then the VersionScore of one test version
-ResultRecord = NamedTuple("ResultRecord", [
-    ("technique", str), ("kind", str), ("window_k", int | None),
-    ("split_index", int), ("gap", int), *VersionScore.__annotations__.items()])
-RESULTS_COLUMNS = ResultRecord._fields
+# results.csv's columns: the tag of a (pair, technique) combination, then
+# the VersionScore of one test version
+TAG_COLUMNS = ("technique", "kind", "window_k", "split_index", "gap")
+RESULTS_COLUMNS = TAG_COLUMNS + VersionScore._fields
 RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
+
+# the columns of a row that the reports read
+SCORES = np.dtype([(metric, np.float64) for metric in RANK_METRICS]
+                  + [("auc_degenerate", np.bool_)])
+
+
+class ResultBlock(NamedTuple):
+    """The rows of results.csv under one tag: the tag, then their SCORES."""
+
+    technique: str
+    kind: str
+    window_k: int | None
+    split_index: int
+    gap: int
+    scores: np.ndarray
+
+
+# the SCORES fields of a VersionScore, in order
+score_fields = operator.attrgetter(*SCORES.names)
 
 
 def _parse_window(text: str) -> int | None:
@@ -131,37 +161,49 @@ _PARSERS = (str, str, _parse_window, _non_negative("split"),
             *[_parse_score] * 6, _parse_bool)
 
 
-def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
-    """Write records as results.csv, one line each, columns in field order.
+def result_lines(version_scores: Sequence[VersionScore]) -> list[str]:
+    """The results.csv line of each version score, after the tag.
 
-    Each line is _csv_line of the record with the window spelled "inf".
-    One f-string per row: a formatter call per cell, or csv.writer,
-    took ~25 % longer.
+    A line is the end of _csv_line of the row, newline included. One
+    f-string per row: a formatter call per cell, or csv.writer, took
+    ~25 % longer.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for r in records:
-            fh.write(f"{_csv_field(r[0])},{_csv_field(r[1])},"
-                     f"{UNBOUNDED if r[2] is None else r[2]},{r[3]},{r[4]},"
-                     f"{_csv_field(r[5])},{_csv_field(r[6])},"
-                     f"{r[7]},{r[8]},{r[9]},{r[10]},{r[11]!r},{r[12]!r},"
-                     f"{r[13]!r},{r[14]!r},{r[15]!r},{r[16]!r},"
-                     f"{'true' if r[17] else 'false'}\n")
+    return [f"{_csv_field(v[0])},{_csv_field(v[1])},{v[2]},{v[3]},{v[4]},"
+            f"{v[5]},{v[6]!r},{v[7]!r},{v[8]!r},{v[9]!r},{v[10]!r},{v[11]!r},"
+            f"{'true' if v[12] else 'false'}\n" for v in version_scores]
 
 
-def load_results_csv(path: Path) -> list[ResultRecord]:
-    """Records of a results.csv; a malformed row raises DatasetError.
+def write_results_csv(fh: IO[str], tag: tuple, lines: Iterable[str]) -> None:
+    """Write the rows of one tag to results.csv: the tag, then each of lines.
 
-    A field that does not parse, a window below 1, a negative split,
-    gap or confusion count, or a non-finite score is named by its line
-    and column. A leading UTF-8 byte-order mark is skipped.
+    tag is (technique, kind, window_k, split_index, gap), with None
+    spelled "inf"; lines come from result_lines.
+    """
+    technique, kind, window_k, split, gap = tag
+    # _csv_line of the tag without its newline
+    prefix = _csv_line(technique, kind, _fmt_window(window_k), split, gap)[:-1]
+    fh.writelines(f"{prefix},{line}" for line in lines)
+
+
+# the SCORES fields of a parsed results.csv row
+_report_fields = operator.itemgetter(*map(RESULTS_COLUMNS.index, SCORES.names))
+
+
+def load_results_csv(path: Path) -> list[ResultBlock]:
+    """The blocks of a results.csv, one per run of rows under one tag.
+
+    Every field is checked, though a block keeps only the tag and the
+    SCORES: a field that does not parse, a window below 1, a negative
+    split, gap or confusion count, or a non-finite score raises
+    DatasetError naming its line and column. A leading UTF-8 byte-order
+    mark is skipped.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(RESULTS_COLUMNS):
                 raise DatasetError(f"{path}: unexpected results header")
-            records = []
+            rows = []
             for row in reader:
                 if not row:
                     continue
@@ -173,10 +215,16 @@ def load_results_csv(path: Path) -> list[ResultRecord]:
                         fields.append(parse(text))
                     except ValueError as exc:
                         raise ValueError(f"{exc} (column {column})") from None
-                records.append(ResultRecord._make(fields))
+                rows.append((tuple(fields[:len(TAG_COLUMNS)]),
+                             _report_fields(fields)))
         except (ValueError, csv.Error) as exc:
             raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records
+    blocks = []
+    for tag, run in groupby(rows, key=operator.itemgetter(0)):
+        scores = np.array([scores for _, scores in run], dtype=SCORES)
+        scores.flags.writeable = False
+        blocks.append(ResultBlock(*tag, scores))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -200,49 +248,53 @@ class RankRow:
     rank: int
 
 
-def _group(records: Sequence[ResultRecord],
-           width: int) -> dict[tuple, list[ResultRecord]]:
-    """Records grouped by (technique, kind, window, split)[:width], all in record order."""
-    groups: dict[tuple, list[ResultRecord]] = {}
-    for r in records:
-        groups.setdefault(r[:width], []).append(r)
-    return groups
+def _group(blocks: Sequence[ResultBlock], width: int) -> dict[tuple, np.ndarray]:
+    """SCORES grouped by (technique, kind, window, split)[:width], rows in block order."""
+    parts: dict[tuple, list[np.ndarray]] = {}
+    for block in blocks:
+        parts.setdefault(block[:width], []).append(block.scores)
+    return {key: np.concatenate(scores) for key, scores in parts.items()}
 
 
-def _metric_values(records: Sequence[ResultRecord], metric: str) -> tuple[list[float], int]:
+def _metric_values(scores: np.ndarray, metric: str) -> tuple[list[float], int]:
     """Values of one metric, AUC filtered of degenerate rows; returns (values, excluded)."""
+    values = scores[metric]
     if metric == "auc":
-        vals = [r.auc for r in records if not r.auc_degenerate]
-        return vals, len(records) - len(vals)
-    return [getattr(r, metric) for r in records], 0
+        values = values[~scores["auc_degenerate"]]
+    return values.tolist(), len(scores) - len(values)
+
+
+def _sum(values: Iterable[float]) -> float:
+    """values added left to right from 0.0, the same float on every Python."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
+    mean = _sum(values) / n
     if n == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
 
 
-def aggregate(records: Sequence[ResultRecord],
+def aggregate(blocks: Sequence[ResultBlock],
               by_window: bool = False,
               threshold: float = STABILITY_THRESHOLD) -> list[StabilityRow]:
     """Mean/SD stability rows grouped by (technique, kind[, window]).
 
-    Groups follow first appearance order in the input; by_window skips
+    Groups follow first appearance order in the blocks; by_window skips
     the groups without a window (II, crossval). A single-value group
     reports SD 0 (so it counts as stable) and n 1. Groups whose AUC
     values were all degenerate report no AUC mean at all.
     """
     rows = []
-    for key, group in _group(records, 3 if by_window else 2).items():
+    for key, scores in _group(blocks, 3 if by_window else 2).items():
         window = key[2] if by_window else None
         if by_window and window is None:
             continue
         for metric in RANK_METRICS:
-            values, excluded = _metric_values(group, metric)
+            values, excluded = _metric_values(scores, metric)
             mean, sd = _mean_sd(values) if values else (None, None)
             rows.append(StabilityRow(
                 technique=key[0], kind=key[1], window_k=window,
@@ -361,7 +413,7 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
 
     per_metric = {m: rankscores({t: values[t][m] for t in techniques})
                   for m in metrics}
-    mean_rs = {t: sum(per_metric[m][t] for m in metrics) / len(metrics)
+    mean_rs = {t: _sum(per_metric[m][t] for m in metrics) / len(metrics)
                for t in techniques}
     rows = [RankRow(technique=tech,
                     rankscores=tuple(per_metric[m][tech] for m in metrics),
@@ -372,15 +424,15 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
     return sorted(rows, key=lambda row: row.rank)
 
 
-def _cell_means(records: Sequence[ResultRecord]) -> dict[tuple, dict[str, float]]:
+def _cell_means(blocks: Sequence[ResultBlock]) -> dict[tuple, dict[str, float]]:
     """Means per (technique, kind, window, split) cell; a metric without values is left out."""
     out = {}
-    for cell, group in _group(records, 4).items():
+    for cell, scores in _group(blocks, 4).items():
         means = {}
         for metric in RANK_METRICS:
-            values, _ = _metric_values(group, metric)
+            values, _ = _metric_values(scores, metric)
             if values:
-                means[metric] = sum(values) / len(values)
+                means[metric] = _sum(values) / len(values)
         out[cell] = means
     return out
 
@@ -443,7 +495,7 @@ def undersample(tp: TreatedPair, seed: int) -> TreatedPair:
         train_weights=tp.train_weights[keep])
 
 
-def write_reports(records: Sequence[ResultRecord], out_dir: Path,
+def write_reports(blocks: Sequence[ResultBlock], out_dir: Path,
                   stability_threshold: float = STABILITY_THRESHOLD) -> None:
     """Write stability.csv, ranks.csv, comparisons.csv and plotdata.csv.
 
@@ -453,9 +505,9 @@ def write_reports(records: Sequence[ResultRecord], out_dir: Path,
     in the layout of the variation figures.
     """
     out_dir = Path(out_dir)
-    overall = aggregate(records, by_window=False, threshold=stability_threshold)
-    per_window = aggregate(records, by_window=True, threshold=stability_threshold)
-    cell_means = _cell_means(records)
+    overall = aggregate(blocks, by_window=False, threshold=stability_threshold)
+    per_window = aggregate(blocks, by_window=True, threshold=stability_threshold)
+    cell_means = _cell_means(blocks)
     _write_csv(out_dir / "stability.csv",
                "technique,kind,window_k,metric,n,excluded,mean,sd,stable",
                (_csv_line(row.technique, row.kind, row.window_k, row.metric,
@@ -467,7 +519,7 @@ def write_reports(records: Sequence[ResultRecord], out_dir: Path,
                _rank_lines(overall, cell_means))
     _write_csv(out_dir / "comparisons.csv",
                "technique,metric,p_value,cliffs_delta,magnitude",
-               _comparison_lines(records))
+               _comparison_lines(blocks))
     _write_csv(out_dir / "plotdata.csv",
                "technique,kind,window_k,split_index,metric,value",
                (_csv_line(tech, kind, _fmt_window(window), split, metric, mean)
@@ -483,7 +535,7 @@ def _write_csv(path: Path, header: str, lines: Iterable[str]) -> None:
 
 def _rank_lines(overall: Sequence[StabilityRow],
                 cell_means: Mapping[tuple, Mapping[str, float]]) -> Iterator[str]:
-    """Rank scores per kind; techniques enter in first-appearance order over all records."""
+    """Rank scores per kind; techniques enter in first-appearance order over all blocks."""
     techniques = list(dict.fromkeys(cell[0] for cell in cell_means))
     if len(techniques) < 2:
         return
@@ -505,16 +557,20 @@ def _rank_lines(overall: Sequence[StabilityRow],
                             row.mean_rank_score, row.rank, sd_by_tech[row.technique])
 
 
-def _comparison_lines(records: Sequence[ResultRecord]) -> Iterator[str]:
+def _comparison_lines(blocks: Sequence[ResultBlock]) -> Iterator[str]:
     """Time-aware configurations pooled against the cross-validation baseline."""
     baseline_kind = ConfigurationKind.CROSSVAL.value
-    sides: dict[tuple, list[ResultRecord]] = {}
-    for (tech, kind), group in _group(records, 2).items():
-        sides.setdefault((tech, kind == baseline_kind), []).extend(group)
+    sides: dict[tuple, list[np.ndarray]] = {}
+    for (tech, kind), scores in _group(blocks, 2).items():
+        sides.setdefault((tech, kind == baseline_kind), []).append(scores)
     for tech in dict.fromkeys(tech for tech, _ in sides):
+        if (tech, False) not in sides or (tech, True) not in sides:
+            continue
+        time_aware = np.concatenate(sides[tech, False])
+        baseline = np.concatenate(sides[tech, True])
         for metric in RANK_METRICS:
-            a, _ = _metric_values(sides.get((tech, False), []), metric)
-            b, _ = _metric_values(sides.get((tech, True), []), metric)
+            a, _ = _metric_values(time_aware, metric)
+            b, _ = _metric_values(baseline, metric)
             if a and b:
                 yield _csv_line(tech, metric, wilcoxon_rank_sum(a, b),
                                 *cliffs_delta(a, b))

@@ -1,28 +1,106 @@
-"""Reference report writers: the record-filtering code the grouped writers replaced.
+"""Reference record path: one object per results.csv row, and reports from them.
+
+A ``ResultRecord`` is one results.csv row: the tag of a (pair,
+technique) combination followed by the flat VersionScore of one test
+version. ``write_results_csv`` and ``load_results_csv`` write and read
+a whole file of records; ``blocks_of`` gives the
+``timeaware_cpdp.stability.ResultBlock``s the program holds for the
+same rows.
 
 Every report here is rebuilt from the full record list: ranks.csv and
 comparisons.csv filter the records again for each kind, technique and
 metric, and per-cell and per-(technique, kind) means are computed once
-per report; p-values and deltas come from stats_oracle.py.
-``tests/test_report_oracle.py`` checks that
-``timeaware_cpdp.stability.write_reports`` writes the same bytes.
+per report; p-values and deltas come from stats_oracle.py. Sums run
+left to right from 0.0 in a plain loop. ``tests/test_report_oracle.py``
+checks that ``timeaware_cpdp.stability.write_reports`` writes the same
+bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
+from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from stats_oracle import cliffs_delta, wilcoxon_rank_sum
-from timeaware_cpdp.errors import ConfigError
+from timeaware_cpdp.errors import ConfigError, DatasetError
+from timeaware_cpdp.metrics import VersionScore
 from timeaware_cpdp.pairs import ConfigurationKind
-from timeaware_cpdp.stability import (RANK_METRICS, STABILITY_THRESHOLD,
-                                      ResultRecord, StabilityRow,
+from timeaware_cpdp.stability import (_PARSERS, RANK_METRICS, RESULTS_COLUMNS,
+                                      RESULTS_HEADER, SCORES,
+                                      STABILITY_THRESHOLD, ResultBlock,
+                                      StabilityRow, _csv_field,
                                       rank_techniques)
 
 logger = logging.getLogger(__name__)
+
+ResultRecord = NamedTuple("ResultRecord", [
+    ("technique", str), ("kind", str), ("window_k", int | None),
+    ("split_index", int), ("gap", int), *VersionScore.__annotations__.items()])
+
+
+def write_results_csv(path: Path, records: Sequence[ResultRecord]) -> None:
+    """Write records as results.csv, one line each, columns in field order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(RESULTS_HEADER + "\n")
+        for r in records:
+            fh.write(f"{_csv_field(r[0])},{_csv_field(r[1])},"
+                     f"{'inf' if r[2] is None else r[2]},{r[3]},{r[4]},"
+                     f"{_csv_field(r[5])},{_csv_field(r[6])},"
+                     f"{r[7]},{r[8]},{r[9]},{r[10]},{r[11]!r},{r[12]!r},"
+                     f"{r[13]!r},{r[14]!r},{r[15]!r},{r[16]!r},"
+                     f"{'true' if r[17] else 'false'}\n")
+
+
+def load_results_csv(path: Path) -> list[ResultRecord]:
+    """Records of a results.csv; a malformed row raises DatasetError."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(RESULTS_COLUMNS):
+                raise DatasetError(f"{path}: unexpected results header")
+            records = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(_PARSERS):
+                    raise ValueError(f"expected {len(_PARSERS)} fields")
+                fields = []
+                for column, parse, text in zip(RESULTS_COLUMNS, _PARSERS, row):
+                    try:
+                        fields.append(parse(text))
+                    except ValueError as exc:
+                        raise ValueError(f"{exc} (column {column})") from None
+                records.append(ResultRecord._make(fields))
+        except (ValueError, csv.Error) as exc:
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
+
+
+def blocks_of(records: Sequence[ResultRecord]) -> list[ResultBlock]:
+    """One ResultBlock per run of consecutive records under one tag."""
+    return [ResultBlock(*tag, np.array(
+                [tuple(getattr(r, name) for name in SCORES.names) for r in run],
+                dtype=SCORES))
+            for tag, run in groupby(records, key=lambda r: r[:5])]
+
+
+def comparable(blocks: Sequence[ResultBlock]) -> list[tuple]:
+    """Blocks as tuples that == compares, -0.0 told from 0.0."""
+    return [(*block[:5], block.scores.dtype, block.scores.tobytes())
+            for block in blocks]
+
+
+def _sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _fmt(value) -> str:
@@ -48,10 +126,10 @@ def _metric_values(records: Sequence[ResultRecord], metric: str) -> tuple[list[f
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float, bool]:
     n = len(values)
-    mean = sum(values) / n
+    mean = _sum(values) / n
     if n == 1:
         return mean, 0.0, True
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var), False
 
 
@@ -108,7 +186,7 @@ def rank_stability(records: Sequence[ResultRecord], kind: str,
                 if not vals:
                     ok = False
                     break
-                cell_values[tech][metric] = sum(vals) / len(vals)
+                cell_values[tech][metric] = _sum(vals) / len(vals)
             if ok:
                 usable_metrics.append(metric)
         if not usable_metrics:
@@ -138,7 +216,10 @@ def write_reports(records: Sequence[ResultRecord], out_dir: Path,
 
 def _write_stability(path: Path, records, threshold: float) -> None:
     rows = aggregate(records, by_window=False, threshold=threshold)
-    rows += aggregate(records, by_window=True, threshold=threshold)
+    # a group without a window (II, crossval) has only its overall row
+    rows += [row for row in aggregate(records, by_window=True,
+                                      threshold=threshold)
+             if row.window_k is not None]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("technique,kind,window_k,metric,n,excluded,mean,sd,stable\n")
         for row in rows:
@@ -174,7 +255,7 @@ def _write_ranks(path: Path, records) -> None:
                     vals = [getattr(r, metric) for r in tech_records
                             if not (metric == "auc" and r.auc_degenerate)]
                     if vals:
-                        per_metric[metric] = sum(vals) / len(vals)
+                        per_metric[metric] = _sum(vals) / len(vals)
                 if len(per_metric) == len(RANK_METRICS):
                     values[tech] = per_metric
             if len(values) < 2:
@@ -224,6 +305,6 @@ def _write_plotdata(path: Path, records) -> None:
                         if not (metric == "auc" and r.auc_degenerate)]
                 if not vals:
                     continue
-                mean = sum(vals) / len(vals)
+                mean = _sum(vals) / len(vals)
                 fh.write(f"{tech},{kind},{_fmt_window(window)},{split},"
                          f"{metric},{_fmt(mean)}\n")

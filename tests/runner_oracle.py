@@ -3,10 +3,12 @@
 Every pair is assembled, (optionally) under-sampled, treated, fitted and
 scored on its own, even when another pair has the same (train, test)
 releases or a technique leaves the same training input. Skip warnings
-are logged where the skip happens. ``tests/test_runner_oracle.py``
-checks that ``timeaware_cpdp.runner.run_experiment`` writes the same
-bytes and logs the same warnings. ``training_digest`` is the byte digest
-the runner once keyed its fits on.
+are logged where the skip happens. Every row becomes a ResultRecord, and
+results.csv and the reports are written from the whole record list by
+report_oracle.py. ``tests/test_runner_oracle.py`` checks that
+``timeaware_cpdp.runner.run_experiment`` writes the same bytes and logs
+the same warnings. ``training_digest`` is the byte digest the runner
+once keyed its fits on.
 
 The layer functions are bound here under the names ``runner`` binds, so
 a test that replaces one of them has to replace it in both modules.
@@ -25,11 +27,10 @@ from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.errors import BalancingError, DegenerateTreatmentError
 from timeaware_cpdp.metrics import evaluate_pair
 from timeaware_cpdp.pairs import TrainTestPair
+from report_oracle import ResultRecord, write_reports, write_results_csv
 from timeaware_cpdp.runner import (RunSummary, _pair_counts, apply_treatment,
-                                   build_tasks, load_dataset, pair_seed,
-                                   write_results_csv)
-from timeaware_cpdp.stability import (ResultRecord, _fmt_window, undersample,
-                                      write_reports)
+                                   build_tasks, load_dataset, pair_seed)
+from timeaware_cpdp.stability import _fmt_window, undersample
 from timeaware_cpdp.tree import dump_tree, train_tree
 from timeaware_cpdp.treatments import TreatedPair, assemble_pair
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from e2e import write_experiment
+from report_oracle import load_results_csv
 from synth import oracle_bucket_index, oracle_pairs, pair_as_tuple, \
     random_dataset, toy_three_buckets
 from timeaware_cpdp.config import ExperimentConfig
@@ -25,9 +26,8 @@ from timeaware_cpdp.dataset import bucketize
 from timeaware_cpdp.metrics import scores
 from timeaware_cpdp.pairs import ConfigurationKind, enumerate_pairs
 from timeaware_cpdp.runner import run_experiment
-from timeaware_cpdp.stability import (cliffs_delta, load_results_csv,
-                                      magnitude_label, rankscores,
-                                      wilcoxon_rank_sum)
+from timeaware_cpdp.stability import (cliffs_delta, magnitude_label,
+                                      rankscores, wilcoxon_rank_sum)
 from timeaware_cpdp.treatments import camargocruz09, ma12, watanabe08
 from test_metrics import auc
 from test_treatments import build_pair

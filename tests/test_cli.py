@@ -11,6 +11,7 @@ import pytest
 
 import timeaware_cpdp
 from e2e import toy_csv, write_experiment
+from report_oracle import comparable
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.stability import RESULTS_COLUMNS, load_results_csv
 
@@ -135,8 +136,8 @@ def test_report_reads_results_that_start_with_a_byte_order_mark(tmp_path):
     bom_dir.mkdir()
     (bom_dir / "results.csv").write_bytes(
         b"\xef\xbb\xbf" + (out_dir / "results.csv").read_bytes())
-    assert (load_results_csv(bom_dir / "results.csv")
-            == load_results_csv(out_dir / "results.csv"))
+    assert (comparable(load_results_csv(bom_dir / "results.csv"))
+            == comparable(load_results_csv(out_dir / "results.csv")))
     assert main(["report", "--config", str(cfg), "--out", str(bom_dir)]) == 0
     for name in ("stability.csv", "ranks.csv", "comparisons.csv",
                  "plotdata.csv"):
@@ -367,6 +368,44 @@ def test_internal_error_exits_two(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_experiment", boom)
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def failing_after_the_first_set(monkeypatch):
+    """Make the walk raise a plain ValueError at its second set."""
+    from timeaware_cpdp import runner
+    real_run_set = runner._run_set
+    calls = []
+
+    def run_set(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("forced after the first set")
+        return real_run_set(*args)
+
+    monkeypatch.setattr(runner, "_run_set", run_set)
+    return calls
+
+
+def test_a_run_that_fails_mid_walk_publishes_no_results(tmp_path, monkeypatch,
+                                                        caplog):
+    cfg = write_experiment(tmp_path)
+    calls = failing_after_the_first_set(monkeypatch)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert len(calls) == 2
+    assert "forced after the first set" in caplog.text
+    # the first set's rows were written, and are gone with the file
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_run_that_fails_mid_walk_keeps_an_earlier_results_csv(
+        tmp_path, monkeypatch):
+    cfg = write_experiment(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    failing_after_the_first_set(monkeypatch)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_console_script_is_installed(tmp_path):

@@ -17,13 +17,22 @@ stdout and stderr included: the runner keys dicts on tuples of strings.
 A treatment sees its pair's whole test side. identity and nam15 read no
 test values, so dropping a pair's later test releases must leave the
 earliest release's scores unchanged under both.
+
+The past does not change: a corpus cut at a date is the same corpus
+before its later releases came. Every (configuration, window, split,
+gap) tag whose pair has the same train and test releases in the cut and
+in the full corpus must get the same results.csv rows and the same
+--dump-trees trees, with and without under-sampling, in all four
+configurations.
 """
 
+import csv
 import os
 import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from datetime import date
 from itertools import chain, zip_longest
 from pathlib import Path
@@ -34,9 +43,12 @@ import timeaware_cpdp
 from e2e import write_experiment
 from synth import csv_rows, dataset_csv, simple_release
 from timeaware_cpdp.cli import main
+from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.dataset import bucketize
 from timeaware_cpdp.metrics import evaluate_pair
 from timeaware_cpdp.pairs import ConfigurationKind, TrainTestPair, enumerate_pairs
+from timeaware_cpdp.runner import build_tasks, load_dataset, run_experiment
+from timeaware_cpdp.stability import _fmt_window
 from timeaware_cpdp.tree import TreeParams, train_tree
 from timeaware_cpdp.treatments import (TREATMENT_NAMES, assemble_pair,
                                        identity_treatment, nam15, watanabe08)
@@ -158,3 +170,69 @@ def test_later_test_releases_leave_identity_and_nam15_rows_unchanged():
         pooled_changes += (earliest_scores(alone, watanabe08)
                            != earliest_scores(pair, watanabe08))
     assert pooled_changes > 0
+
+
+def growing():
+    """Five projects release once, then p2, p0 and p1 release again.
+
+    Under strict CPDP, a later release of a project that trains drops out
+    of the test side, so cutting the late releases leaves some tags of
+    every configuration, II included, with the same pair.
+    """
+    rng = random.Random(5)
+    history = (("p0", "1", date(2001, 1, 20)), ("p1", "1", date(2001, 3, 5)),
+               ("p2", "1", date(2001, 8, 14)), ("p3", "1", date(2002, 2, 2)),
+               ("p4", "1", date(2002, 9, 9)), ("p2", "2", date(2003, 2, 17)),
+               ("p0", "2", date(2003, 8, 1)), ("p1", "2", date(2004, 1, 10)))
+    return [simple_release(project, version, day, n_rows=rng.randint(8, 14),
+                           d=3, rng=rng)
+            for project, version, day in history]
+
+
+def by_tag(tmp_path, releases, balance):
+    """Per (kind, window, split, gap) tag: its pair's release keys, rows and trees."""
+    tmp_path.mkdir()
+    (tmp_path / "releases.csv").write_text(dataset_csv(csv_rows(releases)),
+                                           encoding="utf-8")
+    cfg = ExperimentConfig.from_file(write_experiment(tmp_path, **{
+        "run.techniques": ",".join(TREATMENT_NAMES), "run.balance": balance}))
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=out, dump_trees=True)
+    tags = {}
+    for pair in build_tasks(cfg, *reversed(load_dataset(cfg))):
+        spec = pair.spec
+        tag = (spec.kind.value, _fmt_window(spec.window_k),
+               str(spec.split_index), str(spec.gap_buckets))
+        tags[tag] = ([r.key for r in pair.train], [r.key for r in pair.test],
+                     [], [])
+    with open(out / "results.csv", encoding="utf-8", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    for row in rows:
+        tags[tuple(row[1:5])][2].append(row)
+    trees = (out / "trees.txt").read_text(encoding="utf-8")
+    for section in trees.split("# technique=")[1:]:
+        title, _ = section.split("\n", 1)
+        fields = dict(field.split("=") for field in title.split()[1:])
+        tags[fields["kind"], fields["window"], fields["split"],
+             fields["gap"]][3].append(section)
+    return tags
+
+
+@pytest.mark.parametrize("balance", ["false", "true"])
+def test_later_releases_leave_the_rows_and_trees_of_earlier_pairs(tmp_path,
+                                                                  balance):
+    releases = growing()
+    full = by_tag(tmp_path / "full", releases, balance)
+    same, changed = Counter(), 0
+    for cut in (date(2003, 1, 1), date(2003, 6, 1)):
+        past = by_tag(tmp_path / cut.isoformat(),
+                      [r for r in releases if r.release_date < cut], balance)
+        for tag, (train, test, rows, trees) in past.items():
+            if tag not in full or full[tag][:2] != (train, test):
+                changed += 1
+                continue
+            assert rows and trees, tag
+            assert full[tag][2:] == (rows, trees), tag
+            same[tag[0]] += 1
+    assert set(same) == {"CC", "IC", "CI", "II"}, same
+    assert changed > 0

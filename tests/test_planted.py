@@ -31,10 +31,10 @@ from datetime import date
 import pytest
 
 from e2e import write_experiment
+from report_oracle import load_results_csv
 from synth import csv_rows, dataset_csv, make_release
 from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.runner import run_experiment
-from timeaware_cpdp.stability import load_results_csv
 
 FLIP = 4
 TECHNIQUES = ("identity", "watanabe08", "camargocruz09")

@@ -3,12 +3,10 @@
 Random record lists, laid out the way a run writes them (pairs of each
 kind in turn, the techniques of each pair, one record per test version)
 and sometimes shuffled as a hand-edited results.csv may be, must give
-byte-identical ranks.csv, comparisons.csv and plotdata.csv from
-``stability.write_reports`` and from the writers in report_oracle.py.
-stability.csv must be the oracle's minus the per-window rows of the
-groups without a window (II, crossval), which repeated their overall
-rows. So must the records of a run of the quick-start demo, the one
-corpus here with cross-validation comparisons from real scores.
+byte-identical reports from ``stability.write_reports``, which reads
+the records' blocks, and from the writers in report_oracle.py. So must
+the records of a run of the quick-start demo, the one corpus here with
+cross-validation comparisons from real scores.
 """
 
 import tempfile
@@ -21,8 +19,8 @@ import report_oracle as oracle
 from e2e import make_demo
 from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.runner import run_experiment
-from timeaware_cpdp.stability import (ResultRecord, load_results_csv,
-                                      write_reports)
+from report_oracle import ResultRecord
+from timeaware_cpdp.stability import load_results_csv, write_reports
 
 REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
 TECHNIQUES = ("watanabe08", "camargocruz09", "ma12", "amasaki15", "nam15",
@@ -73,30 +71,14 @@ def record_lists(draw):
     return records
 
 
-def without_windowless_rows(stability_csv, records):
-    """The oracle's stability.csv minus its per-window rows without a window.
-
-    The oracle writes a header, four overall rows per (technique, kind)
-    and then the per-window rows; a row without a window has an empty
-    window_k field.
-    """
-    lines = stability_csv.decode().splitlines(keepends=True)
-    head = 1 + 4 * len({(r.technique, r.kind) for r in records})
-    return "".join(lines[:head] + [line for line in lines[head:]
-                                   if line.split(",")[2] != ""]).encode()
-
-
 def write_both(records, threshold):
     with tempfile.TemporaryDirectory() as tmp:
         expected, actual = Path(tmp, "oracle"), Path(tmp, "grouped")
         expected.mkdir()
         actual.mkdir()
         oracle.write_reports(records, expected, threshold)
-        write_reports(records, actual, threshold)
-        reports = {name: (expected / name).read_bytes() for name in REPORTS}
-        reports["stability.csv"] = without_windowless_rows(
-            reports["stability.csv"], records)
-        return (reports,
+        write_reports(oracle.blocks_of(records), actual, threshold)
+        return ({name: (expected / name).read_bytes() for name in REPORTS},
                 {name: (actual / name).read_bytes() for name in REPORTS})
 
 
@@ -146,10 +128,16 @@ def test_demo_run_reports_match_record_filtering_oracle(tmp_path):
     cfg = ExperimentConfig.from_file(tmp_path / "demo" / "experiment.cfg")
     out = tmp_path / "out"
     run_experiment(cfg, out_dir=out)
-    records = load_results_csv(out / "results.csv")
+    records = oracle.load_results_csv(out / "results.csv")
     assert {r.kind for r in records} == {"CC", "IC", "CI", "II", "crossval"}
     expected, actual = write_both(records, cfg.stability_threshold)
     assert actual == expected
     assert {name: (out / name).read_bytes() for name in REPORTS} == actual
+    # the blocks report reads back from results.csv give the same bytes
+    rebuilt = tmp_path / "rebuilt"
+    rebuilt.mkdir()
+    write_reports(load_results_csv(out / "results.csv"), rebuilt,
+                  cfg.stability_threshold)
+    assert {name: (rebuilt / name).read_bytes() for name in REPORTS} == actual
     # every technique is compared with the baseline on every metric
     assert len(actual["comparisons.csv"].splitlines()) == 1 + 5 * 4

@@ -1,4 +1,9 @@
-"""results.csv and pairs.csv: one column list, a lossless codec, quoted ids."""
+"""results.csv and pairs.csv: one column list, a lossless codec, quoted ids.
+
+The program writes results.csv a tag at a time and reads it back as
+blocks; report_oracle.py writes and reads one record per row. Both must
+agree on every byte and every value.
+"""
 
 import csv
 import io
@@ -8,19 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e2e import toy_csv, write_experiment
+from report_oracle import (ResultRecord, blocks_of, comparable,
+                           load_results_csv as load_records,
+                           write_results_csv as write_records)
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import DatasetError
 from timeaware_cpdp.metrics import VersionScore
 from timeaware_cpdp.stability import (RESULTS_COLUMNS, RESULTS_HEADER,
-                                      ResultRecord, _csv_line,
-                                      load_results_csv, write_results_csv)
+                                      _csv_line, load_results_csv,
+                                      result_lines, write_results_csv)
 
 REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
 
 
 def test_one_column_list():
     assert RESULTS_COLUMNS == ResultRecord._fields
-    assert VersionScore._fields == ResultRecord._fields[5:]
+    assert VersionScore._fields == RESULTS_COLUMNS[5:]
     assert RESULTS_HEADER == (
         "technique,kind,window_k,split_index,gap,test_project,test_version,"
         "tp,fp,tn,fn,precision,recall,fscore,gmeasure,mcc,auc,auc_degenerate")
@@ -42,28 +50,48 @@ def result_records(draw):
         draw(st.booleans()))
 
 
+def program_text(records):
+    """results.csv as the program writes it: each record's line under its tag."""
+    fh = io.StringIO()
+    fh.write(RESULTS_HEADER + "\n")
+    for r in records:
+        write_results_csv(fh, r[:5], result_lines([VersionScore(*r[5:])]))
+    return fh.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(result_records(), max_size=12))
 def test_results_csv_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("codec") / "results.csv"
-    write_results_csv(path, records)
-    written = path.read_bytes()
-    loaded = load_results_csv(path)
-    assert loaded == records
-    # == does not tell -0.0 from 0.0; the bytes of a second write do
-    write_results_csv(path, loaded)
-    assert path.read_bytes() == written
+    write_records(path, records)
+    assert path.read_bytes() == program_text(records).encode()
+    # the blocks keep every report column bit for bit, -0.0 included
+    assert comparable(load_results_csv(path)) == comparable(blocks_of(records))
+    assert load_records(path) == records
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(result_records(), max_size=12))
-def test_results_csv_lines_are_csv_line_of_each_record(tmp_path_factory, records):
+def test_results_csv_lines_are_csv_line_of_each_record(records):
     # the one-f-string writer spells a row as the reports' line speller does
-    path = tmp_path_factory.mktemp("lines") / "results.csv"
-    write_results_csv(path, records)
-    assert path.read_bytes() == (RESULTS_HEADER + "\n" + "".join(
+    assert program_text(records) == RESULTS_HEADER + "\n" + "".join(
         _csv_line(*r._replace(window_k="inf" if r.window_k is None else r.window_k))
-        for r in records)).encode()
+        for r in records)
+
+
+def test_results_csv_lines_of_one_tag_share_its_block(tmp_path):
+    rows = [ResultRecord("t", "CC", 2, 1, 0, "p", str(v), 3, 1, 4, 2,
+                         0.75, 0.6, 0.5, 0.5, 0.25, 0.5, v == 2)
+            for v in range(3)]
+    other = rows[0]._replace(split_index=2)
+    path = tmp_path / "results.csv"
+    write_records(path, [*rows, other, rows[0]])
+    blocks = load_results_csv(path)
+    assert [(b[:5], len(b.scores)) for b in blocks] == [
+        (("t", "CC", 2, 1, 0), 3), (("t", "CC", 2, 2, 0), 1),
+        (("t", "CC", 2, 1, 0), 1)]
+    assert blocks[0].scores["auc_degenerate"].tolist() == [False, False, True]
+    assert not blocks[0].scores.flags.writeable
 
 
 def edited_results(tmp_path, column, text):
@@ -71,7 +99,7 @@ def edited_results(tmp_path, column, text):
     record = ResultRecord("t", "CC", None, 1, 0, "p", "1",
                           3, 1, 4, 2, 0.75, 0.6, 0.5, 0.5, 0.25, 0.5, False)
     path = tmp_path / "results.csv"
-    write_results_csv(path, [record, record])
+    write_records(path, [record, record])
     lines = path.read_text(encoding="utf-8").splitlines()
     fields = lines[2].split(",")
     fields[RESULTS_COLUMNS.index(column)] = text
@@ -116,8 +144,8 @@ def test_results_csv_keeps_the_least_values_the_program_writes(tmp_path):
         ResultRecord("t", "CC", 1, 1, 0, "p", "2",
                      3, 1, 4, 2, 0.75, 0.6, 0.5, 0.5, 0.25, 0.5, False)]
     path = tmp_path / "results.csv"
-    write_results_csv(path, records)
-    assert load_results_csv(path) == records
+    write_records(path, records)
+    assert comparable(load_results_csv(path)) == comparable(blocks_of(records))
 
 
 def quoted_ids_experiment(tmp_path):
@@ -138,7 +166,7 @@ def test_quoted_ids_survive_run_report_and_pairs(tmp_path):
     cfg = quoted_ids_experiment(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg)]) == 0
-    records = load_results_csv(out / "results.csv")
+    records = load_records(out / "results.csv")
     projects = {r.test_project for r in records}
     assert {"ant,core", "beta"} <= projects
     assert {r.test_version for r in records if r.test_project == "beta"} == {
@@ -165,8 +193,8 @@ def test_reports_quote_technique_and_kind(tmp_path):
     names = {"camargocruz09": "a,b", "watanabe08": 'q"t', "CC": 'c,"c'}
     records = [r._replace(technique=names.get(r.technique, r.technique),
                           kind=names.get(r.kind, r.kind))
-               for r in load_results_csv(out / "results.csv")]
-    write_results_csv(out / "results.csv", records)
+               for r in load_records(out / "results.csv")]
+    write_records(out / "results.csv", records)
     assert main(["report", "--config", str(cfg)]) == 0
     for name in REPORTS:
         with open(out / name, encoding="utf-8", newline="") as fh:

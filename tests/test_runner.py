@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 from e2e import make_demo, toy_csv, write_experiment
+from report_oracle import (blocks_of, comparable,
+                           load_results_csv as load_records,
+                           write_results_csv as write_records)
 from timeaware_cpdp import __version__
 from timeaware_cpdp import runner as runner_module
 from timeaware_cpdp import tree as tree_module
@@ -24,7 +27,7 @@ from timeaware_cpdp.pairs import ConfigurationKind, PairSpec
 from timeaware_cpdp.runner import (build_tasks, load_dataset, run_experiment,
                                    validate, write_pairs_csv, write_summary_csv)
 from timeaware_cpdp.stability import (RESULTS_HEADER, _fmt_window,
-                                      load_results_csv, write_results_csv)
+                                      load_results_csv)
 
 REPORT_FILES = ("results.csv", "stability.csv", "ranks.csv",
                 "comparisons.csv", "plotdata.csv", "manifest.json")
@@ -212,7 +215,7 @@ def test_failing_technique_is_skipped_and_counted(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "apply_treatment", flaky)
     cfg, out, summary = run(tmp_path)
-    records = load_results_csv(out / "results.csv")
+    records = load_records(out / "results.csv")
     assert summary.pair_technique_failures == summary.pairs_total
     assert not any(r.technique == "ma12" for r in records)
     assert {r.technique for r in records} == {
@@ -289,7 +292,7 @@ def test_camargocruz09_shares_the_watanabe08_tree(tmp_path, monkeypatch):
     # one tree per training side: watanabe08 leaves the training values
     # as they are, and camargocruz09 maps them through log1p and a shift
     assert len(fits_alone) == len(fits_both) == len(sides)
-    records = load_results_csv(both / "results.csv")
+    records = load_records(both / "results.csv")
     assert {r.technique for r in records} == {"watanabe08", "camargocruz09"}
     assert ((alone / "results.csv").read_text().splitlines()
             == [line for line in (both / "results.csv").read_text().splitlines()
@@ -380,12 +383,12 @@ def test_each_set_runs_once_with_its_sides_tree_memo(demo_tasks, monkeypatch):
     real_run_set = runner_module._run_set
     calls = []  # holding each memo keeps its id from being reused
 
-    def run_set(pair, trees, config, dump_trees):
-        calls.append((runner_module._set_key(pair, config), trees))
-        return real_run_set(pair, trees, config, dump_trees)
+    def run_set(pair, trees, *args):
+        calls.append((runner_module._set_key(pair, cfg), trees))
+        return real_run_set(pair, trees, *args)
 
     monkeypatch.setattr(runner_module, "_run_set", run_set)
-    runner_module._walk(tasks, cfg, False)
+    runner_module._walk(tasks, cfg, False, io.StringIO())
     first_tags = list(dict.fromkeys(runner_module._set_key(pair, cfg)
                                     for pair in tasks))
     assert (len(tasks), len(first_tags)) == (45, 15)
@@ -407,7 +410,7 @@ def test_a_sides_trees_die_after_its_last_tag(demo_tasks, monkeypatch):
     side = None
     finished = []
 
-    def run_set(pair, trees, config, dump_trees):
+    def run_set(pair, *args):
         nonlocal side
         i = next(i for i, task in enumerate(tasks) if task is pair)
         gc.collect()
@@ -419,7 +422,7 @@ def test_a_sides_trees_die_after_its_last_tag(demo_tasks, monkeypatch):
             else:
                 assert all(alive)
         side = sides[i]
-        return real_run_set(pair, trees, config, dump_trees)
+        return real_run_set(pair, *args)
 
     def train_tree(*args, **kwargs):
         tree = real_train_tree(*args, **kwargs)
@@ -428,7 +431,7 @@ def test_a_sides_trees_die_after_its_last_tag(demo_tasks, monkeypatch):
 
     monkeypatch.setattr(runner_module, "_run_set", run_set)
     monkeypatch.setattr(runner_module, "train_tree", train_tree)
-    runner_module._walk(tasks, cfg, False)
+    runner_module._walk(tasks, cfg, False, io.StringIO())
     assert len(fitted) == 7 and finished
     gc.collect()
     assert all(ref() is None for refs in fitted.values() for ref in refs)
@@ -441,16 +444,20 @@ def test_a_tag_the_walk_skips_unbalances_the_accounting(tmp_path,
                         lambda tasks, *args: real_walk(tasks[:-1], *args))
     with pytest.raises(RuntimeError, match="row accounting does not balance"):
         run(tmp_path)
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    # the rows of the tags walked stay unpublished
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_results_roundtrip_through_csv(tmp_path):
     _, out, _ = run(tmp_path, **{"run.baseline_crossval": "3"})
-    records = load_results_csv(out / "results.csv")
+    records = load_records(out / "results.csv")
     rewritten = tmp_path / "rewritten.csv"
-    write_results_csv(rewritten, records)
+    write_records(rewritten, records)
     assert rewritten.read_bytes() == (out / "results.csv").read_bytes()
-    assert load_results_csv(rewritten) == records
+    # one block per tag, each holding the tag's rows in file order
+    blocks = load_results_csv(out / "results.csv")
+    assert comparable(blocks) == comparable(blocks_of(records))
+    assert len(blocks) == len({r[:5] for r in records})
 
 
 def test_load_results_rejects_foreign_header(tmp_path):
@@ -506,6 +513,12 @@ def test_validate_reports_dataset_and_pair_info(tmp_path):
     assert any("4 buckets of 6 months" in m for m in messages)
     assert any(m == "CC: 12 pairs" for m in messages)
     assert any(m == "crossval: 3 pairs" for m in messages)
+    # the toy's projects mostly have one release, so the baseline and
+    # the time-aware pairs score mostly the same releases
+    assert [(d.severity, d.message) for d in diags
+            if d.message.startswith("crossval: scores")] == [
+        ("info", "crossval: scores 6 of 8 releases"),
+        ("info", "crossval: scores 5 of the 6 time-aware test versions")]
     assert ("plan: 36 pairs, 13 distinct (train, test) sets, "
             "9 training sides") in messages
 
@@ -526,6 +539,11 @@ DEMO_DIAGNOSTICS = [
     ("info", "CI: 14 pairs"),
     ("info", "II: 2 pairs"),
     ("info", "crossval: 2 pairs"),
+    # strict CPDP leaves the baseline only the three single-release
+    # projects, none of which is a time-aware test version
+    ("info", "crossval: scores 3 of 24 releases"),
+    ("warning", "crossval: scores 0 of the 17 time-aware test versions; "
+                "comparisons.csv compares different releases"),
     ("info", "plan: 45 pairs, 15 distinct (train, test) sets, "
              "7 training sides"),
 ]

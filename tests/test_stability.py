@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 
 from timeaware_cpdp.errors import BalancingError, ConfigError
-from timeaware_cpdp.stability import (MAGNITUDE_LEVELS, ResultRecord,
-                                      _cell_means, _rank_sds, aggregate,
-                                      cliffs_delta, magnitude_label,
-                                      rank_techniques, rankscores,
-                                      undersample, wilcoxon_rank_sum)
+from timeaware_cpdp.stability import (MAGNITUDE_LEVELS, SCORES, ResultBlock,
+                                      _cell_means, _mean_sd, _rank_sds,
+                                      aggregate, cliffs_delta,
+                                      magnitude_label, rank_techniques,
+                                      rankscores, undersample,
+                                      wilcoxon_rank_sum)
 from timeaware_cpdp.treatments import TreatedPair
 
 
 def make_record(technique, value, kind="CC", window=1, split=1,
-                degenerate=False, project="p", version="v"):
-    return ResultRecord(
-        technique=technique, kind=kind, window_k=window, split_index=split,
-        gap=1, test_project=project, test_version=version,
-        tp=1, fp=1, tn=1, fn=1, precision=value, recall=value, fscore=value,
-        gmeasure=value, mcc=value, auc=value, auc_degenerate=degenerate)
+                degenerate=False):
+    """One results row with every score at value, as the block the reports read."""
+    return ResultBlock(technique, kind, window, split, 1,
+                       np.array([(value,) * 4 + (degenerate,)], dtype=SCORES))
 
 
 def rows_for(rows, technique, metric):
@@ -41,6 +40,12 @@ def test_aggregate_mean_sd_and_stability():
     (fb,) = rows_for(rows, "b", "fscore")
     assert fb.sd == 0.0
     assert fb.stable
+
+
+def test_mean_and_sd_add_left_to_right_on_every_python():
+    # Python 3.12's sum() compensates and gives 1.0 here
+    assert _mean_sd([0.1] * 10) == (0.09999999999999999, 1.4628472785736255e-17)
+    assert _mean_sd([1e16, 1.0, -1e16]) == (0.0, 1e16)
 
 
 def test_aggregate_single_value_groups_report_sd_zero():
