@@ -67,9 +67,14 @@ def parse_args(argv=None):
 def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SystemExit(f"{path}: empty file")
-        return list(reader.fieldnames), list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise SystemExit(f"{path}: empty file")
+            return list(reader.fieldnames), list(reader)
+        except csv.Error as exc:
+            # a DictReader's own line_num lags behind the line that failed
+            raise SystemExit(
+                f"{path} line {reader.reader.line_num}: {exc}") from None
 
 
 def write_rows(path: Path, fields: list[str], rows: list[dict[str, str]]) -> None:

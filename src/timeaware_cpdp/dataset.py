@@ -16,7 +16,7 @@ import io
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -122,6 +122,14 @@ def _month_index(d: date, anchor: date) -> int:
     return (d.year - anchor.year) * 12 + (d.month - anchor.month)
 
 
+def _rows(reader) -> Iterator[list[str]]:
+    """reader's rows; a csv.Error becomes a ParseError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def parse_dataset(source: str | IO[str] | Iterable[str],
                   schema: DatasetSchema | None = None) -> list[Release]:
     """Parse CSV text into releases.
@@ -134,16 +142,17 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     records keep their source order within a release.
 
     Raises ParseError (with a line number) for malformed content, such
-    as a number that is not ASCII or has a "_", a header that names a
-    column twice, two identity roles of the schema naming one column, or
-    a feature_cols entry that is repeated or is an identity column;
+    as a field longer than the csv module's limit, a number that is not
+    ASCII or has a "_", a header that names a column twice, two identity
+    roles of the schema naming one column, or a feature_cols entry that
+    is repeated or is an identity column;
     ConflictError, a ParseError, for contradictory release dates; and
     EmptyDatasetError when there are no data rows.
     """
     schema = schema or DatasetSchema()
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = _rows(csv.reader(source))
 
     try:
         header = next(reader)

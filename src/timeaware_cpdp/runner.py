@@ -18,8 +18,8 @@ after its last tag.
 
 A set keeps, per technique, its results.csv lines after the tag
 (stability.result_lines) and a block of stability.SCORES rows for the
-reports, not its VersionScores; the blocks of all sets are slices of
-one array (_ScoreStore). Each tag writes its rows as soon as the walk
+reports, not its VersionScores; a set's blocks are slices of one array
+made before its fits. Each tag writes its rows as soon as the walk
 reaches it (write_results_csv) and adds a ResultBlock that shares its
 set's block, so the run holds no per-row objects. The rows go to
 results.csv.partial, which becomes results.csv only when the row
@@ -56,7 +56,7 @@ from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
 from .errors import (BalancingError, ConfigError, DatasetError,
                      DegenerateTreatmentError, UnusableDataError)
-from .metrics import VersionScore, evaluate_pair
+from .metrics import evaluate_pair
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs)
 from .stability import (RESULTS_HEADER, SCORES, ResultBlock, _csv_line,
@@ -145,29 +145,6 @@ def _set_key(pair: TrainTestPair,
     return train, tuple(r.key for r in pair.test)
 
 
-class _ScoreStore:
-    """One SCORES array for the rows of every set, handed out in walk order.
-
-    The blocks live until the reports. Taken from one array made before
-    the walk, they stay out of the heap that the fits' scratch arrays
-    come and go in. With a small array per block instead, the history
-    workload's peak memory rose by up to 0.25 MB.
-    """
-
-    def __init__(self, rows: int) -> None:
-        self.rows = np.empty(rows, dtype=SCORES)
-        self.used = 0
-
-    def block(self, version_scores: Sequence[VersionScore]) -> np.ndarray:
-        """The next rows, set to the SCORES of version_scores; read-only."""
-        start = self.used
-        self.used += len(version_scores)
-        block = self.rows[start:self.used]
-        block[:] = [score_fields(vs) for vs in version_scores]
-        block.flags.writeable = False
-        return block
-
-
 @dataclass(frozen=True)
 class _Fit:
     """One technique on one distinct (train, test) set, as each of its tags takes it."""
@@ -183,16 +160,21 @@ _SetResult = list[_Fit | BalancingError | DegenerateTreatmentError
 
 
 def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
-             store: _ScoreStore, config: ExperimentConfig,
-             dump_trees: bool) -> _SetResult:
+             config: ExperimentConfig, dump_trees: bool) -> _SetResult:
     """Results of one distinct (train, test) set, per technique.
 
     A set that cannot be balanced gives its BalancingError to every
     technique. trees holds the trees of the set's training side by
     training order key (TreeParams is the same for the whole run); a
-    fit adds to it. A fit's scores take the next rows of store. Errors are kept without their tracebacks, which
-    would hold the frames' arrays until the side's last tag.
+    fit adds to it. Technique i's scores are rows [i*v, (i+1)*v) of one
+    SCORES array for the set's v test versions, made before the first
+    fit so that it stays out of the heap the fits' scratch comes and
+    goes in; a skipped technique leaves its rows unused. Errors are
+    kept without their tracebacks, which would hold the frames' arrays
+    until the side's last tag.
     """
+    versions = len(pair.test)
+    scores = np.empty(versions * len(config.techniques), dtype=SCORES)
     base = assemble_pair(pair)
     if config.balance:
         try:
@@ -200,7 +182,7 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
         except BalancingError as exc:
             return [exc.with_traceback(None)] * len(config.techniques)
     fits: _SetResult = []
-    for technique in config.techniques:
+    for i, technique in enumerate(config.techniques):
         try:
             treated = apply_treatment(technique, base, config)
             order, key = training_order(treated)
@@ -214,8 +196,10 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
         except (DegenerateTreatmentError, UnusableDataError) as exc:
             fits.append(exc.with_traceback(None))
             continue
-        fits.append(_Fit(result_lines(version_scores),
-                         store.block(version_scores),
+        block = scores[i * versions:(i + 1) * versions]
+        block[:] = [score_fields(vs) for vs in version_scores]
+        block.flags.writeable = False
+        fits.append(_Fit(result_lines(version_scores), block,
                          dump_tree(tree) if dump_trees else None))
     return fits
 
@@ -242,15 +226,13 @@ def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
     """
     keys = [_set_key(pair, config) for pair in tasks]
     last_tag = {train: i for i, (train, _) in enumerate(keys)}
-    store = _ScoreStore(sum(len(test) for _, test in dict.fromkeys(keys))
-                        * len(config.techniques))
     sides: dict[tuple, tuple[dict[bytes, DecisionTree],
                              dict[tuple, _SetResult]]] = {}
     tally = _Tally()
     for i, (pair, (train, test)) in enumerate(zip(tasks, keys)):
         trees, sets = sides.setdefault(train, ({}, {}))
         if test not in sets:
-            sets[test] = _run_set(pair, trees, store, config, dump_trees)
+            sets[test] = _run_set(pair, trees, config, dump_trees)
         if last_tag[train] == i:
             del sides[train]
         spec = pair.spec

@@ -189,6 +189,19 @@ def write_results_csv(fh: IO[str], tag: tuple, lines: Iterable[str]) -> None:
 _report_fields = operator.itemgetter(*map(RESULTS_COLUMNS.index, SCORES.names))
 
 
+def _parse_row(row: list[str]) -> tuple[tuple, tuple]:
+    """(tag, SCORES fields) of one results.csv row; a ValueError names the column."""
+    if len(row) != len(_PARSERS):
+        raise ValueError(f"expected {len(_PARSERS)} fields")
+    fields = []
+    for column, parse, text in zip(RESULTS_COLUMNS, _PARSERS, row):
+        try:
+            fields.append(parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (column {column})") from None
+    return tuple(fields[:len(TAG_COLUMNS)]), _report_fields(fields)
+
+
 def load_results_csv(path: Path) -> list[ResultBlock]:
     """The blocks of a results.csv, one per run of rows under one tag.
 
@@ -196,34 +209,22 @@ def load_results_csv(path: Path) -> list[ResultBlock]:
     SCORES: a field that does not parse, a window below 1, a negative
     split, gap or confusion count, or a non-finite score raises
     DatasetError naming its line and column. A leading UTF-8 byte-order
-    mark is skipped.
+    mark is skipped. A block is made as soon as its run of rows ends,
+    so no object per row outlives its block.
     """
+    blocks = []
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(RESULTS_COLUMNS):
                 raise DatasetError(f"{path}: unexpected results header")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(_PARSERS):
-                    raise ValueError(f"expected {len(_PARSERS)} fields")
-                fields = []
-                for column, parse, text in zip(RESULTS_COLUMNS, _PARSERS, row):
-                    try:
-                        fields.append(parse(text))
-                    except ValueError as exc:
-                        raise ValueError(f"{exc} (column {column})") from None
-                rows.append((tuple(fields[:len(TAG_COLUMNS)]),
-                             _report_fields(fields)))
+            rows = map(_parse_row, filter(None, reader))
+            for tag, run in groupby(rows, key=operator.itemgetter(0)):
+                scores = np.array([scores for _, scores in run], dtype=SCORES)
+                scores.flags.writeable = False
+                blocks.append(ResultBlock(*tag, scores))
         except (ValueError, csv.Error) as exc:
             raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
-    blocks = []
-    for tag, run in groupby(rows, key=operator.itemgetter(0)):
-        scores = np.array([scores for _, scores in run], dtype=SCORES)
-        scores.flags.writeable = False
-        blocks.append(ResultBlock(*tag, scores))
     return blocks
 
 

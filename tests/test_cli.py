@@ -168,6 +168,19 @@ def test_run_stdout_ends_with_the_combination_failures(tmp_path, capsys,
         f"from {failures} pairs to {out_dir} "
         f"({failures} combination failures)\n")
 
+    # a skipped technique leaves its rows of each set's score array unused:
+    # the techniques after it still report their own rows, as report reads
+    # them back from results.csv
+    reports = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
+    before = {name: (out_dir / name).read_bytes() for name in reports}
+    assert b"ma12" not in before["ranks.csv"]
+    assert b"nam15" in before["ranks.csv"]
+    for name in reports:
+        (out_dir / name).unlink()
+    assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert {name: (out_dir / name).read_bytes() for name in reports} == before
+
+
 def test_run_uses_config_output_dir_by_default(tmp_path):
     cfg = write_experiment(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
@@ -313,6 +326,23 @@ def test_non_ascii_digit_in_dataset_exits_one(tmp_path, caplog, capsys, command)
     assert main([command, "--config", str(cfg)]) == 1
     text = caplog.text + capsys.readouterr().out
     assert "line 4: column 'defects': not an integer: '\u0663'" in text
+    assert "internal error" not in text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cell_over_the_csv_field_limit_exits_one(tmp_path, caplog, capsys,
+                                                command):
+    cfg = write_experiment(tmp_path)
+    lines = toy_csv().splitlines(keepends=True)
+    # line 3's class name is longer than the csv module's 131072 characters
+    fields = lines[2].split(",")
+    fields[3] = "C" * 140000
+    lines[2] = ",".join(fields)
+    (tmp_path / "releases.csv").write_text("".join(lines), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 1
+    text = caplog.text + capsys.readouterr().out
+    assert "line 3: field larger than field limit (131072)" in text
     assert "internal error" not in text
     assert not (tmp_path / "out").exists()
 

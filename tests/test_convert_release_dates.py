@@ -110,3 +110,24 @@ def test_conflicting_dates_exit_one(tmp_path):
     assert done.returncode == 1
     assert "conflicting dates for ant/1.5" in done.stderr
     assert not (tmp_path / "fixed.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["normalize", "merge"])
+def test_cell_over_the_csv_field_limit_exits_one(tmp_path, mode):
+    """A cell longer than the csv module's limit is a one-line error."""
+    long_class = "ant,1.6," + "C" * 140000 + ",0,15\n"
+    if mode == "normalize":
+        write(tmp_path, "dates.csv", DATES + "ant,1.7," + "D" * 140000 + "\n")
+        args = ("--dates", "dates.csv", "--out", "fixed.csv")
+        path = "dates.csv"
+    else:
+        write(tmp_path, "dates.csv", DATES)
+        write(tmp_path, "classes.csv", METRICS + long_class)
+        args = ("--dates", "dates.csv", "--metrics", "classes.csv",
+                "--out", "fixed.csv")
+        path = "classes.csv"
+    done = convert(tmp_path, *args)
+    assert done.returncode == 1
+    assert done.stderr == (f"{path} line 4: field larger than field limit "
+                           "(131072)\n")
+    assert not (tmp_path / "fixed.csv").exists()

@@ -22,7 +22,7 @@ from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.errors import (ConfigError, DatasetError,
-                                   DegenerateTreatmentError)
+                                   DegenerateTreatmentError, UnusableDataError)
 from timeaware_cpdp.pairs import ConfigurationKind, PairSpec
 from timeaware_cpdp.runner import (build_tasks, load_dataset, run_experiment,
                                    validate, write_pairs_csv, write_summary_csv)
@@ -435,6 +435,43 @@ def test_a_sides_trees_die_after_its_last_tag(demo_tasks, monkeypatch):
     assert len(fitted) == 7 and finished
     gc.collect()
     assert all(ref() is None for refs in fitted.values() for ref in refs)
+
+
+def test_a_sets_scores_are_read_only_slices_of_one_array(demo_tasks,
+                                                         monkeypatch):
+    """Technique i of a set with v test versions scores rows [i*v, (i+1)*v)."""
+    cfg, tasks = demo_tasks
+    real_run_set = runner_module._run_set
+    real_treatment = runner_module.apply_treatment
+    sets = []
+
+    def apply_treatment(name, tp, config):
+        if name == "ma12":
+            raise UnusableDataError("forced")
+        return real_treatment(name, tp, config)
+
+    def run_set(pair, *args):
+        sets.append((len(pair.test), real_run_set(pair, *args)))
+        return sets[-1][1]
+
+    monkeypatch.setattr(runner_module, "apply_treatment", apply_treatment)
+    monkeypatch.setattr(runner_module, "_run_set", run_set)
+    runner_module._walk(tasks, cfg, False, io.StringIO())
+    techniques = cfg.techniques
+    skipped = techniques.index("ma12")
+    assert len(sets) == 15 and 0 < skipped < len(techniques) - 1
+    for versions, fits in sets:
+        assert isinstance(fits[skipped], UnusableDataError)
+        base = fits[0].scores.base
+        assert base.shape == (versions * len(techniques),)
+        for i, fit in enumerate(fits):
+            if i == skipped:
+                continue
+            assert fit.scores.base is base
+            assert not fit.scores.flags.writeable
+            assert len(fit.scores) == versions
+            assert (fit.scores.ctypes.data - base.ctypes.data
+                    == i * versions * base.itemsize)
 
 
 def test_a_tag_the_walk_skips_unbalances_the_accounting(tmp_path,
