@@ -64,13 +64,19 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]], list[int]]:
+    """path's field names, its rows, and the line each row ends on."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None:
                 raise SystemExit(f"{path}: empty file")
-            return list(reader.fieldnames), list(reader)
+            rows, lines = [], []
+            for row in reader:
+                # physical lines: a quoted cell can hold a line break
+                rows.append(row)
+                lines.append(reader.reader.line_num)
+            return list(reader.fieldnames), rows, lines
         except csv.Error as exc:
             # a DictReader's own line_num lags behind the line that failed
             raise SystemExit(
@@ -87,21 +93,21 @@ def write_rows(path: Path, fields: list[str], rows: list[dict[str, str]]) -> Non
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    date_fields, date_rows = read_rows(args.dates)
+    date_fields, date_rows, date_lines = read_rows(args.dates)
     for col in (args.project_col, args.version_col, args.date_col):
         if col not in date_fields:
             raise SystemExit(f"{args.dates}: missing column {col!r}")
 
     dates: dict[tuple[str, str], str] = {}
-    for i, row in enumerate(date_rows, start=2):
+    for line, row in zip(date_lines, date_rows):
         key = (row[args.project_col].strip(), row[args.version_col].strip())
         try:
             row[args.date_col] = iso = convert_date_token(row[args.date_col])
         except ValueError as exc:
-            raise SystemExit(f"{args.dates} line {i}: {exc}")
+            raise SystemExit(f"{args.dates} line {line}: {exc}")
         previous = dates.setdefault(key, iso)
         if previous != iso:
-            raise SystemExit(f"{args.dates} line {i}: conflicting dates "
+            raise SystemExit(f"{args.dates} line {line}: conflicting dates "
                              f"for {'/'.join(key)}: {previous} vs {iso}")
 
     if args.metrics is None:
@@ -109,7 +115,7 @@ def main(argv=None) -> int:
         print(f"wrote {args.out} ({len(date_rows)} rows, dates normalized)")
         return 0
 
-    metric_fields, metric_rows = read_rows(args.metrics)
+    metric_fields, metric_rows, _ = read_rows(args.metrics)
     for col in (args.project_col, args.version_col):
         if col not in metric_fields:
             raise SystemExit(f"{args.metrics}: missing column {col!r}")

@@ -152,7 +152,8 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     schema = schema or DatasetSchema()
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = _rows(csv.reader(source))
+    csv_reader = csv.reader(source)
+    reader = _rows(csv_reader)
 
     try:
         header = next(reader)
@@ -191,17 +192,16 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
         raise ParseError("no feature columns", line=1)
     feature_pos = [positions[c] for c in feature_cols]
 
-    # per release, its rows' feature values and defect flags
-    groups: dict[tuple[str, str], tuple[list, list]] = {}
-    dates: dict[tuple[str, str], date] = {}
-    row_count = 0
-    for line_no, row in enumerate(reader, start=2):
+    # per release, its date and its rows' feature values and defect flags
+    groups: dict[tuple[str, str], tuple[date, list, list]] = {}
+    for row in reader:
         if not row:
             continue
+        # the physical line the row ends on: a quoted cell can hold a newline
+        line_no = csv_reader.line_num
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, found {len(row)}", line=line_no)
-        row_count += 1
         project = row[positions[schema.project_col]].strip()
         version = row[positions[schema.version_col]].strip()
         raw_date = row[positions[schema.date_col]].strip()
@@ -244,29 +244,28 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
                     f"column {col!r}: non-finite value", line=line_no)
             features.append(value)
 
-        key = (project, version)
-        if key in dates and dates[key] != released:
+        first, rows, labels = groups.setdefault((project, version),
+                                                (released, [], []))
+        if first != released:
             raise ConflictError(
                 f"release {project}/{version} has conflicting dates "
-                f"{dates[key]} and {released}", line=line_no)
-        dates.setdefault(key, released)
-        rows, labels = groups.setdefault(key, ([], []))
+                f"{first} and {released}", line=line_no)
         rows.append(features)
         labels.append(defect_count > 0)
 
-    if row_count == 0:
+    if not groups:
         raise EmptyDatasetError("dataset has a header but no data rows")
 
     dtype = np.dtype((np.record, [
         ("features", np.float64, (len(feature_cols),)), ("defective", bool)]))
     releases = []
-    for (project, version), (rows, labels) in groups.items():
+    for (project, version), (released, rows, labels) in groups.items():
         records = np.empty(len(rows), dtype)
         records["features"] = rows
         records["defective"] = labels
         records.flags.writeable = False
         releases.append(Release(project_id=project, version_id=version,
-                                release_date=dates[project, version],
+                                release_date=released,
                                 records=records))
     releases.sort(key=release_order)
     return releases

@@ -21,10 +21,10 @@ A set keeps, per technique, its results.csv lines after the tag
 reports, not its VersionScores; a set's blocks are slices of one array
 made before its fits. Each tag writes its rows as soon as the walk
 reaches it (write_results_csv) and adds a ResultBlock that shares its
-set's block, so the run holds no per-row objects. The rows go to
-results.csv.partial, which becomes results.csv only when the row
-accounting balances; a run that fails leaves neither file, and an
-earlier results.csv keeps its bytes.
+set's block, so the run holds no per-row objects. The tags' rows and
+tree dumps, then the manifest and reports, go to a staging directory
+in the output directory and move into it, results.csv last, once the
+row accounting balances and every file is written.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or an
@@ -42,7 +42,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
+import tempfile
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
@@ -206,23 +209,22 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
 
 @dataclass
 class _Tally:
-    """What the walk hands to the manifest, trees.txt and the reports."""
+    """What the walk hands to the manifest and the reports."""
 
     blocks: list[ResultBlock] = field(default_factory=list)
-    dumps: list[tuple[str, str]] = field(default_factory=list)
     rows: int = 0
     failures: int = 0
     failure_rows: int = 0
 
 
 def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
-          dump_trees: bool, results: IO[str]) -> _Tally:
+          results: IO[str], dumps: IO[str] | None) -> _Tally:
     """Give every (pair, technique) tag, in enumeration order, its set's results.
 
     A training side's entry holds its trees and its set results. A set
     is computed at its first tag; the whole entry is dropped after the
-    side's last tag. Each tag's rows are written to results as the walk
-    reaches it.
+    side's last tag. Each tag's rows go to results, and its titled tree
+    dump to dumps if given, as the walk reaches it.
     """
     keys = [_set_key(pair, config) for pair in tasks]
     last_tag = {train: i for i, (train, _) in enumerate(keys)}
@@ -232,7 +234,7 @@ def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
     for i, (pair, (train, test)) in enumerate(zip(tasks, keys)):
         trees, sets = sides.setdefault(train, ({}, {}))
         if test not in sets:
-            sets[test] = _run_set(pair, trees, config, dump_trees)
+            sets[test] = _run_set(pair, trees, config, dumps is not None)
         if last_tag[train] == i:
             del sides[train]
         spec = pair.spec
@@ -245,12 +247,11 @@ def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
                 tally.failures += 1
                 tally.failure_rows += test_versions
                 continue
-            if dump_trees:
-                tally.dumps.append((
-                    f"technique={technique} kind={spec.kind.value} "
-                    f"window={_fmt_window(spec.window_k)} "
-                    f"split={spec.split_index} gap={spec.gap_buckets}",
-                    fit.tree_dump))
+            if dumps is not None:
+                dumps.write(f"# technique={technique} kind={spec.kind.value} "
+                            f"window={_fmt_window(spec.window_k)} "
+                            f"split={spec.split_index} gap={spec.gap_buckets}"
+                            f"\n{fit.tree_dump}")
             tag = (technique, spec.kind.value, spec.window_k,
                    spec.split_index, spec.gap_buckets)
             write_results_csv(results, tag, fit.lines)
@@ -263,9 +264,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
                    threads: int = 1, dump_trees: bool = False) -> RunSummary:
     """Run the full experiment and write results, manifest, and reports.
 
-    All work runs in the calling thread. threads is checked (it must
-    be >= 1) but not used; the keyword goes once the benchmark stops
-    passing it (ROADMAP item 1).
+    Files move into out once all are written, results.csv last: a run
+    that fails earlier leaves out as it was, and a failed move (onto a
+    directory, say) leaves the files moved before it new. All work runs
+    in the calling thread; threads must be >= 1 but is unused (ROADMAP
+    item 1 drops it once the benchmark stops passing it).
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -275,42 +278,39 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
     # after the input checks, so bad input writes nothing
     out.mkdir(parents=True, exist_ok=True)
     expected_rows = sum(len(pair.test) for pair in tasks) * len(config.techniques)
-    partial = out / "results.csv.partial"
+    stage = Path(tempfile.mkdtemp(prefix=".run-", dir=out))
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
+        with open(stage / "results.csv", "w", encoding="utf-8", newline="") \
+                as fh, (open(stage / "trees.txt", "w", encoding="utf-8")
+                        if dump_trees else nullcontext()) as dumps:
             fh.write(RESULTS_HEADER + "\n")
-            tally = _walk(tasks, config, dump_trees, fh)
+            tally = _walk(tasks, config, fh, dumps)
         if expected_rows - tally.failure_rows != tally.rows:
             raise RuntimeError("row accounting does not balance")
-        os.replace(partial, out / "results.csv")
+        manifest = {
+            "tool_version": __version__,
+            "config_sha256": config_hash(config),
+            "seed": config.seed,
+            "bucket_count": ts.bucket_count,
+            "granularity_months": ts.granularity_months,
+            "releases": len(releases),
+            "pair_counts": _pair_counts(tasks),
+            "row_accounting": {
+                "expected_rows": expected_rows,
+                "rows_from_failed_combinations": tally.failure_rows,
+                "written_rows": tally.rows,
+            },
+            "pair_technique_failures": tally.failures,
+        }
+        with open(stage / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        write_reports(tally.blocks, stage, config.stability_threshold)
+        for path in sorted(stage.iterdir(),
+                           key=lambda p: (p.name == "results.csv", p)):
+            os.replace(path, out / path.name)
     finally:
-        partial.unlink(missing_ok=True)
-
-    if dump_trees:
-        with open(out / "trees.txt", "w", encoding="utf-8") as fh:
-            for title, text in tally.dumps:
-                fh.write(f"# {title}\n{text}")
-
-    manifest = {
-        "tool_version": __version__,
-        "config_sha256": config_hash(config),
-        "seed": config.seed,
-        "bucket_count": ts.bucket_count,
-        "granularity_months": ts.granularity_months,
-        "releases": len(releases),
-        "pair_counts": _pair_counts(tasks),
-        "row_accounting": {
-            "expected_rows": expected_rows,
-            "rows_from_failed_combinations": tally.failure_rows,
-            "written_rows": tally.rows,
-        },
-        "pair_technique_failures": tally.failures,
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    write_reports(tally.blocks, out, config.stability_threshold)
+        shutil.rmtree(stage)
     return RunSummary(out_dir=out, rows_written=tally.rows,
                       pairs_total=len(tasks),
                       pair_technique_failures=tally.failures)

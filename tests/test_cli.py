@@ -427,14 +427,37 @@ def test_a_run_that_fails_mid_walk_publishes_no_results(tmp_path, monkeypatch,
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def failing_in_the_reports(monkeypatch):
+    """Make write_reports raise a plain ValueError after its first file."""
+    from timeaware_cpdp import stability
+    real_write_csv = stability._write_csv
+
+    def write_csv(*args):
+        real_write_csv(*args)
+        raise ValueError("forced after the first report")
+
+    monkeypatch.setattr(stability, "_write_csv", write_csv)
+
+
+@pytest.mark.parametrize("failing", [failing_after_the_first_set,
+                                     failing_in_the_reports],
+                         ids=["walk", "reports"])
 def test_a_run_that_fails_mid_walk_keeps_an_earlier_results_csv(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, failing):
+    """A run that fails before its files move leaves every earlier file."""
     cfg = write_experiment(tmp_path)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--dump-trees"]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    failing_after_the_first_set(monkeypatch)
-    assert main(["run", "--config", str(cfg)]) == 2
+    assert sorted(before) == ["comparisons.csv", "manifest.json",
+                              "plotdata.csv", "ranks.csv", "results.csv",
+                              "stability.csv", "trees.txt"]
+    failing(monkeypatch)
+    # another seed, so the failed run's manifest differs from the first's
+    write_experiment(tmp_path, seed=99)
+    assert main(["run", "--config", str(cfg), "--dump-trees"]) == 2
+    # no staging directory left behind either
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 

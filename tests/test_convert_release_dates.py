@@ -112,6 +112,16 @@ def test_conflicting_dates_exit_one(tmp_path):
     assert not (tmp_path / "fixed.csv").exists()
 
 
+def test_date_errors_name_physical_lines(tmp_path):
+    """A quoted cell with a line break moves the later rows' lines."""
+    write(tmp_path, "dates.csv", 'project,version,release_date\n'
+          '"ant\nx",1.5,2002-Jul-15\nant,1.6,2003-13-01\n')
+    done = convert(tmp_path, "--dates", "dates.csv", "--out", "fixed.csv")
+    assert done.returncode == 1
+    assert done.stderr == "dates.csv line 4: month must be in 1..12\n"
+    assert not (tmp_path / "fixed.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["normalize", "merge"])
 def test_cell_over_the_csv_field_limit_exits_one(tmp_path, mode):
     """A cell longer than the csv module's limit is a one-line error."""

@@ -68,6 +68,12 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="missing columns"):
         parse_dataset("project,version\n")
 
+    # a quoted cell with a line break: errors name physical lines
+    with pytest.raises(ParseError) as err:
+        parse_dataset(CSV_HEADER + 'a,1,2001-01-01,"A\nB",0,7,8\n'
+                      "a,1,2001-01-01,C,x,7,8\n")
+    assert str(err.value) == "line 4: column 'defects': not an integer: 'x'"
+
 
 # int and float alone take each of these: "\u0663" is an Arabic-Indic
 # three, "\uff11" a fullwidth one, and "_" groups digits

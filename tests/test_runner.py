@@ -388,7 +388,7 @@ def test_each_set_runs_once_with_its_sides_tree_memo(demo_tasks, monkeypatch):
         return real_run_set(pair, trees, *args)
 
     monkeypatch.setattr(runner_module, "_run_set", run_set)
-    runner_module._walk(tasks, cfg, False, io.StringIO())
+    runner_module._walk(tasks, cfg, io.StringIO(), None)
     first_tags = list(dict.fromkeys(runner_module._set_key(pair, cfg)
                                     for pair in tasks))
     assert (len(tasks), len(first_tags)) == (45, 15)
@@ -431,7 +431,7 @@ def test_a_sides_trees_die_after_its_last_tag(demo_tasks, monkeypatch):
 
     monkeypatch.setattr(runner_module, "_run_set", run_set)
     monkeypatch.setattr(runner_module, "train_tree", train_tree)
-    runner_module._walk(tasks, cfg, False, io.StringIO())
+    runner_module._walk(tasks, cfg, io.StringIO(), None)
     assert len(fitted) == 7 and finished
     gc.collect()
     assert all(ref() is None for refs in fitted.values() for ref in refs)
@@ -456,7 +456,7 @@ def test_a_sets_scores_are_read_only_slices_of_one_array(demo_tasks,
 
     monkeypatch.setattr(runner_module, "apply_treatment", apply_treatment)
     monkeypatch.setattr(runner_module, "_run_set", run_set)
-    runner_module._walk(tasks, cfg, False, io.StringIO())
+    runner_module._walk(tasks, cfg, io.StringIO(), None)
     techniques = cfg.techniques
     skipped = techniques.index("ma12")
     assert len(sets) == 15 and 0 < skipped < len(techniques) - 1
