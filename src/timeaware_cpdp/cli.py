@@ -22,8 +22,8 @@ from typing import IO, Callable
 
 from .config import ExperimentConfig
 from .errors import ConfigError, DatasetError
-from .runner import (build_tasks, load_dataset, run_experiment, validate,
-                     write_pairs_csv, write_summary_csv)
+from .runner import (build_tasks, load_dataset, publish, run_experiment,
+                     validate, write_pairs_csv, write_summary_csv)
 from .stability import load_results_csv, write_reports
 
 logger = logging.getLogger(__name__)
@@ -56,10 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args, config: ExperimentConfig) -> Path:
-    return args.out if args.out is not None else config.output_dir
-
-
 def cmd_validate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     diagnostics = validate(config)
@@ -69,15 +65,14 @@ def cmd_validate(args) -> int:
 
 
 def _emit(out: Path | None, name: str, write: Callable[[IO[str]], None]) -> None:
-    """Write to stdout, or to out/name when --out is given."""
+    """Write to stdout, or publish out/name when --out is given."""
     if out is None:
         write(sys.stdout)
         return
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with publish(out) as stage, \
+            open(stage / name, "w", encoding="utf-8", newline="") as fh:
         write(fh)
-    print(f"wrote {path}")
+    print(f"wrote {out / name}")
 
 
 def cmd_summary(args) -> int:
@@ -97,7 +92,7 @@ def cmd_pairs(args) -> int:
 
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    summary = run_experiment(config, out_dir=_out_dir(args, config),
+    summary = run_experiment(config, out_dir=args.out,
                              dump_trees=args.dump_trees)
     print(f"wrote {summary.rows_written} result rows from "
           f"{summary.pairs_total} pairs to {summary.out_dir} "
@@ -107,9 +102,11 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    out = _out_dir(args, config)
+    out = args.out or config.output_dir
     results = out / "results.csv"
-    write_reports(load_results_csv(results), out, config.stability_threshold)
+    blocks = load_results_csv(results)
+    with publish(out) as stage:
+        write_reports(blocks, stage, config.stability_threshold)
     print(f"rebuilt reports in {out} from {results}")
     return 0
 

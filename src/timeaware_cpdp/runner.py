@@ -22,9 +22,9 @@ reports, not its VersionScores; a set's blocks are slices of one array
 made before its fits. Each tag writes its rows as soon as the walk
 reaches it (write_results_csv) and adds a ResultBlock that shares its
 set's block, so the run holds no per-row objects. The tags' rows and
-tree dumps, then the manifest and reports, go to a staging directory
-in the output directory and move into it, results.csv last, once the
-row accounting balances and every file is written.
+tree dumps, then the manifest and reports, go to publish's staging
+directory and move into the output directory, results.csv last, once
+the row accounting balances and every file is written.
 
 A (pair, technique) combination is logged and skipped for a documented
 data condition (DegenerateTreatmentError, BalancingError, or an
@@ -45,10 +45,10 @@ import os
 import shutil
 import tempfile
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -260,26 +260,45 @@ def _walk(tasks: Sequence[TrainTestPair], config: ExperimentConfig,
     return tally
 
 
+@contextmanager
+def publish(out: Path) -> Iterator[Path]:
+    """Make out and yield a staging directory in it; its files then move into out.
+
+    On a clean exit, a target that is a directory (not a symlink to one,
+    which os.replace replaces) raises OSError before any file moves;
+    results.csv moves last. The staging directory is removed either way.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".run-", dir=out))
+    try:
+        yield stage
+        names = sorted(os.listdir(stage), key=lambda n: (n == "results.csv", n))
+        for target in (out / name for name in names):
+            if target.is_dir() and not target.is_symlink():
+                raise OSError(f"{target} is a directory")
+        for name in names:
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
                    threads: int = 1, dump_trees: bool = False) -> RunSummary:
     """Run the full experiment and write results, manifest, and reports.
 
-    Files move into out once all are written, results.csv last: a run
-    that fails earlier leaves out as it was, and a failed move (onto a
-    directory, say) leaves the files moved before it new. All work runs
-    in the calling thread; threads must be >= 1 but is unused (ROADMAP
-    item 1 drops it once the benchmark stops passing it).
+    The files move into out (publish) once all are written and the row
+    accounting balances: a run that fails leaves out as it was. All work
+    runs in the calling thread; threads must be >= 1 but is unused
+    (ROADMAP item 1 drops it once the benchmark stops passing it).
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir) if out_dir is not None else config.output_dir
     releases, ts = load_dataset(config)
     tasks = build_tasks(config, ts, releases)
-    # after the input checks, so bad input writes nothing
-    out.mkdir(parents=True, exist_ok=True)
     expected_rows = sum(len(pair.test) for pair in tasks) * len(config.techniques)
-    stage = Path(tempfile.mkdtemp(prefix=".run-", dir=out))
-    try:
+    # after the input checks, so bad input writes nothing
+    with publish(out) as stage:
         with open(stage / "results.csv", "w", encoding="utf-8", newline="") \
                 as fh, (open(stage / "trees.txt", "w", encoding="utf-8")
                         if dump_trees else nullcontext()) as dumps:
@@ -306,11 +325,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None,
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         write_reports(tally.blocks, stage, config.stability_threshold)
-        for path in sorted(stage.iterdir(),
-                           key=lambda p: (p.name == "results.csv", p)):
-            os.replace(path, out / path.name)
-    finally:
-        shutil.rmtree(stage)
     return RunSummary(out_dir=out, rows_written=tally.rows,
                       pairs_total=len(tasks),
                       pair_technique_failures=tally.failures)

@@ -129,9 +129,10 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
     groups: dict[tuple[str, str], list[MetricRecord]] = {}
     dates: dict[tuple[str, str], date] = {}
     row_count = 0
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        line_no = reader.line_num
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, found {len(row)}", line=line_no)

@@ -94,6 +94,7 @@ def test_summary_to_stdout_and_file(tmp_path, capsys):
 
     out_dir = tmp_path / "s"
     assert main(["summary", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert os.listdir(out_dir) == ["summary.csv"]
     text = (out_dir / "summary.csv").read_text(encoding="utf-8")
     assert text.splitlines()[0] == out.splitlines()[0]
 
@@ -106,18 +107,30 @@ def test_pairs_to_stdout_and_file(tmp_path, capsys):
 
     out_dir = tmp_path / "p"
     assert main(["pairs", "--config", str(cfg), "--out", str(out_dir)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == f"wrote {out_dir / 'pairs.csv'}\n"
+    assert os.listdir(out_dir) == ["pairs.csv"]
     assert (out_dir / "pairs.csv").read_text(encoding="utf-8") == out
 
 
-def test_run_and_report_cycle(tmp_path, capsys):
+def entries(out: Path) -> dict[str, bytes | None]:
+    """Every entry of out: a file's bytes, or None for a directory."""
+    return {path.name: None if path.is_dir() else path.read_bytes()
+            for path in out.iterdir()}
+
+
+def make_a_directory_of(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def test_run_and_report_cycle(tmp_path, capsys, caplog):
     cfg = write_experiment(tmp_path, **{"run.baseline_crossval": "3"})
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert "wrote" in capsys.readouterr().out
-    for name in ("results.csv", "manifest.json", "stability.csv", "ranks.csv",
-                 "comparisons.csv", "plotdata.csv"):
-        assert (out_dir / name).exists(), name
+    names = sorted(("results.csv", "manifest.json", "stability.csv",
+                    "ranks.csv", "comparisons.csv", "plotdata.csv"))
+    assert sorted(os.listdir(out_dir)) == names
 
     # reports can be rebuilt byte for byte from results.csv alone
     reports = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
@@ -126,6 +139,21 @@ def test_run_and_report_cycle(tmp_path, capsys):
         (out_dir / name).unlink()
     assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert {name: (out_dir / name).read_bytes() for name in reports} == before
+    assert sorted(os.listdir(out_dir)) == names
+
+    # another seed's results, and a report that cannot move ranks.csv into
+    # place: no report changes, and no staging directory is left
+    write_experiment(tmp_path, seed=99, **{"run.baseline_crossval": "3"})
+    reseeded = tmp_path / "reseeded"
+    assert main(["run", "--config", str(cfg), "--out", str(reseeded)]) == 0
+    assert (reseeded / "stability.csv").read_bytes() != before["stability.csv"]
+    shutil.copy(reseeded / "results.csv", out_dir / "results.csv")
+    make_a_directory_of(out_dir / "ranks.csv")
+    earlier = entries(out_dir)
+    assert main(["report", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert entries(out_dir) == earlier
+    assert f"{out_dir / 'ranks.csv'} is a directory" in caplog.text
+    assert ".run-" not in caplog.text
 
 
 def test_report_reads_results_that_start_with_a_byte_order_mark(tmp_path):
@@ -400,7 +428,7 @@ def test_internal_error_exits_two(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-def failing_after_the_first_set(monkeypatch):
+def failing_after_the_first_set(monkeypatch, out):
     """Make the walk raise a plain ValueError at its second set."""
     from timeaware_cpdp import runner
     real_run_set = runner._run_set
@@ -419,7 +447,7 @@ def failing_after_the_first_set(monkeypatch):
 def test_a_run_that_fails_mid_walk_publishes_no_results(tmp_path, monkeypatch,
                                                         caplog):
     cfg = write_experiment(tmp_path)
-    calls = failing_after_the_first_set(monkeypatch)
+    calls = failing_after_the_first_set(monkeypatch, tmp_path / "out")
     assert main(["run", "--config", str(cfg)]) == 2
     assert len(calls) == 2
     assert "forced after the first set" in caplog.text
@@ -427,7 +455,7 @@ def test_a_run_that_fails_mid_walk_publishes_no_results(tmp_path, monkeypatch,
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def failing_in_the_reports(monkeypatch):
+def failing_in_the_reports(monkeypatch, out):
     """Make write_reports raise a plain ValueError after its first file."""
     from timeaware_cpdp import stability
     real_write_csv = stability._write_csv
@@ -439,26 +467,35 @@ def failing_in_the_reports(monkeypatch):
     monkeypatch.setattr(stability, "_write_csv", write_csv)
 
 
-@pytest.mark.parametrize("failing", [failing_after_the_first_set,
-                                     failing_in_the_reports],
-                         ids=["walk", "reports"])
+def ranks_csv_is_a_directory(monkeypatch, out):
+    """Put a directory where the run moves ranks.csv."""
+    make_a_directory_of(out / "ranks.csv")
+
+
+@pytest.mark.parametrize("failing,code,logged", [
+    (failing_after_the_first_set, 2, "forced after the first set"),
+    (failing_in_the_reports, 2, "forced after the first report"),
+    (ranks_csv_is_a_directory, 1, "out/ranks.csv is a directory")],
+    ids=["walk", "reports", "move"])
 def test_a_run_that_fails_mid_walk_keeps_an_earlier_results_csv(
-        tmp_path, monkeypatch, failing):
-    """A run that fails before its files move leaves every earlier file."""
+        tmp_path, monkeypatch, caplog, failing, code, logged):
+    """A run that fails, before or at its moves, leaves every earlier file."""
     cfg = write_experiment(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--dump-trees"]) == 0
-    before = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert sorted(before) == ["comparisons.csv", "manifest.json",
-                              "plotdata.csv", "ranks.csv", "results.csv",
-                              "stability.csv", "trees.txt"]
-    failing(monkeypatch)
+    assert sorted(os.listdir(out)) == ["comparisons.csv", "manifest.json",
+                                       "plotdata.csv", "ranks.csv",
+                                       "results.csv", "stability.csv",
+                                       "trees.txt"]
+    failing(monkeypatch, out)
+    before = entries(out)
     # another seed, so the failed run's manifest differs from the first's
     write_experiment(tmp_path, seed=99)
-    assert main(["run", "--config", str(cfg), "--dump-trees"]) == 2
-    # no staging directory left behind either
-    assert sorted(path.name for path in out.iterdir()) == sorted(before)
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["run", "--config", str(cfg), "--dump-trees"]) == code
+    # no staging directory left behind either, nor named in the log
+    assert entries(out) == before
+    assert logged in caplog.text
+    assert ".run-" not in caplog.text
 
 
 def test_console_script_is_installed(tmp_path):

@@ -2,11 +2,12 @@
 
 CSV files are drawn with 1-4 feature columns, 1-5 releases of 1-4 rows
 each, rows of different releases interleaved, columns in any order,
-blank lines and several spellings of each number. dataset_oracle.py
-parses the same text into MetricRecords and builds each release's
-matrices with ``Release.arrays``; the record arrays must give the same
-releases in the same order, bit-equal features, equal labels and an
-equal ``dataset_summary``.
+blank lines, class cells with line breaks and several spellings of each
+number. dataset_oracle.py parses the same text into MetricRecords and
+builds each release's matrices with ``Release.arrays``; the record
+arrays must give the same releases in the same order, bit-equal
+features, equal labels and an equal ``dataset_summary``, or the same
+error on the same line.
 """
 
 import csv
@@ -15,7 +16,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dataset_oracle as oracle
@@ -44,7 +45,8 @@ def dataset_texts(draw):
             rows.append({
                 "project": project, "version": version,
                 "release_date": released,
-                "class": draw(st.text(st.sampled_from('Ab.,"$ '), max_size=4)),
+                "class": draw(st.text(st.sampled_from('Ab.,"$ \n'),
+                                      max_size=4)),
                 "defects": str(draw(st.integers(0, 3))),
                 **{f"f{i}": draw(NUMBER) for i in range(width)}})
     rows = draw(st.permutations(rows))
@@ -62,6 +64,10 @@ def dataset_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(dataset_texts(), st.sampled_from((1, 6, 12)))
+# a quoted class cell spans lines 2-3, so the overflowing feature is on line 4
+@example("project,version,release_date,class,defects,f0\n"
+         'a,1,2000-01-09,"A\nB",0,1.0\n'
+         "a,1,2000-01-09,C,0, 1.8e+308 \n", 6)
 def test_record_arrays_match_metric_record_oracle(text, granularity):
     try:
         expected = oracle.parse_dataset(text)
