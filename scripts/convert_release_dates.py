@@ -15,13 +15,17 @@ gaps:
 
 The dates file needs project, version, and date columns (names
 configurable). In merge mode every metrics row must find its
-(project, version) in the dates file. On any error the script exits 1
-and writes nothing: an existing output file is left as it was. It needs
-only the standard library, neither NumPy nor the timeaware_cpdp package.
+(project, version) in the dates file. In both files every row must have
+as many fields as the header, and no header may name a column twice.
+On any error the script exits 1 and writes nothing: the output is
+written beside its target and moved into place only when complete, so
+an existing output file is left as it was. It needs only the standard
+library, neither NumPy nor the timeaware_cpdp package.
 """
 
 import argparse
 import csv
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -65,30 +69,48 @@ def parse_args(argv=None):
 
 
 def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]], list[int]]:
-    """path's field names, its rows, and the line each row ends on."""
+    """path's field names, its rows, and the line each row ends on.
+
+    Blank lines are skipped. A header that names a column twice, or a
+    row with more or fewer fields than the header, exits 1 naming its
+    line.
+    """
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
+            fields = next(reader, None)
+            if fields is None:
                 raise SystemExit(f"{path}: empty file")
+            for i, name in enumerate(fields):
+                if name in fields[:i]:
+                    raise SystemExit(f"{path} line {reader.line_num}: "
+                                     f"column {name!r} appears twice")
             rows, lines = [], []
-            for row in reader:
+            for row in filter(None, reader):
                 # physical lines: a quoted cell can hold a line break
-                rows.append(row)
-                lines.append(reader.reader.line_num)
-            return list(reader.fieldnames), rows, lines
+                if len(row) != len(fields):
+                    raise SystemExit(f"{path} line {reader.line_num}: "
+                                     f"{len(row)} fields, header has "
+                                     f"{len(fields)}")
+                rows.append(dict(zip(fields, row)))
+                lines.append(reader.line_num)
+            return fields, rows, lines
         except csv.Error as exc:
-            # a DictReader's own line_num lags behind the line that failed
-            raise SystemExit(
-                f"{path} line {reader.reader.line_num}: {exc}") from None
+            raise SystemExit(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def write_rows(path: Path, fields: list[str], rows: list[dict[str, str]]) -> None:
+    """Write path through a file beside it, moved into place when complete."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "x", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rows)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def main(argv=None) -> int:

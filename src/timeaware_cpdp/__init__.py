@@ -18,14 +18,14 @@ from .errors import (BalancingError, ConfigError, ConflictError, DatasetError,
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs)
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
-                         identity_treatment, ma12, nam15, watanabe08)
+                         identity_treatment, ma12, nam15, undersample,
+                         watanabe08)
 from .tree import (DecisionTree, TreeParams, dump_tree, leaf_count,
                    predict_proba_rows, train_tree)
 from .metrics import VersionScore, evaluate_pair, scores
 from .stability import (RESULTS_HEADER, SCORES, RankRow, ResultBlock,
                         StabilityRow, aggregate, cliffs_delta,
                         load_results_csv, magnitude_label, rank_techniques,
-                        rankscores, undersample, wilcoxon_rank_sum,
-                        write_reports)
+                        rankscores, wilcoxon_rank_sum, write_reports)
 from .config import ExperimentConfig, config_hash, parse_config_text
 from .runner import Diagnostic, RunSummary, run_experiment, validate

@@ -63,12 +63,13 @@ from .metrics import evaluate_pair
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs)
 from .stability import (RESULTS_HEADER, SCORES, ResultBlock, _csv_line,
-                        _fmt_window, result_lines, score_fields, undersample,
-                        write_reports, write_results_csv)
+                        _fmt_window, result_lines, score_fields, write_reports,
+                        write_results_csv)
 from .tree import (DecisionTree, dump_tree, rethreshold, train_tree,
                    training_order)
 from .treatments import (TreatedPair, amasaki15, assemble_pair, camargocruz09,
-                         identity_treatment, ma12, nam15, watanabe08)
+                         identity_treatment, ma12, nam15, undersample,
+                         watanabe08)
 
 logger = logging.getLogger(__name__)
 

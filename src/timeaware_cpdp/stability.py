@@ -27,8 +27,9 @@ Every mean, SD and mean rank score adds its values left to right from
 0.0 (_sum). Python 3.12's sum() compensates float rounding, so it would
 make the reports' bytes depend on the interpreter.
 
-write_reports writes four CSV reports from a run's blocks, grouped on
-a prefix of their tag: stability.csv, ranks.csv (with the SD of each
+write_reports writes four CSV reports from a run's blocks, grouped by
+a key of their tag (_group): stability.csv (the rows of aggregate),
+ranks.csv (from its rows without a window, with the SD of each
 technique's per-cell rank), comparisons.csv (time-aware against the
 cross-validation baseline) and plotdata.csv (per-cell metric means).
 """
@@ -37,11 +38,9 @@ from __future__ import annotations
 
 import bisect
 import csv
-import dataclasses
 import logging
 import math
 import operator
-import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, groupby
@@ -52,10 +51,9 @@ from typing import (IO, Callable, Iterable, Iterator, Mapping, NamedTuple,
 
 import numpy as np
 
-from .errors import BalancingError, ConfigError, DatasetError
+from .errors import ConfigError, DatasetError
 from .metrics import VersionScore
 from .pairs import ConfigurationKind
-from .treatments import TreatedPair
 
 logger = logging.getLogger(__name__)
 
@@ -249,11 +247,12 @@ class RankRow:
     rank: int
 
 
-def _group(blocks: Sequence[ResultBlock], width: int) -> dict[tuple, np.ndarray]:
-    """SCORES grouped by (technique, kind, window, split)[:width], rows in block order."""
+def _group(blocks: Sequence[ResultBlock],
+           key: Callable[[ResultBlock], tuple]) -> dict[tuple, np.ndarray]:
+    """SCORES grouped by key(block): groups in order of first appearance, rows in block order."""
     parts: dict[tuple, list[np.ndarray]] = {}
     for block in blocks:
-        parts.setdefault(block[:width], []).append(block.scores)
+        parts.setdefault(key(block), []).append(block.scores)
     return {key: np.concatenate(scores) for key, scores in parts.items()}
 
 
@@ -280,25 +279,26 @@ def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
 
 
 def aggregate(blocks: Sequence[ResultBlock],
-              by_window: bool = False,
               threshold: float = STABILITY_THRESHOLD) -> list[StabilityRow]:
-    """Mean/SD stability rows grouped by (technique, kind[, window]).
+    """The mean/SD stability rows of stability.csv, in file order.
 
-    Groups follow first appearance order in the blocks; by_window skips
-    the groups without a window (II, crossval). A single-value group
+    First every (technique, kind) group, with no window; then every
+    (technique, kind, window) group of the windowed kinds (not II or
+    crossval), each in first appearance order. A single-value group
     reports SD 0 (so it counts as stable) and n 1. Groups whose AUC
     values were all degenerate report no AUC mean at all.
     """
+    groups = _group(blocks, lambda block: (*block[:2], None))
+    for key, scores in _group(blocks, operator.itemgetter(0, 1, 2)).items():
+        if key[2] is not None:
+            groups[key] = scores
     rows = []
-    for key, scores in _group(blocks, 3 if by_window else 2).items():
-        window = key[2] if by_window else None
-        if by_window and window is None:
-            continue
+    for (technique, kind, window), scores in groups.items():
         for metric in RANK_METRICS:
             values, excluded = _metric_values(scores, metric)
             mean, sd = _mean_sd(values) if values else (None, None)
             rows.append(StabilityRow(
-                technique=key[0], kind=key[1], window_k=window,
+                technique=technique, kind=kind, window_k=window,
                 metric=metric, n=len(values), excluded=excluded,
                 mean=mean, sd=sd, stable=None if sd is None else sd < threshold))
     return rows
@@ -428,7 +428,7 @@ def rank_techniques(values: Mapping[str, Mapping[str, float]],
 def _cell_means(blocks: Sequence[ResultBlock]) -> dict[tuple, dict[str, float]]:
     """Means per (technique, kind, window, split) cell; a metric without values is left out."""
     out = {}
-    for cell, scores in _group(blocks, 4).items():
+    for cell, scores in _group(blocks, operator.itemgetter(0, 1, 2, 3)).items():
         means = {}
         for metric in RANK_METRICS:
             values, _ = _metric_values(scores, metric)
@@ -466,58 +466,25 @@ def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]],
             for tech, tech_ranks in ranks.items()}
 
 
-def undersample(tp: TreatedPair, seed: int) -> TreatedPair:
-    """Balance the training classes by shrinking the majority class.
-
-    Majority-class instances are removed by seeded uniform sampling
-    without replacement until both classes have equal counts. Weights of
-    the survivors are preserved and row order is kept. A single-class
-    training set cannot be balanced and raises BalancingError.
-    """
-    labels = tp.train_labels
-    pos = np.flatnonzero(labels)
-    neg = np.flatnonzero(~labels)
-    if len(pos) == 0 or len(neg) == 0:
-        raise BalancingError("single-class training set cannot be balanced")
-    if len(pos) == len(neg):
-        return tp
-
-    minority, majority = (pos, neg) if len(pos) < len(neg) else (neg, pos)
-    rng = random.Random(seed)
-    kept_majority = rng.sample(list(majority), len(minority))
-    keep = np.zeros(len(labels), dtype=bool)
-    keep[minority] = True
-    keep[kept_majority] = True
-
-    return dataclasses.replace(
-        tp,
-        train_features=tp.train_features[keep],
-        train_labels=labels[keep],
-        train_weights=tp.train_weights[keep])
-
-
 def write_reports(blocks: Sequence[ResultBlock], out_dir: Path,
                   stability_threshold: float = STABILITY_THRESHOLD) -> None:
     """Write stability.csv, ranks.csv, comparisons.csv and plotdata.csv.
 
-    stability.csv has the overall rows, then the per-window rows of the
-    windowed configurations; a group without a window (II, crossval)
-    has only its overall row. plotdata.csv has the per-cell metric means
-    in the layout of the variation figures.
+    stability.csv has the rows of aggregate. plotdata.csv has the
+    per-cell metric means in the layout of the variation figures.
     """
     out_dir = Path(out_dir)
-    overall = aggregate(blocks, by_window=False, threshold=stability_threshold)
-    per_window = aggregate(blocks, by_window=True, threshold=stability_threshold)
+    stability = aggregate(blocks, stability_threshold)
     cell_means = _cell_means(blocks)
     _write_csv(out_dir / "stability.csv",
                "technique,kind,window_k,metric,n,excluded,mean,sd,stable",
                (_csv_line(row.technique, row.kind, row.window_k, row.metric,
                           row.n, row.excluded, row.mean, row.sd, row.stable)
-                for row in overall + per_window))
+                for row in stability))
     _write_csv(out_dir / "ranks.csv",
                "kind,technique,rankscore_fscore,rankscore_auc,rankscore_mcc,"
                "rankscore_gmeasure,mean_rank_score,rank,rank_sd",
-               _rank_lines(overall, cell_means))
+               _rank_lines(stability, cell_means))
     _write_csv(out_dir / "comparisons.csv",
                "technique,metric,p_value,cliffs_delta,magnitude",
                _comparison_lines(blocks))
@@ -534,15 +501,15 @@ def _write_csv(path: Path, header: str, lines: Iterable[str]) -> None:
         fh.writelines(lines)
 
 
-def _rank_lines(overall: Sequence[StabilityRow],
+def _rank_lines(stability: Sequence[StabilityRow],
                 cell_means: Mapping[tuple, Mapping[str, float]]) -> Iterator[str]:
     """Rank scores per kind; techniques enter in first-appearance order over all blocks."""
     techniques = list(dict.fromkeys(cell[0] for cell in cell_means))
     if len(techniques) < 2:
         return
     means: dict[tuple, dict[str, float]] = {}
-    for row in overall:
-        if row.mean is not None:
+    for row in stability:
+        if row.window_k is None and row.mean is not None:
             means.setdefault((row.technique, row.kind), {})[row.metric] = row.mean
     for kind in dict.fromkeys(cell[1] for cell in cell_means):
         values = {t: means[t, kind] for t in techniques
@@ -561,17 +528,14 @@ def _rank_lines(overall: Sequence[StabilityRow],
 def _comparison_lines(blocks: Sequence[ResultBlock]) -> Iterator[str]:
     """Time-aware configurations pooled against the cross-validation baseline."""
     baseline_kind = ConfigurationKind.CROSSVAL.value
-    sides: dict[tuple, list[np.ndarray]] = {}
-    for (tech, kind), scores in _group(blocks, 2).items():
-        sides.setdefault((tech, kind == baseline_kind), []).append(scores)
+    sides = _group(blocks, lambda block: (block.technique,
+                                          block.kind == baseline_kind))
     for tech in dict.fromkeys(tech for tech, _ in sides):
         if (tech, False) not in sides or (tech, True) not in sides:
             continue
-        time_aware = np.concatenate(sides[tech, False])
-        baseline = np.concatenate(sides[tech, True])
         for metric in RANK_METRICS:
-            a, _ = _metric_values(time_aware, metric)
-            b, _ = _metric_values(baseline, metric)
+            a, _ = _metric_values(sides[tech, False], metric)
+            b, _ = _metric_values(sides[tech, True], metric)
             if a and b:
                 yield _csv_line(tech, metric, wilcoxon_rank_sum(a, b),
                                 *cliffs_delta(a, b))

@@ -17,6 +17,9 @@ nearest-test distances) therefore span all of them, and a release's
 scores can change with the pair's other test releases. identity and
 nam15 read no test values.
 
+Under-sampling is not a treatment: with run.balance on, a run applies
+undersample once per set, to the assembled pair, before the technique.
+
 The five named treatments follow the published descriptions of the
 respective defect prediction approaches:
 
@@ -36,11 +39,12 @@ respective defect prediction approaches:
 from __future__ import annotations
 
 import dataclasses
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTreatmentError, UnusableDataError
+from .errors import BalancingError, DegenerateTreatmentError, UnusableDataError
 from .pairs import TrainTestPair
 
 # weights are floored here so that instance weights stay strictly positive
@@ -129,6 +133,36 @@ def assemble_pair(pair: TrainTestPair) -> TreatedPair:
         train_features=train_x, train_labels=train_y,
         train_weights=weights, test_features=test_x, test_labels=test_y,
         test_versions=tuple((rel.key, len(rel)) for rel in pair.test))
+
+
+def undersample(tp: TreatedPair, seed: int) -> TreatedPair:
+    """Balance the training classes by shrinking the majority class.
+
+    Majority-class instances are removed by seeded uniform sampling
+    without replacement until both classes have equal counts. Weights of
+    the survivors are preserved and row order is kept. A single-class
+    training set cannot be balanced and raises BalancingError.
+    """
+    labels = tp.train_labels
+    pos = np.flatnonzero(labels)
+    neg = np.flatnonzero(~labels)
+    if len(pos) == 0 or len(neg) == 0:
+        raise BalancingError("single-class training set cannot be balanced")
+    if len(pos) == len(neg):
+        return tp
+
+    minority, majority = (pos, neg) if len(pos) < len(neg) else (neg, pos)
+    rng = random.Random(seed)
+    kept_majority = rng.sample(list(majority), len(minority))
+    keep = np.zeros(len(labels), dtype=bool)
+    keep[minority] = True
+    keep[kept_majority] = True
+
+    return dataclasses.replace(
+        tp,
+        train_features=tp.train_features[keep],
+        train_labels=labels[keep],
+        train_weights=tp.train_weights[keep])
 
 
 def identity_treatment(tp: TreatedPair) -> TreatedPair:

@@ -30,9 +30,9 @@ from timeaware_cpdp.pairs import TrainTestPair
 from report_oracle import ResultRecord, write_reports, write_results_csv
 from timeaware_cpdp.runner import (RunSummary, _pair_counts, apply_treatment,
                                    build_tasks, load_dataset, pair_seed)
-from timeaware_cpdp.stability import _fmt_window, undersample
+from timeaware_cpdp.stability import _fmt_window
 from timeaware_cpdp.tree import dump_tree, train_tree
-from timeaware_cpdp.treatments import TreatedPair, assemble_pair
+from timeaware_cpdp.treatments import TreatedPair, assemble_pair, undersample
 
 logger = logging.getLogger(__name__)
 

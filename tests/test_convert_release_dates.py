@@ -104,6 +104,33 @@ def test_missing_date_writes_nothing(tmp_path, existing):
         assert out.read_bytes() == existing
 
 
+@pytest.mark.parametrize("dates, metrics, message", [
+    (DATES, METRICS.replace(",2,14\n", ",2,14,7\n"),
+     "classes.csv line 2: 6 fields, header has 5"),
+    (DATES.replace(",2002-Jul-15\n", "\n"), METRICS,
+     "dates.csv line 2: 2 fields, header has 3"),
+    (DATES, METRICS.replace(",0,15\n", ",0\n"),
+     "classes.csv line 3: 4 fields, header has 5"),
+    (DATES, "project,version,class,defects,wmc,wmc\n"
+            "ant,1.5,org.apache.tools.ant.Main,2,14,99\n",
+     "classes.csv line 1: column 'wmc' appears twice"),
+], ids=["extra-field", "missing-date-field", "short-row", "repeated-column"])
+def test_malformed_rows_exit_one_and_keep_the_output(tmp_path, dates, metrics,
+                                                     message):
+    """A ragged row or a repeated column names its line and writes nothing."""
+    write(tmp_path, "dates.csv", dates)
+    write(tmp_path, "classes.csv", metrics)
+    out = tmp_path / "out" / "releases.csv"
+    out.parent.mkdir()
+    out.write_bytes(b"project,version\nold,1\n")
+    done = convert(tmp_path, "--dates", "dates.csv", "--metrics", "classes.csv",
+                   "--out", "out/releases.csv")
+    assert done.returncode == 1
+    assert done.stderr == message + "\n"
+    assert out.read_bytes() == b"project,version\nold,1\n"
+    assert os.listdir(out.parent) == ["releases.csv"]
+
+
 def test_conflicting_dates_exit_one(tmp_path):
     write(tmp_path, "dates.csv", DATES + "ant,1.5,2002-07-16\n")
     done = convert(tmp_path, "--dates", "dates.csv", "--out", "fixed.csv")

@@ -9,6 +9,7 @@ the records of a run of the quick-start demo, the one corpus here with
 cross-validation comparisons from real scores.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from e2e import make_demo
 from timeaware_cpdp.config import ExperimentConfig
 from timeaware_cpdp.runner import run_experiment
 from report_oracle import ResultRecord
-from timeaware_cpdp.stability import load_results_csv, write_reports
+from timeaware_cpdp.stability import (_csv_line, aggregate, load_results_csv,
+                                      write_reports)
 
 REPORTS = ("stability.csv", "ranks.csv", "comparisons.csv", "plotdata.csv")
 TECHNIQUES = ("watanabe08", "camargocruz09", "ma12", "amasaki15", "nam15",
@@ -139,5 +141,10 @@ def test_demo_run_reports_match_record_filtering_oracle(tmp_path):
     write_reports(load_results_csv(out / "results.csv"), rebuilt,
                   cfg.stability_threshold)
     assert {name: (rebuilt / name).read_bytes() for name in REPORTS} == actual
+    # aggregate gives every row of stability.csv, in file order
+    rows = aggregate(load_results_csv(out / "results.csv"),
+                     cfg.stability_threshold)
+    assert ([_csv_line(*dataclasses.astuple(row)) for row in rows]
+            == actual["stability.csv"].decode().splitlines(True)[1:])
     # every technique is compared with the baseline on every metric
     assert len(actual["comparisons.csv"].splitlines()) == 1 + 5 * 4

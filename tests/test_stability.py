@@ -1,4 +1,4 @@
-"""Stability aggregation, rank-sum test, effect sizes, ranking, balancing."""
+"""Stability aggregation, rank-sum test, effect sizes, ranking."""
 
 import itertools
 import math
@@ -7,14 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from timeaware_cpdp.errors import BalancingError, ConfigError
+from timeaware_cpdp.errors import ConfigError
 from timeaware_cpdp.stability import (MAGNITUDE_LEVELS, SCORES, ResultBlock,
                                       _cell_means, _mean_sd, _rank_sds,
                                       aggregate, cliffs_delta,
                                       magnitude_label, rank_techniques,
-                                      rankscores, undersample,
-                                      wilcoxon_rank_sum)
-from timeaware_cpdp.treatments import TreatedPair
+                                      rankscores, wilcoxon_rank_sum)
 
 
 def make_record(technique, value, kind="CC", window=1, split=1,
@@ -25,7 +23,9 @@ def make_record(technique, value, kind="CC", window=1, split=1,
 
 
 def rows_for(rows, technique, metric):
-    return [r for r in rows if r.technique == technique and r.metric == metric]
+    """The rows of technique and metric without a window."""
+    return [r for r in rows if r.technique == technique
+            and r.metric == metric and r.window_k is None]
 
 
 def test_aggregate_mean_sd_and_stability():
@@ -81,8 +81,11 @@ def test_aggregate_reports_empty_auc_groups():
 
 def test_aggregate_by_window_splits_groups():
     records = [make_record("a", 0.2, window=1), make_record("a", 0.9, window=2)]
-    rows = aggregate(records, by_window=True)
-    f_rows = rows_for(rows, "a", "fscore")
+    rows = aggregate(records)
+    # the overall rows come first, as in stability.csv
+    assert [r.window_k for r in rows] == [None] * 4 + [1] * 4 + [2] * 4
+    f_rows = [r for r in rows if r.window_k is not None
+              and r.technique == "a" and r.metric == "fscore"]
     assert [(r.window_k, r.mean) for r in f_rows] == [(1, 0.2), (2, 0.9)]
 
 
@@ -290,46 +293,3 @@ def test_rank_stability_ignores_other_kinds():
     # one technique cannot be ranked
     with pytest.raises(ConfigError, match="at least 2 techniques"):
         rank_stability([make_record("a", 0.9)], "CC")
-
-
-def balanced_pair(n_pos, n_neg):
-    n = n_pos + n_neg
-    features = np.arange(n, dtype=float).reshape(n, 1)
-    labels = np.array([True] * n_pos + [False] * n_neg)
-    weights = np.linspace(1.0, 2.0, n)
-    return TreatedPair(
-        train_features=features, train_labels=labels, train_weights=weights,
-        test_features=np.array([[0.5]]), test_labels=np.array([True]),
-        test_versions=((("t", "1"), 1),))
-
-
-def test_undersample_equalizes_classes():
-    tp = balanced_pair(4, 10)
-    out = undersample(tp, seed=3)
-    assert int(out.train_labels.sum()) == 4
-    assert int((~out.train_labels).sum()) == 4
-    # surviving rows keep their original order and weights
-    kept = [int(v) for v in out.train_features[:, 0]]
-    assert kept == sorted(kept)
-    for row_value, weight in zip(out.train_features[:, 0], out.train_weights):
-        assert weight == tp.train_weights[int(row_value)]
-
-
-def test_undersample_balanced_input_is_untouched():
-    tp = balanced_pair(3, 3)
-    assert undersample(tp, seed=1) is tp
-
-
-def test_undersample_is_seed_deterministic():
-    tp = balanced_pair(3, 20)
-    a = undersample(tp, seed=9)
-    b = undersample(tp, seed=9)
-    assert np.array_equal(a.train_features, b.train_features)
-    c = undersample(tp, seed=10)
-    assert not np.array_equal(a.train_features, c.train_features)
-
-
-def test_undersample_rejects_single_class():
-    tp = balanced_pair(0, 5)
-    with pytest.raises(BalancingError):
-        undersample(tp, seed=0)

@@ -15,12 +15,12 @@ from hypothesis.extra import numpy as hnp
 
 import timeaware_cpdp
 from e2e import write_experiment
-from timeaware_cpdp.errors import (DegenerateTreatmentError,
+from timeaware_cpdp.errors import (BalancingError, DegenerateTreatmentError,
                                   UnusableDataError)
 from timeaware_cpdp.treatments import (TreatedPair, _median, _middle,
                                        amasaki15, assemble_pair,
                                        camargocruz09, identity_treatment,
-                                       ma12, nam15, watanabe08)
+                                       ma12, nam15, undersample, watanabe08)
 
 
 def build_pair(train_x, train_y, test_x, test_y) -> TreatedPair:
@@ -105,6 +105,49 @@ def test_treated_pair_rejects_test_versions_that_miss_the_test_rows(versions):
                     [True, False])
     with pytest.raises(ValueError, match="test version counts"):
         dataclasses.replace(tp, test_versions=versions)
+
+
+def balanced_pair(n_pos, n_neg):
+    n = n_pos + n_neg
+    features = np.arange(n, dtype=float).reshape(n, 1)
+    labels = np.array([True] * n_pos + [False] * n_neg)
+    weights = np.linspace(1.0, 2.0, n)
+    return TreatedPair(
+        train_features=features, train_labels=labels, train_weights=weights,
+        test_features=np.array([[0.5]]), test_labels=np.array([True]),
+        test_versions=((("t", "1"), 1),))
+
+
+def test_undersample_equalizes_classes():
+    tp = balanced_pair(4, 10)
+    out = undersample(tp, seed=3)
+    assert int(out.train_labels.sum()) == 4
+    assert int((~out.train_labels).sum()) == 4
+    # surviving rows keep their original order and weights
+    kept = [int(v) for v in out.train_features[:, 0]]
+    assert kept == sorted(kept)
+    for row_value, weight in zip(out.train_features[:, 0], out.train_weights):
+        assert weight == tp.train_weights[int(row_value)]
+
+
+def test_undersample_balanced_input_is_untouched():
+    tp = balanced_pair(3, 3)
+    assert undersample(tp, seed=1) is tp
+
+
+def test_undersample_is_seed_deterministic():
+    tp = balanced_pair(3, 20)
+    a = undersample(tp, seed=9)
+    b = undersample(tp, seed=9)
+    assert np.array_equal(a.train_features, b.train_features)
+    c = undersample(tp, seed=10)
+    assert not np.array_equal(a.train_features, c.train_features)
+
+
+def test_undersample_rejects_single_class():
+    tp = balanced_pair(0, 5)
+    with pytest.raises(BalancingError):
+        undersample(tp, seed=0)
 
 
 def test_identity_changes_nothing():
