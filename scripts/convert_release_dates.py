@@ -14,12 +14,14 @@ gaps:
         --metrics classes.csv --out releases.csv
 
 The dates file needs project, version, and date columns (names
-configurable). In merge mode every metrics row must find its
-(project, version) in the dates file. In both files every row must have
-as many fields as the header, and no header may name a column twice.
-On any error the script exits 1 and writes nothing: the output is
-written beside its target and moved into place only when complete, so
-an existing output file is left as it was. It needs only the standard
+configurable); every date starts with a four-digit year. In merge mode
+every metrics row must find its (project, version) in the dates file.
+In both files every row must have as many fields as the header, and no
+header may name a column twice. On any error, an input that is missing
+or not UTF-8 and an output path that is a directory included, the
+script exits 1 with a one-line message and writes nothing: the output
+is written beside its target and moved into place only when complete,
+so an existing output file is left as it was. It needs only the standard
 library, neither NumPy nor the timeaware_cpdp package.
 """
 
@@ -39,12 +41,16 @@ _MONTH_NAMES = {
 def convert_date_token(token: str) -> str:
     """Normalize a '1999-Nov-08' style date token to ISO 'YYYY-MM-DD'.
 
-    ISO input passes through unchanged.
+    ISO input passes through unchanged. The year comes first and has four
+    ASCII digits, so a day-first token such as '15-Jul-02' is an error,
+    not the year 15.
     """
     parts = token.strip().split("-")
     if len(parts) != 3:
         raise ValueError(f"unrecognized date token: {token!r}")
     year, month, day = parts
+    if not (len(year) == 4 and year.isascii() and year.isdigit()):
+        raise ValueError(f"year must have four digits: {token!r}")
     if month.isdigit():
         return date(int(year), int(month), int(day)).isoformat()
     try:
@@ -73,11 +79,11 @@ def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]], list[int]]:
 
     Blank lines are skipped. A header that names a column twice, or a
     row with more or fewer fields than the header, exits 1 naming its
-    line.
+    line; a file that cannot be opened or is not UTF-8 exits 1 naming it.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
             fields = next(reader, None)
             if fields is None:
                 raise SystemExit(f"{path}: empty file")
@@ -95,22 +101,32 @@ def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]], list[int]]:
                 rows.append(dict(zip(fields, row)))
                 lines.append(reader.line_num)
             return fields, rows, lines
-        except csv.Error as exc:
-            raise SystemExit(f"{path} line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise SystemExit(f"{path} line {reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise SystemExit(f"cannot read {path}: not UTF-8 text") from None
 
 
 def write_rows(path: Path, fields: list[str], rows: list[dict[str, str]]) -> None:
-    """Write path through a file beside it, moved into place when complete."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write path through a file beside it, moved into place when complete.
+
+    A path that cannot be written, such as a directory, exits 1 naming it.
+    """
     partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
     try:
-        with open(partial, "x", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(partial, "x", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer.writeheader()
+                writer.writerows(rows)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Dataset and configuration problems abort a run (CLI exit code 1).
-Degenerate-data conditions abort only the affected train/test pair.
+Dataset and configuration problems abort a run (CLI exit code 1). An
+UnusableDataError, or one of its subclasses, skips only the affected
+(pair, technique) combination; any other exception fails the run.
 """
 
 
@@ -31,13 +32,13 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
-class DegenerateTreatmentError(Exception):
-    """A treatment removed everything it was given; the pair is unusable."""
-
-
 class UnusableDataError(ValueError):
     """Input a treatment or the tree cannot use; skips one (pair, technique)."""
 
 
-class BalancingError(Exception):
+class DegenerateTreatmentError(UnusableDataError):
+    """A treatment removed everything it was given; the pair is unusable."""
+
+
+class BalancingError(UnusableDataError):
     """Under-sampling is impossible, e.g. a single-class training set."""

@@ -26,15 +26,14 @@ tree dumps, then the manifest and reports, go to publish's staging
 directory and move into the output directory, results.csv last, once
 the row accounting balances and every file is written.
 
-A (pair, technique) combination is logged and skipped for a documented
-data condition (DegenerateTreatmentError, BalancingError, or an
-UnusableDataError for input the treatments or the tree reject); any
-other exception, a plain ValueError included, fails the run. Rows
-expected (test versions times techniques, counted off the pair list)
-less skipped rows are the rows written. All output is byte-deterministic
-for a fixed config and seed: rows and warnings come in enumeration
-order, floats use their shortest round-trip representation, and the
-manifest has no timestamps.
+A (pair, technique) combination is logged and skipped exactly when the
+under-sampling, the treatment or the tree raises an UnusableDataError
+(BalancingError and DegenerateTreatmentError are two kinds); any other
+exception, a plain ValueError included, fails the run. Rows expected (test
+versions times techniques, counted off the pair list) less skipped rows
+are the rows written. All output is byte-deterministic for a fixed config
+and seed: rows and warnings come in enumeration order, floats use their
+shortest round-trip representation, and the manifest has no timestamps.
 """
 
 from __future__ import annotations
@@ -57,8 +56,7 @@ from ._digest import sha256
 from .config import ExperimentConfig, config_hash
 from .dataset import (Release, TimeSeriesDataset, bucketize, dataset_summary,
                       parse_dataset)
-from .errors import (BalancingError, ConfigError, DatasetError,
-                     DegenerateTreatmentError, UnusableDataError)
+from .errors import ConfigError, DatasetError, UnusableDataError
 from .metrics import evaluate_pair
 from .pairs import (ConfigurationKind, PairSpec, TrainTestPair, crossval_pairs,
                     enumerate_pairs)
@@ -159,15 +157,14 @@ class _Fit:
 
 
 # per technique, its fit or the error that skipped it
-_SetResult = list[_Fit | BalancingError | DegenerateTreatmentError
-                  | UnusableDataError]
+_SetResult = list[_Fit | UnusableDataError]
 
 
 def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
              config: ExperimentConfig, dump_trees: bool) -> _SetResult:
     """Results of one distinct (train, test) set, per technique.
 
-    A set that cannot be balanced gives its BalancingError to every
+    A set that cannot be balanced gives its UnusableDataError to every
     technique. trees holds the trees of the set's training side by
     training order key (TreeParams is the same for the whole run); a
     fit adds to it. Technique i's scores are rows [i*v, (i+1)*v) of one
@@ -183,7 +180,7 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
     if config.balance:
         try:
             base = undersample(base, pair_seed(config.seed, pair.spec))
-        except BalancingError as exc:
+        except UnusableDataError as exc:
             return [exc.with_traceback(None)] * len(config.techniques)
     fits: _SetResult = []
     for i, technique in enumerate(config.techniques):
@@ -197,7 +194,7 @@ def _run_set(pair: TrainTestPair, trees: dict[bytes, DecisionTree],
             else:
                 tree = rethreshold(tree, treated)
             version_scores = evaluate_pair(tree, treated)
-        except (DegenerateTreatmentError, UnusableDataError) as exc:
+        except UnusableDataError as exc:
             fits.append(exc.with_traceback(None))
             continue
         block = scores[i * versions:(i + 1) * versions]

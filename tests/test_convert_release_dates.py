@@ -52,6 +52,11 @@ def test_convert_date_token():
         convert_date_token("Nov 8 1999")
     with pytest.raises(ValueError):
         convert_date_token("1999-Foo-08")
+    assert convert_date_token("2002-7-5") == "2002-07-05"
+    # a day-first or two-digit year is not the year 15, 2 or 99
+    for token in ("15-Jul-02", "02-Jul-15", "99-Nov-08"):
+        with pytest.raises(ValueError, match="year must have four digits"):
+            convert_date_token(token)
 
 
 def test_script_loads_neither_numpy_nor_the_package(tmp_path):
@@ -168,3 +173,37 @@ def test_cell_over_the_csv_field_limit_exits_one(tmp_path, mode):
     assert done.stderr == (f"{path} line 4: field larger than field limit "
                            "(131072)\n")
     assert not (tmp_path / "fixed.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["missing-dates", "missing-metrics",
+                                  "out-is-a-directory", "not-utf8"])
+def test_unreadable_files_exit_one_naming_the_path(tmp_path, case):
+    """A file that cannot be read or written is a one-line error, no traceback."""
+    write(tmp_path, "dates.csv", DATES)
+    write(tmp_path, "classes.csv", METRICS)
+    out = tmp_path / "out" / "releases.csv"
+    out.parent.mkdir()
+    dates, metrics, path = "dates.csv", "classes.csv", "out/releases.csv"
+    if case == "missing-dates":
+        dates = path = "missing.csv"
+    elif case == "missing-metrics":
+        metrics = path = "missing.csv"
+    elif case == "not-utf8":
+        (tmp_path / "classes.csv").write_bytes(
+            METRICS.encode("utf-8").replace(b"Main,0", b"M\xe4in,0"))
+        path = "classes.csv"
+    if case == "out-is-a-directory":
+        out.mkdir()
+        (out / "kept.csv").write_bytes(b"project,version\nold,1\n")
+    else:
+        out.write_bytes(b"project,version\nold,1\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    done = convert(tmp_path, "--dates", dates, "--metrics", metrics,
+                   "--out", "out/releases.csv")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and path in done.stderr
+    assert done.stdout == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == before
+    assert os.listdir(out.parent) == ["releases.csv"]

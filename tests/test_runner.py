@@ -21,7 +21,7 @@ from timeaware_cpdp import runner as runner_module
 from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.config import ExperimentConfig, config_hash
 from timeaware_cpdp.cli import main
-from timeaware_cpdp.errors import (ConfigError, DatasetError,
+from timeaware_cpdp.errors import (BalancingError, ConfigError, DatasetError,
                                    DegenerateTreatmentError, UnusableDataError)
 from timeaware_cpdp.pairs import ConfigurationKind, PairSpec
 from timeaware_cpdp.runner import (build_tasks, load_dataset, run_experiment,
@@ -350,6 +350,33 @@ def test_programming_error_in_a_treatment_fails_the_run(tmp_path, monkeypatch,
                  "--out", str(tmp_path / "cli")]) == 2
     assert "internal error" in caplog.text
     assert "skipped" not in caplog.text
+
+
+def test_every_skip_condition_is_an_unusable_data_error():
+    assert issubclass(UnusableDataError, ValueError)
+    for error in (BalancingError, DegenerateTreatmentError):
+        assert issubclass(error, UnusableDataError)
+
+
+@pytest.mark.parametrize("step", ["undersample", "ma12"])
+def test_a_new_unusable_data_error_skips_with_no_runner_change(
+        tmp_path, monkeypatch, caplog, step):
+    """Both of _run_set's handlers take any UnusableDataError subclass."""
+
+    class NewCondition(UnusableDataError):
+        pass
+
+    def raising(*args):
+        raise NewCondition("new condition")
+
+    monkeypatch.setattr(runner_module, step, raising)
+    with caplog.at_level(logging.WARNING):
+        cfg, _, summary = run(tmp_path, **{"run.balance": "true"})
+    per_pair = len(cfg.techniques) if step == "undersample" else 1
+    skips = summary.pairs_total * per_pair
+    assert summary.pair_technique_failures == skips
+    assert sum("new condition; skipped" in r.getMessage()
+               for r in caplog.records) == skips
 
 
 def test_demo_stability_report_has_no_duplicate_lines(tmp_path):
