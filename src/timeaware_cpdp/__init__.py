@@ -7,6 +7,18 @@ the predictions per project version. Stability and ranking statistics
 summarize how conclusions hold up across time.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts a pool of worker threads when NumPy loads, and each
+# worker spins for about 0.1 s of CPU before it sleeps, although the
+# package makes no BLAS call. OpenBLAS reads this variable when it loads,
+# so it must be set before the first submodule imports NumPy. A value
+# the user set is kept. Once NumPy is loaded the pool exists, and the
+# variable would only reach child processes, so it is left alone.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .dataset import (BucketSummary, DatasetSchema, Release, TimeBucket,

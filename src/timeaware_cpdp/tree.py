@@ -20,7 +20,8 @@ arrays allocated at every node.
 Every tree is pruned by the classic pessimistic error estimate with a
 confidence parameter, applied bottom-up with subtree replacement only
 (no subtree raising). One descent, ``_leaves``, takes all rows of a
-matrix to their leaves level by level, for prediction and scoring.
+matrix to their leaves, for prediction and scoring: each split divides
+the rows that reach it between its children.
 
 A tree therefore depends on its training input only through each
 attribute's sorted order and ties, the labels and the weights; the
@@ -434,23 +435,34 @@ def train_tree(treated: TreatedPair, params: TreeParams | None = None,
 
 
 def _leaves(tree: DecisionTree, rows) -> np.ndarray:
-    """The leaf node each row reaches; all rows descend together, one
-    tree level per step, and the matrix is validated once."""
+    """The leaf node each row reaches; the matrix is validated once.
+
+    From the root, each split compares the values of the rows that
+    reach it once and passes the two index subsets to its children; a
+    leaf writes its node id for its rows.
+    """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != tree.n_attributes:
         raise ValueError(
             f"expected rows of {tree.n_attributes} attribute values, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise UnusableDataError("cannot predict from non-finite feature values")
-    node = np.zeros(len(x), dtype=np.intp)
-    live = np.arange(len(x))
-    while live.size:
-        at = node[live]
-        attr = tree.feature[at]
-        inner = attr >= 0
-        live, at, attr = live[inner], at[inner], attr[inner]
-        goes_left = x[live, attr] <= tree.threshold[at]
-        node[live] = np.where(goes_left, at + 1, tree.right[at])
+    columns = x.T
+    feature, threshold, right = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.right))
+    node = np.empty(len(x), dtype=np.intp)
+    todo = [(0, np.arange(len(x)))]
+    while todo:
+        at, idx = todo.pop()
+        attr = feature[at]
+        if attr < 0:
+            node[idx] = at
+            continue
+        goes_left = columns[attr].take(idx) <= threshold[at]
+        for child, part in ((right[at], idx[~goes_left]),
+                            (at + 1, idx[goes_left])):
+            if part.size:
+                todo.append((child, part))
     return node
 
 

@@ -19,7 +19,10 @@ layout: split i's left subtree is nodes i + 1 .. right[i] - 1, and a
 walk from the root reaches each node once. evaluate_pair, which scores
 from one count table per leaf probability, must give the VersionScores
 of the row-level scoring in metrics_oracle.py bit for bit, also when
-distinct leaves share a probability.
+distinct leaves share a probability. The descent that takes rows to
+their leaves must reach the leaves of the level-by-level descent in
+tree_oracle.py, for rows on and just above the thresholds and for a
+matrix of no rows.
 """
 
 from unittest import mock
@@ -35,8 +38,8 @@ from test_metrics import auc, count_table
 from timeaware_cpdp import tree as tree_module
 from timeaware_cpdp.metrics import _table_scores, evaluate_pair, scores
 from timeaware_cpdp.tree import (DecisionTree, TreeParams, _grow, _thresholds,
-                                 dump_tree, predict_proba_rows, rethreshold,
-                                 train_tree, training_order)
+                                 dump_tree, leaf_count, predict_proba_rows,
+                                 rethreshold, train_tree, training_order)
 from timeaware_cpdp.treatments import TreatedPair
 
 
@@ -414,6 +417,27 @@ def test_evaluate_pair_matches_row_level_oracle(data, prune, seed):
         event("leaves share a probability")
     result = evaluate_pair(tree, pair)
     assert repr(result) == repr(metrics_oracle.evaluate_pair(tree, pair))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_data(), st.booleans(), st.integers(0, 300),
+       st.integers(0, 2**32 - 1))
+def test_descent_matches_level_by_level_oracle(data, prune, n_rows, seed):
+    x, y, w, params = data
+    m = x.shape[1]
+    pair = treated(x, y, w, x, y, ((("p", "1"), len(x)),))
+    tree = train_tree(pair, params) if prune else unpruned_tree(x, y, w, params)
+    # values on the tree's own thresholds and one step above them, on
+    # every candidate cut and on the training levels
+    cuts = tree.threshold[tree.feature >= 0]
+    values = np.concatenate([LEVELS, MIDPOINTS, cuts, np.nextafter(cuts, np.inf)])
+    rng = np.random.default_rng(seed)
+    rows = values[rng.integers(0, len(values), size=(n_rows, m))]
+    event(f"{leaf_count(tree)} leaves" if leaf_count(tree) < 4 else "4+ leaves")
+    for matrix in (rows, x, np.empty((0, m))):
+        leaves = tree_module._leaves(tree, matrix)
+        assert leaves.dtype == np.intp
+        assert leaves.tolist() == oracle.leaves_by_level(tree, matrix).tolist()
 
 
 def test_evaluate_pair_ranks_tied_leaves_together():

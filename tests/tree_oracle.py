@@ -16,6 +16,11 @@ lists, bit for bit.
 ``training_order`` is the order key as it was before trees were keyed
 by BLAKE2b: a SHA-256 digest, taken through ``hashlib``, of the same
 bytes. The package's keys must be equal exactly when these are.
+
+``leaves_by_level`` is the descent of a flat tree as it was before each
+split divided its own rows between its children: every row still in
+an inner node moves one level down per step. The package's descent
+must reach the same leaves.
 """
 
 from __future__ import annotations
@@ -287,6 +292,24 @@ def predict_proba(root, row) -> float:
     while isinstance(node, Split):
         node = node.left if row[node.attribute] <= node.threshold else node.right
     return (node.w_defective + 1.0) / (node.w_defective + node.w_clean + 2.0)
+
+
+def leaves_by_level(tree, x) -> np.ndarray:
+    """The leaf node of a flat tree that each row of x reaches.
+
+    All rows descend together, one tree level per step. x is a finite
+    float64 matrix of the tree's width.
+    """
+    node = np.zeros(len(x), dtype=np.intp)
+    live = np.arange(len(x))
+    while live.size:
+        at = node[live]
+        attr = tree.feature[at]
+        inner = attr >= 0
+        live, at, attr = live[inner], at[inner], attr[inner]
+        goes_left = x[live, attr] <= tree.threshold[at]
+        node[live] = np.where(goes_left, at + 1, tree.right[at])
+    return node
 
 
 def dump(root) -> str:
