@@ -19,11 +19,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
 from ._digest import sha256
-from .dataset import DatasetSchema
+from .dataset import DatasetSchema, ascii_number
 from .errors import ConfigError
 from .pairs import ConfigurationKind
 from .stability import STABILITY_THRESHOLD, _fmt
@@ -78,9 +79,12 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+_int = partial(ascii_number, int)
+_float = partial(ascii_number, float)
 # Every config key in canonical order: the part of ExperimentConfig it
 # sets (None for the config itself), the field, and the parser of its
-# text. A parser raises ValueError on text it cannot read.
+# text. A parser raises ValueError on text it cannot read; numbers are
+# read as parse_dataset reads them.
 CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "dataset.path": (None, "dataset_path", Path),
     "dataset.project_col": ("schema", "project_col", str),
@@ -89,19 +93,19 @@ CONFIG_KEYS: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "dataset.class_col": ("schema", "class_col", str),
     "dataset.defects_col": ("schema", "defects_col", str),
     "dataset.feature_cols": ("schema", "feature_cols", _names),
-    "buckets.granularity_months": (None, "granularity_months", int),
-    "pairs.gap_buckets": (None, "gap_buckets", int),
+    "buckets.granularity_months": (None, "granularity_months", _int),
+    "pairs.gap_buckets": (None, "gap_buckets", _int),
     "pairs.configurations": (None, "configurations", _kinds),
     "run.techniques": (None, "techniques", _names),
-    "run.seed": (None, "seed", int),
+    "run.seed": (None, "seed", _int),
     "run.balance": (None, "balance", _bool),
-    "run.baseline_crossval": (None, "baseline_crossval", int),
+    "run.baseline_crossval": (None, "baseline_crossval", _int),
     "run.output_dir": (None, "output_dir", Path),
-    "tree.pruning_confidence": ("tree_params", "pruning_confidence", float),
-    "tree.min_leaf_weight": ("tree_params", "min_leaf_weight", float),
-    "treatments.amasaki15.attr_mad_mult": (None, "amasaki_attr_mad_mult", float),
-    "treatments.amasaki15.relevancy_mult": (None, "amasaki_relevancy_mult", float),
-    "report.stability_threshold": (None, "stability_threshold", float),
+    "tree.pruning_confidence": ("tree_params", "pruning_confidence", _float),
+    "tree.min_leaf_weight": ("tree_params", "min_leaf_weight", _float),
+    "treatments.amasaki15.attr_mad_mult": (None, "amasaki_attr_mad_mult", _float),
+    "treatments.amasaki15.relevancy_mult": (None, "amasaki_relevancy_mult", _float),
+    "report.stability_threshold": (None, "stability_threshold", _float),
 }
 
 

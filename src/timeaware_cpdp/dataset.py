@@ -130,6 +130,14 @@ def _rows(reader) -> Iterator[list[str]]:
         raise ParseError(str(exc), line=reader.line_num) from None
 
 
+def ascii_number(kind: type, text: str) -> int | float:
+    """kind(text), kind int or float, or ValueError unless text is ASCII
+    without "_": int and float alone take other scripts' digits and "_"."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
 def parse_dataset(source: str | IO[str] | Iterable[str],
                   schema: DatasetSchema | None = None) -> list[Release]:
     """Parse CSV text into releases.
@@ -217,10 +225,7 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
                 f"column {schema.date_col!r}: not an ISO date: {raw_date!r}",
                 line=line_no) from None
         try:
-            # int and float alone also take other scripts' digits and "_"
-            if not raw_defects.isascii() or "_" in raw_defects:
-                raise ValueError(raw_defects)
-            defect_count = int(raw_defects)
+            defect_count = ascii_number(int, raw_defects)
         except ValueError:
             raise ParseError(
                 f"column {schema.defects_col!r}: not an integer: {raw_defects!r}",
@@ -233,9 +238,7 @@ def parse_dataset(source: str | IO[str] | Iterable[str],
         for col, pos in zip(feature_cols, feature_pos):
             raw = row[pos].strip()
             try:
-                if not raw.isascii() or "_" in raw:
-                    raise ValueError(raw)
-                value = float(raw)
+                value = ascii_number(float, raw)
             except ValueError:
                 raise ParseError(
                     f"column {col!r}: not a number: {raw!r}", line=line_no) from None

@@ -37,7 +37,7 @@ class UnusableDataError(ValueError):
 
 
 class DegenerateTreatmentError(UnusableDataError):
-    """A treatment removed everything it was given; the pair is unusable."""
+    """A treatment removed everything it was given; skips its (pair, technique)."""
 
 
 class BalancingError(UnusableDataError):

@@ -126,21 +126,15 @@ def crossval_pairs(releases: list[Release], folds: int,
     rng = random.Random(seed)
     rng.shuffle(ordered)
 
+    # fold i is ordered[bounds[i]:bounds[i + 1]]; the first extra are longer
     base, extra = divmod(len(ordered), folds)
-    chunks = []
-    pos = 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        chunks.append(ordered[pos:pos + size])
-        pos += size
-
+    bounds = [i * base + min(i, extra) for i in range(folds + 1)]
     out = []
-    for i, test in enumerate(chunks):
-        train = [r for j, c in enumerate(chunks) if j != i for r in c]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         pair = _strict_pair(
             PairSpec(kind=ConfigurationKind.CROSSVAL, window_k=None,
                      split_index=i, gap_buckets=0),
-            tuple(train), tuple(test))
+            tuple(ordered[:lo] + ordered[hi:]), tuple(ordered[lo:hi]))
         if pair is not None:
             out.append(pair)
     return out

@@ -51,6 +51,7 @@ from typing import (IO, Callable, Iterable, Iterator, Mapping, NamedTuple,
 
 import numpy as np
 
+from .dataset import ascii_number
 from .errors import ConfigError, DatasetError
 from .metrics import VersionScore
 from .pairs import ConfigurationKind
@@ -128,7 +129,7 @@ score_fields = operator.attrgetter(*SCORES.names)
 def _parse_window(text: str) -> int | None:
     if text == UNBOUNDED:
         return None
-    if (window := int(text)) < 1:
+    if (window := ascii_number(int, text)) < 1:
         raise ValueError(f"window {window} below 1")
     return window
 
@@ -141,14 +142,14 @@ def _parse_bool(text: str) -> bool:
 
 def _non_negative(what: str) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        if (value := int(text)) < 0:
+        if (value := ascii_number(int, text)) < 0:
             raise ValueError(f"negative {what} {value}")
         return value
     return parse
 
 
 def _parse_score(text: str) -> float:
-    if not math.isfinite(score := float(text)):
+    if not math.isfinite(score := ascii_number(float, text)):
         raise ValueError(f"non-finite score {text!r}")
     return score
 
@@ -347,15 +348,14 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> float:
 
     mu = n_a * (n + 1) / 2.0
     tie_term = float(((ties ** 3) - ties).sum())
+    # two or more tie groups: var >= n_a n_b / 4, at groups of n - 1 and 1
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return 1.0
     diff = w_obs - mu
     if abs(diff) <= 0.5:
         z = 0.0
     else:
         z = (diff - math.copysign(0.5, diff)) / math.sqrt(var)
-    return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def magnitude_label(delta: float) -> str:
@@ -442,8 +442,9 @@ def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]],
               kind: str) -> dict[str, float]:
     """SD of each technique's per-cell rank within one configuration.
 
-    A cell is one (window, split). Cells that miss a technique or share
-    no metric are skipped; with fewer than two usable cells the SD is 0.
+    A cell is one (window, split). Cells that miss a technique are
+    skipped; with fewer than two usable cells the SD is 0. A cell ranks
+    on the metrics all its techniques hold, at least fscore, mcc, gmeasure.
     """
     cells: dict[tuple, dict[str, Mapping[str, float]]] = {}
     ranks: dict[str, list[int]] = {}
@@ -457,8 +458,6 @@ def _rank_sds(cell_means: Mapping[tuple, Mapping[str, float]],
         if cell.keys() != ranks.keys():
             continue
         usable = [m for m in RANK_METRICS if all(m in v for v in cell.values())]
-        if not usable:
-            continue
         for row in rank_techniques(cell, metrics=usable):
             ranks[row.technique].append(row.rank)
     return {tech: _mean_sd([float(r) for r in tech_ranks])[1]

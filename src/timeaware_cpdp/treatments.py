@@ -8,7 +8,7 @@ the training labels, but they never look at test labels. A treatment
 states only what it changes: every one but ma12 keeps its input's
 instance weights, indexed by the training rows it keeps. When a
 treatment leaves nothing to train on it raises DegenerateTreatmentError
-and the caller skips the pair.
+and the caller skips that (pair, technique) combination.
 
 A treatment sees the pair's whole test side: every test release of the
 pair, pooled into one matrix. The test statistics that watanabe08,

@@ -170,7 +170,7 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     so trees match it bit for bit. Clamps that cannot bind are left out:
     a running sum of defective weights never exceeds the running sum of
     all weights it is part of, so every left side's share already lies
-    in [0, 1].
+    in [0, 1], and _grow passes a positive total_d.
     """
     d, m = ids.shape
     cells = d * m
@@ -206,7 +206,7 @@ def _split(ids: np.ndarray, xt: np.ndarray, offsets: np.ndarray,
     n_h = 2 * k + 1
     half = n_h + k
     share = scratch.share[:2 * half]
-    share[0] = min(max(total_d / total_w, 0.0), 1.0)
+    share[0] = min(total_d / total_w, 1.0)
     np.divide(ld, lw, out=share[1:k + 1])
     right = share[k + 1:n_h]
     np.subtract(total_d, ld, out=right)
@@ -319,10 +319,8 @@ def _added_errors(n: float, e: float, z: float, cf: float) -> float:
 
     Upper confidence bound of the binomial error rate at confidence cf,
     with the customary small-count interpolation at e < 1 and the linear
-    regime when the normal approximation breaks down.
+    regime when the normal approximation breaks down; n is positive.
     """
-    if n <= 0:
-        return 0.0
     if e < 1.0:
         base = n * (1.0 - cf ** (1.0 / n))
         if e == 0.0:

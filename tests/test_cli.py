@@ -290,6 +290,13 @@ def test_window_below_one_or_negative_split_or_gap_exits_one(tmp_path, caplog):
         (4, "split_index", "-1"), (5, "gap", "-7")))
 
 
+def test_number_outside_ascii_or_with_underscore_exits_one(tmp_path, caplog):
+    # int and float alone read 1_0 as 10 and Arabic-Indic digits as digits
+    assert_each_edit_exits_one(tmp_path, caplog, (
+        (2, "window_k", "1_0"), (3, "split_index", "\u0663"),
+        (4, "gap", "1_1"), (5, "tp", "\u0662"), (6, "auc", "0.5_0")))
+
+
 def test_results_csv_that_is_a_directory_exits_one(tmp_path, caplog):
     cfg = write_experiment(tmp_path)
     out_dir = tmp_path / "results"

@@ -87,6 +87,19 @@ def test_type_errors_become_config_errors():
             ExperimentConfig.from_mapping(dict(MINIMAL, **{key: value}))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("run.seed", "1_7"), ("buckets.granularity_months", "1_2"),
+    ("pairs.gap_buckets", "\u0661"), ("run.baseline_crossval", "\u0663"),
+    ("tree.pruning_confidence", "0.2_5"), ("tree.min_leaf_weight", "2_0"),
+    ("report.stability_threshold", "\u0660.05"),
+])
+def test_numbers_are_ascii_without_underscores(key, value):
+    """int and float alone read 1_7 as 17 and Arabic-Indic digits as digits."""
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_mapping(dict(MINIMAL, **{key: value}))
+    assert str(info.value) == f"{key}: not an ASCII number: {value!r}"
+
+
 def test_configuration_list_parsing():
     cfg = ExperimentConfig.from_mapping(
         dict(MINIMAL, **{"pairs.configurations": "cc, ii"}))

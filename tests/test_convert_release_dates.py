@@ -119,10 +119,14 @@ def test_missing_date_writes_nothing(tmp_path, existing):
     (DATES, "project,version,class,defects,wmc,wmc\n"
             "ant,1.5,org.apache.tools.ant.Main,2,14,99\n",
      "classes.csv line 1: column 'wmc' appears twice"),
-], ids=["extra-field", "missing-date-field", "short-row", "repeated-column"])
+    (DATES.replace("2002-Jul-15", "15-Jul-02"), METRICS,
+     "dates.csv line 2: year must have four digits: '15-Jul-02'"),
+], ids=["extra-field", "missing-date-field", "short-row", "repeated-column",
+        "day-first-date"])
 def test_malformed_rows_exit_one_and_keep_the_output(tmp_path, dates, metrics,
                                                      message):
-    """A ragged row or a repeated column names its line and writes nothing."""
+    """A ragged row, a repeated column or a day-first date (not the year
+    15) names its line and writes nothing."""
     write(tmp_path, "dates.csv", dates)
     write(tmp_path, "classes.csv", metrics)
     out = tmp_path / "out" / "releases.csv"

@@ -1,15 +1,18 @@
 """Pair enumeration: configurations, filtering, determinism."""
 
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeaware_cpdp.dataset import add_months, bucketize
 from timeaware_cpdp.errors import ConfigError
 from timeaware_cpdp.pairs import (ConfigurationKind, crossval_pairs,
                                   enumerate_pairs)
 
+import pairs_oracle
 from synth import (make_release, oracle_bucket_index, oracle_pairs,
                    pair_as_tuple, random_dataset, simple_release,
                    toy_three_buckets)
@@ -253,6 +256,33 @@ def test_crossval_is_seed_deterministic_and_seed_sensitive():
     assert a == b
     c = [pair_as_tuple(p) for p in crossval_pairs(releases, 3, seed=2)]
     assert a != c
+
+
+@st.composite
+def crossval_releases(draw):
+    """2-40 releases of one or more projects, some on the same date."""
+    n = draw(st.integers(2, 40))
+    projects = draw(st.integers(1, n))
+    return [make_release(f"p{draw(st.integers(0, projects - 1))}", str(i),
+                         date(2001, 1, 1) + timedelta(draw(st.integers(0, 60))),
+                         [((float(i), 0.0), i % 2 == 0)])
+            for i in range(n)]
+
+
+def fold_keys(pairs):
+    return [(p.spec, [r.key for r in p.train], [r.key for r in p.test])
+            for p in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(crossval_releases(), st.lists(st.integers(0, 2 ** 32), min_size=3,
+                                     max_size=3, unique=True))
+def test_crossval_slices_match_the_dealing_loop(releases, seeds):
+    """Every fold count from 2 to n: the same specs and release order per side."""
+    for folds in range(2, len(releases) + 1):
+        for seed in seeds:
+            assert (fold_keys(crossval_pairs(releases, folds, seed))
+                    == fold_keys(pairs_oracle.crossval_pairs(releases, folds, seed)))
 
 
 def test_crossval_fold_validation():

@@ -286,6 +286,20 @@ def test_rank_stability_skips_incomplete_cells():
     assert sds == {"a": 0.0, "b": 0.0}
 
 
+def test_rank_stability_ranks_on_three_metrics_when_auc_is_degenerate():
+    """Every AUC degenerate: the cells rank on fscore, mcc and gmeasure."""
+    records = []
+    for split, winner in ((1, "a"), (2, "b"), (3, "a")):
+        for tech in ("a", "b"):
+            records.append(make_record(tech, 0.9 if tech == winner else 0.1,
+                                       split=split, degenerate=True))
+    means = _cell_means(records)
+    assert all(set(m) == {"fscore", "mcc", "gmeasure"} for m in means.values())
+    sds = _rank_sds(means, "CC")
+    # ranks 1,2,1 and 2,1,2: sample SD sqrt(1/3)
+    assert sds["a"] == sds["b"] == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
+
+
 def test_rank_stability_ignores_other_kinds():
     records = [make_record("a", 0.9), make_record("b", 0.1),
                make_record("a", 0.1, kind="IC"), make_record("b", 0.9, kind="IC")]

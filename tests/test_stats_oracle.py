@@ -3,8 +3,9 @@
 p-values and deltas must be bit-identical (repr-equal) to the argsort
 ranking, the second np.unique and the bisect count they replaced: on
 heavily tied samples, on both branches of the rank-sum test (exact up to
-RANK_SUM_EXACT_LIMIT values per sample, normal beyond), on singleton
-samples and on samples of one value.
+RANK_SUM_EXACT_LIMIT values per sample, normal beyond), on the normal
+branch's tightest ties (all values but one equal), on singleton samples
+and on samples of one value.
 """
 
 import numpy as np
@@ -46,6 +47,10 @@ def test_exact_branch_matches_oracle(a, b):
 @example([1.0], [0.0] * 40)
 @example([0.25] * 11, [0.25] * 30)
 @example([0.5] * RANK_SUM_EXACT_LIMIT, [0.25] * (RANK_SUM_EXACT_LIMIT + 1))
+# the tightest ties, all values but one equal: var is n_a n_b / 4
+@example([0.5] * 11, [0.5] * 29 + [1.0])
+@example([0.5] * 10 + [0.0], [0.5] * 11)
+@example([0.5] * 24 + [1.0], [0.5] * 12)
 def test_normal_branch_matches_oracle(a, b):
     assert_same(a, b)
     assert_same(b, a)
