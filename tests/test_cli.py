@@ -15,6 +15,8 @@ from report_oracle import comparable
 from timeaware_cpdp.cli import main
 from timeaware_cpdp.stability import RESULTS_COLUMNS, load_results_csv
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
 
 def test_validate_prints_diagnostics(tmp_path, capsys):
     cfg = write_experiment(tmp_path)
@@ -506,11 +508,40 @@ def test_a_run_that_fails_mid_walk_keeps_an_earlier_results_csv(
 
 
 def test_console_script_is_installed(tmp_path):
+    """README's quick start, every command through the installed script."""
     exe = shutil.which("timeaware-cpdp")
     if exe is None:
         pytest.skip("console script not on PATH")
-    cfg = write_experiment(tmp_path)
-    proc = subprocess.run([exe, "validate", "--config", str(cfg)],
+    demo = tmp_path / "demo"
+    made = subprocess.run([sys.executable, str(SCRIPTS / "make_demo.py"),
+                           "--out", str(demo)],
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert "releases" in proc.stdout
+    assert made.returncode == 0, made.stderr
+
+    def script(*args):
+        proc = subprocess.run(
+            [exe, *args, "--config", str(demo / "experiment.cfg")],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    assert "releases" in script("validate").stdout
+    assert script("summary").stdout.startswith("bucket_index,")
+    assert script("pairs").stdout.startswith("kind,window_k,")
+    # run and report write nothing to stderr on the demo, so a NumPy
+    # warning or a skip line fails the test even at exit code 0
+    assert script("run", "--dump-trees").stderr == ""
+    # run leaves its files in out and nothing else: no staging directory
+    # or partial file
+    out = demo / "out"
+    assert sorted(os.listdir(out)) == ["comparisons.csv", "manifest.json",
+                                       "plotdata.csv", "ranks.csv",
+                                       "results.csv", "stability.csv",
+                                       "trees.txt"]
+    rebuilt = tmp_path / "rebuilt"
+    rebuilt.mkdir()
+    shutil.copy(out / "results.csv", rebuilt)
+    assert script("report", "--out", str(rebuilt)).stderr == ""
+    for name in ("stability.csv", "ranks.csv", "comparisons.csv",
+                 "plotdata.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name

@@ -3,6 +3,8 @@
 The script runs in a fresh interpreter in tmp_path. On any error it
 exits 1 and writes nothing, so a previous output file keeps its bytes.
 It needs only the standard library: neither NumPy nor the package.
+README's conversion example ends with the package's validate reading
+the joined file.
 """
 
 import importlib.util
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from timeaware_cpdp.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "convert_release_dates.py"
 
@@ -88,6 +92,24 @@ def test_merge_mode_inserts_the_date_column_third(tmp_path):
         "project,version,release_date,class,defects,wmc",
         "ant,1.5,2002-07-15,org.apache.tools.ant.Main,2,14",
         "ant,1.6,2003-12-18,org.apache.tools.ant.Main,0,15"]
+
+
+def test_readme_example_gives_a_dataset_that_validates(tmp_path, capsys):
+    """README's two files in, one date written YYYY-Mon-DD; validate exits 0."""
+    write(tmp_path, "dates.csv", "project,version,release_date\n"
+          "ant,1.5,2002-Jul-15\nant,1.6,2003-12-18\nivy,1.4,2003-06-01\n")
+    write(tmp_path, "classes.csv", "project,version,class,defects,wmc,loc\n"
+          "ant,1.5,a.Main,2,14,420\nant,1.5,a.Task,0,3,80\n"
+          "ant,1.6,a.Main,0,15,431\nant,1.6,a.Task,1,4,95\n"
+          "ivy,1.4,i.Ivy,1,9,300\nivy,1.4,i.Dep,0,2,40\n")
+    done = convert(tmp_path, "--dates", "dates.csv", "--metrics", "classes.csv",
+                   "--out", "releases.csv")
+    assert done.returncode == 0, done.stderr
+    write(tmp_path, "convert.cfg", "dataset.path = releases.csv\n"
+          "run.seed = 1\npairs.gap_buckets = 0\n")
+    assert main(["validate", "--config", str(tmp_path / "convert.cfg")]) == 0
+    assert ("INFO: 3 releases from 2 projects, 6 instances"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("existing", [None, b"project,version\nold,1\n"])

@@ -3,16 +3,19 @@
 A corpus built with synth.py runs through every technique, the four
 time-aware configurations and the cross-validation baseline, with and
 without under-sampling. Two edits of its CSV must leave results.csv,
-the four reports and manifest.json byte-identical:
+the four reports, manifest.json and the --dump-trees trees.txt
+byte-identical:
 
 * interleaving the rows of different releases, each release keeping its
   own row order, since releases are grouped by (project, version);
 * renaming the class ids, which only identify rows.
 
 The same config and CSV copied into another directory must give the
-same bytes too: config_sha256 leaves out the dataset and output paths.
-So must two processes with different string hash seeds, trees.txt,
-stdout and stderr included: the runner keys dicts on tuples of strings.
+same bytes too, with summary.csv and pairs.csv from `summary --out` and
+`pairs --out`: config_sha256 leaves out the dataset and output paths.
+So must two processes with different string hash seeds, summary.csv,
+pairs.csv, stdout and stderr included: the runner keys dicts on tuples
+of strings.
 
 A treatment sees its pair's whole test side. identity and nam15 read no
 test values, so dropping a pair's later test releases must leave the
@@ -54,7 +57,9 @@ from timeaware_cpdp.treatments import (TREATMENT_NAMES, assemble_pair,
                                        identity_treatment, nam15, watanabe08)
 
 OUTPUTS = ("results.csv", "stability.csv", "ranks.csv", "comparisons.csv",
-           "plotdata.csv", "manifest.json")
+           "plotdata.csv", "manifest.json", "trees.txt")
+# what summary and pairs write with --out
+LISTINGS = ("summary.csv", "pairs.csv")
 
 
 def corpus():
@@ -90,7 +95,7 @@ def run_outputs(tmp_path, csv_text, balance):
         "run.baseline_crossval": "3",
         "run.balance": balance,
     })
-    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--dump-trees"]) == 0
     return {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS}
 
 
@@ -100,7 +105,12 @@ def test_another_directory_changes_no_output_byte(tmp_path):
     for name in ("one", "two"):
         (tmp_path / name).mkdir()
         outputs.append(run_outputs(tmp_path / name, csv_text, "false"))
-    for name in OUTPUTS:
+        cfg, out = tmp_path / name / "experiment.cfg", tmp_path / name / "out"
+        for command in ("summary", "pairs"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[-1].update({listing: (out / listing).read_bytes()
+                            for listing in LISTINGS})
+    for name in OUTPUTS + LISTINGS:
         assert outputs[0][name] == outputs[1][name], name
 
 
@@ -112,20 +122,25 @@ def test_hash_seed_changes_no_output_byte(tmp_path):
         "run.baseline_crossval": "3",
     })
     src = Path(timeaware_cpdp.__file__).parents[1]
+    out = tmp_path / "out"
     outputs = []
     for hash_seed in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from timeaware_cpdp.cli import main; sys.exit(main())",
-             "run", "--config", str(cfg), "--dump-trees"],
-            capture_output=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src),
-                 "PYTHONHASHSEED": hash_seed})
-        assert proc.returncode == 0, proc.stderr
-        out = tmp_path / "out"
+        streams = {}
+        for command in (["run", "--dump-trees"], ["summary", "--out", str(out)],
+                        ["pairs", "--out", str(out)]):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from timeaware_cpdp.cli import main; "
+                 "sys.exit(main())",
+                 command[0], "--config", str(cfg), *command[1:]],
+                capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            streams[command[0]] = (proc.stdout, proc.stderr)
         outputs.append({name: (out / name).read_bytes()
-                        for name in OUTPUTS + ("trees.txt",)})
-        outputs[-1].update(stdout=proc.stdout, stderr=proc.stderr)
+                        for name in OUTPUTS + LISTINGS})
+        outputs[-1].update(streams=streams)
         shutil.rmtree(out)
     assert outputs[0] == outputs[1]
 
